@@ -68,59 +68,40 @@ type point = { rate_per_min : float; rows : row list }
 
 let default_rates = [ 0.0; 0.01; 0.05; 0.2 ]
 let default_placements = [ Cluster.Least_loaded; Cluster.Warm_aware ]
+let default_requests = 200
 let n_nodes = 3
 let cores_per_node = 2
+let warmup = Time_ns.of_sec 2.0
 
-let principals =
-  [| Gh_faas.Principal.make ~id:1 ~name:"alice"; Gh_faas.Principal.make ~id:2 ~name:"bob" |]
+(* Attempt patience: generous against honest queueing (the fault-free
+   p99 is well under this), small against the deadline so a timed-out
+   attempt leaves room to fail over and still serve. *)
+let response_timeout ~service = max (Time_ns.of_ms 250.0) (6 * service)
 
-(* Mean per-request core occupancy on a throwaway instance: sizes the
-   offered rate, the response timeout and the deadline. *)
-let service_ns cfg spec ~seed =
-  match Registry.make Registry.Gh ~rng:(Rng.create (seed lxor 0x5eed)) spec with
-  | Error msg -> failwith ("Cluster_exp: cannot build probe strategy: " ^ msg)
-  | Ok s ->
-      let n = 8 in
-      let total = ref 0 in
-      for i = 1 to n do
-        let req =
-          Request.make ~id:(1_000_000 + i)
-            ~principal:principals.(i land 1)
-            ~input_kb:spec.Fm.input_kb ()
-        in
-        let inv = s.Intf.invoke req in
-        total := !total + inv.Intf.on_path_ns + inv.Intf.post_ns
-      done;
-      (!total / n) + cfg.Config.dispatch_ns
+type fleet = {
+  engine : Engine.t;
+  cluster : Cluster.t;
+  controller : Controller.t;
+  spec : Fm.spec;
+  arrivals : Time_ns.t list;
+  last_arrival : Time_ns.t;
+  horizon : Time_ns.t;
+  ttl : Time_ns.t;
+}
 
-let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
-  (* The seed is shared by the two failover arms: identical arrivals and
-     an identical initial fault schedule, so the comparison isolates the
-     management plane. *)
-  let seed =
-    cfg.Config.seed
-    lxor Hashtbl.hash ("cluster", spec.Fm.name, Cluster.placement_name placement, rate_per_min)
-  in
+let fleet ?trace ?spans ?series ?slos ?recorder ~metrics cfg spec ~seed ~service ~label ~load
+    ~min_span_s ~fault_per_min ~crashes ~placement ~failover ~requests =
   let root = Rng.create seed in
-  let service = service_ns cfg spec ~seed in
   let fleet_cores = n_nodes * cores_per_node in
   let capacity_rps = float_of_int fleet_cores *. 1.0e9 /. float_of_int service in
-  (* Sized so the fleet minus one node still has burst headroom (the
-     failover arms isolate fault handling, not overload — Overload_exp
-     covers that), and so the arrival span holds three scheduled crashes
-     spaced wider than one detect+restart+rejoin cycle (~1.1 s). *)
-  let rate_rps = Float.min (0.45 *. capacity_rps) (float_of_int requests /. 4.5) in
+  let rate_rps = Float.min (load *. capacity_rps) (float_of_int requests /. min_span_s) in
   let hb = Time_ns.of_ms 100.0 in
-  (* Attempt patience: generous against honest queueing (the fault-free
-     p99 is well under this), small against the deadline so a timed-out
-     attempt leaves room to fail over and still serve. *)
-  let response_timeout = max (Time_ns.of_ms 250.0) (6 * service) in
+  let response_timeout = response_timeout ~service in
   (* Client deadline: room for two timed-out attempts plus a served one
      even when a restart window (~1 s) sits in the middle. *)
   let ttl = max (Time_ns.of_sec 2.0) (8 * response_timeout) in
-  let warmup = Time_ns.of_sec 2.0 in
   let arrivals =
-    let arng = Rng.create (seed lxor Hashtbl.hash "cluster-arrivals") in
+    let arng = Rng.create (seed lxor Hashtbl.hash (label ^ "-arrivals")) in
     List.map
       (fun t -> t + warmup)
       (Synthetic.burst ~duty:0.5 ~cycle_s:1.0 arng ~rate_rps ~n:requests)
@@ -128,30 +109,24 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
   let last_arrival = List.fold_left max warmup arrivals in
   let horizon = last_arrival + ttl + Time_ns.of_sec 2.0 in
   let fault =
-    if rate_per_min <= 0.0 then Fault.none
+    if fault_per_min <= 0.0 then Fault.none
     else begin
-      let plan = Fault.create ~seed:(Hashtbl.hash (seed, "cluster-plan")) in
+      let plan = Fault.create ~seed:(Hashtbl.hash (seed, label ^ "-plan")) in
       let ticks_per_min = 60.0 *. 1.0e9 /. float_of_int hb in
-      let per_tick = rate_per_min /. ticks_per_min in
-      (* Three crashes scheduled across the arrival span (occurrence index
-         ~ n_nodes draws per tick while the fleet is whole), on top of the
-         rate-derived background probability. *)
+      let per_tick = fault_per_min /. ticks_per_min in
+      (* Crash draws advance n_nodes per tick whether members are up or
+         not, so member [node]'s draw on tick k (1-based) is occurrence
+         (k-1)*n_nodes + node + 1: each crash point (node, fraction of the
+         arrival span) fires on that member at a fixed time in both
+         failover arms, on top of the rate-derived background. *)
       let crash_nths =
-        List.filter_map
+        List.map
           (fun (node, f) ->
-            (* Crash draws advance n_nodes per tick whether members are up
-               or not, so member [node]'s draw on tick k (1-based) is
-               occurrence (k-1)*n_nodes + node + 1: three crashes, three
-               distinct members, at fixed times in both failover arms. *)
             let tick =
               max 1 ((warmup + int_of_float (f *. float_of_int (last_arrival - warmup))) / hb)
             in
-            let occ = ((tick - 1) * n_nodes) + node + 1 in
-            if occ >= 1 then Some occ else None)
-          (* Early enough that most of the stream faces a damaged fleet,
-             spaced wider than one detect+restart+rejoin cycle (~1.1 s)
-             so the failover arm rarely loses the whole fleet at once. *)
-          [ (0, 0.05); (1, 0.35); (2, 0.65) ]
+            ((tick - 1) * n_nodes) + node + 1)
+          crashes
       in
       Fault.set plan Fault.Node_crash ~prob:per_tick ~nth:crash_nths ();
       Fault.set plan Fault.Node_hang ~prob:(2.0 *. per_tick) ();
@@ -161,7 +136,6 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
     end
   in
   let engine = Engine.create () in
-  let metrics = Gh_sim.Metrics.create () in
   let builds = ref 0 in
   let make_strategy _name sp =
     incr builds;
@@ -201,56 +175,79 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
     }
   in
   let cluster =
-    Cluster.create ~metrics ~rng:(Rng.named_split root "cluster") ~fault engine
-      cluster_config ~make_strategy
+    Cluster.create ?trace ?spans ?series ?slos ?recorder ~metrics
+      ~rng:(Rng.named_split root "cluster") ~fault engine cluster_config ~make_strategy
   in
-  let fn = spec.Fm.name in
-  Cluster.register cluster ~name:fn spec;
+  Cluster.register cluster ~name:spec.Fm.name spec;
   let controller =
     Controller.create_sink ~ttl_ns:ttl engine
       ~rng:(Rng.named_split root "controller")
-      (fun req ~on_response -> Cluster.submit cluster ~name:fn req ~on_response)
+      (fun req ~on_response -> Cluster.submit cluster ~name:spec.Fm.name req ~on_response)
+  in
+  { engine; cluster; controller; spec; arrivals; last_arrival; horizon; ttl }
+
+let launch f ~on_complete =
+  let fn = f.spec.Fm.name in
+  (* One warm-up request per core at t=0 (no deadline, uncounted) pays the
+     fleet's container cold starts before measurement. *)
+  for i = 1 to n_nodes * cores_per_node do
+    Engine.at f.engine ~time:0 (fun () ->
+        Cluster.submit f.cluster ~name:fn
+          (Request.make ~id:(2_000_000 + i)
+             ~principal:Sweep.principals.(i land 1)
+             ~input_kb:f.spec.Fm.input_kb ())
+          ~on_response:(fun _ _ -> ()))
+  done;
+  Cluster.start f.cluster ~until:f.horizon;
+  Engine.at_batch f.engine
+    (List.mapi
+       (fun i at ->
+         ( at,
+           fun () ->
+             Controller.submit f.controller
+               (Request.make ~id:(i + 1)
+                  ~principal:Sweep.principals.(i land 1)
+                  ~input_kb:f.spec.Fm.input_kb ())
+               ~on_complete ))
+       f.arrivals);
+  Engine.run_all f.engine
+
+let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
+  (* The seed is shared by the two failover arms: identical arrivals and
+     an identical initial fault schedule, so the comparison isolates the
+     management plane. *)
+  let seed =
+    cfg.Config.seed
+    lxor Hashtbl.hash ("cluster", spec.Fm.name, Cluster.placement_name placement, rate_per_min)
+  in
+  let service = Sweep.service_ns cfg Registry.Gh spec ~seed ~salt:0x5eed in
+  (* Offered load sized so the fleet minus one node still has burst
+     headroom (the failover arms isolate fault handling, not overload —
+     Overload_exp covers that), and so the arrival span holds three
+     scheduled crashes spaced wider than one detect+restart+rejoin cycle
+     (~1.1 s): early enough that most of the stream faces a damaged
+     fleet, spread so the failover arm rarely loses the whole fleet at
+     once. *)
+  let f =
+    fleet ~metrics:(Gh_sim.Metrics.create ()) cfg spec ~seed ~service ~label:"cluster"
+      ~load:0.45 ~min_span_s:4.5 ~fault_per_min:rate_per_min
+      ~crashes:[ (0, 0.05); (1, 0.35); (2, 0.65) ]
+      ~placement ~failover ~requests
   in
   let served_ids = Hashtbl.create 256 in
   let failed_ids = Hashtbl.create 64 in
   let double_served = ref 0 in
   let e2e_ms = ref [] in
-  Cluster.set_on_failed cluster (fun req -> Hashtbl.replace failed_ids req.Request.id ());
-  Controller.set_on_shed controller (fun req -> Hashtbl.replace failed_ids req.Request.id ());
-  (* One warm-up request per core at t=0 (no deadline, uncounted) pays the
-     fleet's container cold starts before measurement. *)
-  for i = 1 to fleet_cores do
-    Engine.at engine ~time:0 (fun () ->
-        Cluster.submit cluster ~name:fn
-          (Request.make ~id:(2_000_000 + i)
-             ~principal:principals.(i land 1)
-             ~input_kb:spec.Fm.input_kb ())
-          ~on_response:(fun _ _ -> ()))
-  done;
-  Cluster.start cluster ~until:horizon;
-  Engine.at_batch engine
-    (List.mapi
-       (fun i at ->
-         let id = i + 1 in
-         ( at,
-           fun () ->
-             let req =
-               Request.make ~id
-                 ~principal:principals.(i land 1)
-                 ~input_kb:spec.Fm.input_kb ()
-             in
-             Controller.submit controller req
-               ~on_complete:(fun (c : Controller.completion) ->
-                 if Hashtbl.mem served_ids c.Controller.request.Request.id then
-                   incr double_served
-                 else begin
-                   Hashtbl.replace served_ids c.Controller.request.Request.id ();
-                   e2e_ms := Time_ns.to_ms c.Controller.e2e_ns :: !e2e_ms
-                 end) ))
-       arrivals);
-  Engine.run_all engine;
-  let s = Cluster.stats cluster in
-  let offered = List.length arrivals in
+  Cluster.set_on_failed f.cluster (fun req -> Hashtbl.replace failed_ids req.Request.id ());
+  Controller.set_on_shed f.controller (fun req -> Hashtbl.replace failed_ids req.Request.id ());
+  launch f ~on_complete:(fun (c : Controller.completion) ->
+      if Hashtbl.mem served_ids c.Controller.request.Request.id then incr double_served
+      else begin
+        Hashtbl.replace served_ids c.Controller.request.Request.id ();
+        e2e_ms := Time_ns.to_ms c.Controller.e2e_ns :: !e2e_ms
+      end);
+  let s = Cluster.stats f.cluster in
+  let offered = List.length f.arrivals in
   let served = Hashtbl.length served_ids in
   let shed_and_served =
     Hashtbl.fold
@@ -268,18 +265,9 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
     if failover then s.Cluster.inflight + s.Cluster.pending_requests else 0
   in
   let duration_s =
-    Float.max 1e-9 (Time_ns.to_ms (last_arrival - warmup + ttl) /. 1000.0)
+    Float.max 1e-9 (Time_ns.to_ms (f.last_arrival - warmup + f.ttl) /. 1000.0)
   in
-  let summary =
-    match !e2e_ms with
-    | [] -> None
-    | samples -> Some (Stats.summarize (Array.of_list samples))
-  in
-  let failover_p99_ms =
-    match s.Cluster.failover_ms with
-    | [] -> Float.nan
-    | samples -> (Stats.summarize (Array.of_list samples)).Stats.p99
-  in
+  let p50_ms, p99_ms = Sweep.p50_p99 !e2e_ms in
   {
     rate_per_min;
     placement;
@@ -290,9 +278,9 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
     availability =
       (if offered = 0 then Float.nan else float_of_int served /. float_of_int offered);
     goodput_rps = float_of_int served /. duration_s;
-    p50_ms = (match summary with Some s -> s.Stats.median | None -> Float.nan);
-    p99_ms = (match summary with Some s -> s.Stats.p99 | None -> Float.nan);
-    failover_p99_ms;
+    p50_ms;
+    p99_ms;
+    failover_p99_ms = snd (Sweep.p50_p99 s.Cluster.failover_ms);
     retries = s.Cluster.retries;
     hedges = s.Cluster.hedges;
     cancelled = s.Cluster.hedge_cancelled;
@@ -308,7 +296,8 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
     inflight_residue;
   }
 
-let run cfg ?(rates = default_rates) ?(placements = default_placements) ?(requests = 200)
+let run cfg ?(rates = default_rates) ?(placements = default_placements)
+    ?(requests = default_requests)
     (entry : Catalog.entry) =
   List.map
     (fun rate_per_min ->
@@ -341,6 +330,51 @@ let violations points =
           + r.inflight_residue)
         n p.rows)
     0 points
+
+(* Acceptance on the 1%/min cells (when present): failover on keeps
+   availability >= 99% with p99 within 8x the fault-free cell's; failover
+   off collapses on the same seeded streams. A NaN p99 on either side
+   compares false, so it never fails the inflation check. *)
+let acceptance points =
+  let rows = List.concat_map (fun (p : point) -> p.rows) points in
+  let find ~rate ~failover =
+    List.find_opt (fun (r : row) -> r.rate_per_min = rate && r.failover = failover) rows
+  in
+  match (find ~rate:0.01 ~failover:true, find ~rate:0.01 ~failover:false) with
+  | Some on, Some off ->
+      let baseline_p99 =
+        match find ~rate:0.0 ~failover:true with Some b -> b.p99_ms | None -> Float.nan
+      in
+      List.filter_map Fun.id
+        [
+          (if off.availability > 0.90 then
+             Some
+               (Printf.sprintf "failover-off availability %.2f%% did not collapse (> 90%%)"
+                  (100.0 *. off.availability))
+           else None);
+          (if on.p99_ms > 8.0 *. baseline_p99 then
+             Some
+               (Printf.sprintf "failover-on p99 %.1f ms > 8x fault-free %.1f ms" on.p99_ms
+                  baseline_p99)
+           else None);
+          (if on.availability < 0.99 then
+             Some
+               (Printf.sprintf "failover-on availability %.2f%% < 99%%"
+                  (100.0 *. on.availability))
+           else None);
+        ]
+  | _ -> []
+
+let gate points =
+  match (violations points, acceptance points) with
+  | 0, [] -> Ok ()
+  | 0, failed -> Error ("ACCEPTANCE FAILED: " ^ String.concat "; " failed)
+  | n, _ ->
+      Error
+        (Printf.sprintf
+           "DELIVERY CONTRACT VIOLATION: %d breach(es) — double-serve, shed-and-served, \
+            unaccounted completion, or dangling attempt"
+           n)
 
 let print ppf (entry : Catalog.entry) points =
   let header =
@@ -409,3 +443,23 @@ let print ppf (entry : Catalog.entry) points =
           double-serve, no shed-and-served, every node completion accounted."
          entry.Catalog.display n_nodes)
     ~header rows
+
+let sweep =
+  Sweep.Sweep
+    {
+      name = "cluster";
+      doc =
+        "Sweep node-level fault rates through the multi-node fleet with failover (health \
+         checks, breakers, restarts, retries, hedging) on and off; exits nonzero on any \
+         delivery-contract violation or if failover fails to hold availability.";
+      n_doc = "Arrivals per (rate, placement, failover) cell.";
+      default_n = default_requests;
+      smoke_doc = "Tiny CI run: one placement, rates 0 and 1%/min, few requests.";
+      smoke =
+        (fun cfg entry ->
+          run cfg ~rates:[ 0.0; 0.01 ] ~placements:[ Cluster.Least_loaded ] ~requests:150
+            entry);
+      run = (fun cfg ~requests entry -> run cfg ~requests entry);
+      print;
+      gate;
+    }

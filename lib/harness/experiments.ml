@@ -289,3 +289,6 @@ let run_list ids cfg ppf =
 
 let run_all cfg ppf = run_list all cfg ppf
 let run_extras cfg ppf = run_list extras cfg ppf
+
+let sweeps =
+  [ Fault_exp.sweep; Overload_exp.sweep; Cluster_exp.sweep; Slo_exp.sweep; Scrub_exp.sweep ]

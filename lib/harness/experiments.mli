@@ -65,3 +65,7 @@ val run_all : Config.t -> Format.formatter -> unit
 (** Run {!all} — the paper set. *)
 
 val run_extras : Config.t -> Format.formatter -> unit
+
+val sweeps : Sweep.t list
+(** The five fail-closed sweeps (fault, overload, cluster, slo, scrub),
+    each a `gh-bench` subcommand with its own gate. *)

@@ -2,14 +2,11 @@ module Engine = Gh_sim.Engine
 module Rng = Gh_sim.Rng
 module Time_ns = Gh_sim.Time_ns
 module Fault = Gh_sim.Fault
-module Stats = Gh_sim.Stats
 module Registry = Gh_isolation.Registry
 module Catalog = Gh_workloads.Catalog
 module Fm = Gh_faas.Function_model
 module Intf = Gh_faas.Strategy_intf
 module Invoker = Gh_faas.Invoker
-module Container = Gh_faas.Container
-module Backoff = Gh_faas.Backoff
 
 type row = {
   strategy : Registry.id;
@@ -33,9 +30,7 @@ type point = { fault_rate : float; rows : row list }
 
 let strategies = [ Registry.Base; Registry.Gh; Registry.Gh_nop; Registry.Fork ]
 let default_rates = [ 0.0; 1e-4; 1e-3; 1e-2 ]
-
-let principals =
-  [| Gh_faas.Principal.make ~id:1 ~name:"alice"; Gh_faas.Principal.make ~id:2 ~name:"bob" |]
+let default_requests = 120
 
 (* The fail-closed checker: every dispatch is gated on the strategy's own
    lifecycle state. A strategy without one (fork, base) reports [None] and
@@ -49,19 +44,6 @@ let guard unsafe (s : Intf.t) =
         | Some `Clean | None -> ()
         | Some _ -> incr unsafe);
         s.Intf.invoke req);
-  }
-
-let default_recovery =
-  {
-    Invoker.container =
-      {
-        Container.timeout_ns = Some (Time_ns.of_sec 1.0);
-        quarantine_after = 3;
-        rebuild_backoff = Backoff.recovery;
-        max_rebuild_attempts = 5;
-      };
-    max_attempts = 3;
-    retry_backoff = Backoff.default;
   }
 
 let measure cfg strategy spec ~fault_rate ~n_containers ~n_requests =
@@ -112,18 +94,9 @@ let measure cfg strategy spec ~fault_rate ~n_containers ~n_requests =
            pipeline, which paces retries with backoff. *)
         match attempt 0 with Ok s -> guard unsafe s | Error msg -> failwith msg
     in
-    let recovery =
-      (* Hang timeout scaled to the workload so slow benchmarks aren't
-         killed while legitimately computing. *)
-      let timeout = Time_ns.of_sec 1.0 + (8 * spec.Fm.exec_ns) in
-      {
-        default_recovery with
-        Invoker.container =
-          { default_recovery.Invoker.container with Container.timeout_ns = Some timeout };
-      }
-    in
     let invoker =
-      Invoker.create ~trace:(Gh_sim.Trace.create ()) ~recovery ~rng:(Rng.split root) engine
+      Invoker.create ~trace:(Gh_sim.Trace.create ()) ~recovery:(Sweep.recovery spec)
+        ~rng:(Rng.split root) engine
         ~n_containers ~dispatch_ns:cfg.Config.dispatch_ns ~make_strategy
     in
     let delivered = ref 0 and crashed = ref 0 in
@@ -139,7 +112,7 @@ let measure cfg strategy spec ~fault_rate ~n_containers ~n_requests =
              fun () ->
                let req =
                  Gh_faas.Request.make ~id:i
-                   ~principal:principals.(i land 1)
+                   ~principal:Sweep.principals.(i land 1)
                    ~input_kb:spec.Fm.input_kb ()
                in
                Invoker.submit invoker req ~on_response:(fun _ inv ->
@@ -154,17 +127,6 @@ let measure cfg strategy spec ~fault_rate ~n_containers ~n_requests =
     let duration_s = Time_ns.to_ms (Engine.now engine) /. 1000.0 in
     let rs = Invoker.recovery_stats invoker in
     let lost = n_requests - !delivered - !crashed - rs.Invoker.failed_requests in
-    let mttr_ms =
-      match rs.Invoker.mttr_ns with
-      | [] -> Float.nan
-      | samples ->
-          Stats.mean (Array.of_list (List.map Time_ns.to_ms samples))
-    in
-    let p99_ms =
-      match !e2e_ms with
-      | [] -> Float.nan
-      | samples -> (Stats.summarize (Array.of_list samples)).Stats.p99
-    in
     Some
       {
         strategy;
@@ -183,12 +145,12 @@ let measure cfg strategy spec ~fault_rate ~n_containers ~n_requests =
            else float_of_int !delivered /. float_of_int n_requests);
         goodput_rps =
           (if duration_s <= 0.0 then 0.0 else float_of_int !delivered /. duration_s);
-        mttr_ms;
-        p99_ms;
+        mttr_ms = Sweep.mean_ms rs.Invoker.mttr_ns;
+        p99_ms = snd (Sweep.p50_p99 !e2e_ms);
       }
   end
 
-let run cfg ?(rates = default_rates) ?(n_containers = 2) ?(requests = 120)
+let run cfg ?(rates = default_rates) ?(n_containers = 2) ?(requests = default_requests)
     (entry : Catalog.entry) =
   List.map
     (fun fault_rate ->
@@ -203,10 +165,18 @@ let run cfg ?(rates = default_rates) ?(n_containers = 2) ?(requests = 120)
       })
     rates
 
-let total_unsafe points =
-  List.fold_left
-    (fun n p -> List.fold_left (fun n r -> n + r.unsafe_served) n p.rows)
-    0 points
+(* The gate: any request served by a non-clean process. *)
+let gate points =
+  match
+    List.fold_left
+      (fun n p -> List.fold_left (fun n r -> n + r.unsafe_served) n p.rows)
+      0 points
+  with
+  | 0 -> Ok ()
+  | unsafe ->
+      Error
+        (Printf.sprintf "FAIL-CLOSED VIOLATION: %d request(s) served by a non-clean process"
+           unsafe)
 
 let print ppf (entry : Catalog.entry) points =
   let header =
@@ -256,3 +226,19 @@ let print ppf (entry : Catalog.entry) points =
           failures). 'unsafe' counts requests served by a non-clean process and must be 0."
          entry.Catalog.display)
     ~header rows
+
+let sweep =
+  Sweep.Sweep
+    {
+      name = "fault";
+      doc =
+        "Sweep seeded fault rates through the fail-closed recovery pipeline; exits nonzero \
+         if any request was served by a non-clean process.";
+      n_doc = "Requests per (strategy, rate) cell.";
+      default_n = default_requests;
+      smoke_doc = "Tiny CI run: one nonzero rate, few requests.";
+      smoke = (fun cfg entry -> run cfg ~rates:[ 0.0; 1e-3 ] ~requests:30 entry);
+      run = (fun cfg ~requests entry -> run cfg ~requests entry);
+      print;
+      gate;
+    }

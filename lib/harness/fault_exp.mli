@@ -62,7 +62,12 @@ val run :
   Gh_workloads.Catalog.entry ->
   point list
 
-val total_unsafe : point list -> int
-(** Sum of [unsafe_served] over the sweep — the CI gate checks this is 0. *)
+val gate : point list -> (unit, string) result
+(** [Error] naming the count when any request was served by a non-clean
+    process ([unsafe_served] summed over the sweep). *)
 
 val print : Format.formatter -> Gh_workloads.Catalog.entry -> point list -> unit
+
+val sweep : Sweep.t
+(** The `gh-bench fault` descriptor: default 120 requests per cell; the
+    smoke grid is rates 0 and 1e-3 with 30 requests. *)

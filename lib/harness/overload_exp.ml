@@ -18,7 +18,6 @@
 module Engine = Gh_sim.Engine
 module Rng = Gh_sim.Rng
 module Time_ns = Gh_sim.Time_ns
-module Stats = Gh_sim.Stats
 module Registry = Gh_isolation.Registry
 module Catalog = Gh_workloads.Catalog
 module Synthetic = Gh_workloads.Synthetic
@@ -60,13 +59,13 @@ type point = { util : float; rows : row list }
 let default_strategies = [ Registry.Base; Registry.Gh ]
 let default_utils = [ 0.5; 0.8; 1.1; 1.5; 2.0 ]
 
+let default_requests = 240
+
+(* Best-effort tenant carol joins the pair: first to go when brownout
+   reaches [Shedding]. *)
 let principals =
-  [|
-    Gh_faas.Principal.make ~id:1 ~name:"alice";
-    Gh_faas.Principal.make ~id:2 ~name:"bob";
-    (* Best-effort tenant: first to go when brownout reaches [Shedding]. *)
-    Gh_faas.Principal.with_priority (Gh_faas.Principal.make ~id:3 ~name:"carol") 0;
-  |]
+  Array.append Sweep.principals
+    [| Gh_faas.Principal.with_priority (Gh_faas.Principal.make ~id:3 ~name:"carol") 0 |]
 
 type guard_stats = {
   served : (int, unit) Hashtbl.t;
@@ -98,31 +97,12 @@ let guard stats (s : Intf.t) =
         inv);
   }
 
-(* Mean per-request core occupancy (critical path + deferred work), measured
-   on a throwaway instance: the denominator of the utilization sweep. The
-   probe alternates principals so Groundhog's restore is always charged. *)
-let service_ns cfg strategy spec ~seed =
-  match Registry.make strategy ~rng:(Rng.create (seed lxor 0x5eed)) spec with
-  | Error msg -> failwith ("Overload_exp: cannot build probe strategy: " ^ msg)
-  | Ok s ->
-      let n = 8 in
-      let total = ref 0 in
-      for i = 1 to n do
-        let req =
-          Request.make ~id:(1_000_000 + i)
-            ~principal:principals.(i land 1)
-            ~input_kb:spec.Fm.input_kb ()
-        in
-        let inv = s.Intf.invoke req in
-        total := !total + inv.Intf.on_path_ns + inv.Intf.post_ns
-      done;
-      (!total / n) + cfg.Config.dispatch_ns
-
 let measure cfg strategy spec ~util ~requests ~protected =
   let seed =
     cfg.Config.seed lxor Hashtbl.hash ("overload", spec.Fm.name, Registry.to_string strategy)
   in
-  let service = service_ns cfg strategy spec ~seed in
+  (* Capacity, the denominator of the utilization sweep. *)
+  let service = Sweep.service_ns cfg strategy spec ~seed ~salt:0x5eed in
   let cores = cfg.Config.n_containers in
   let capacity_rps = float_of_int cores *. 1.0e9 /. float_of_int service in
   let rate_rps = util *. capacity_rps in
@@ -249,11 +229,7 @@ let measure cfg strategy spec ~util ~requests ~protected =
     List.fold_left (fun n (s : Node.fn_stats) -> max n s.Node.queue_high_water) 0
       (Node.stats node)
   in
-  let summary =
-    match !e2e_ms with
-    | [] -> None
-    | samples -> Some (Stats.summarize (Array.of_list samples))
-  in
+  let p50_ms, p99_ms = Sweep.p50_p99 !e2e_ms in
   {
     strategy;
     protected;
@@ -270,8 +246,8 @@ let measure cfg strategy spec ~util ~requests ~protected =
     miss_rate =
       (if completed = 0 then 0.0
        else float_of_int !misses_recounted /. float_of_int completed);
-    p50_ms = (match summary with Some s -> s.Stats.median | None -> Float.nan);
-    p99_ms = (match summary with Some s -> s.Stats.p99 | None -> Float.nan);
+    p50_ms;
+    p99_ms;
     queue_high_water = qhw;
     cold_starts = Node.total_cold_starts node;
     brownout_escalations = Node.brownout_escalations node;
@@ -281,7 +257,8 @@ let measure cfg strategy spec ~util ~requests ~protected =
     late_uncounted;
   }
 
-let run cfg ?(strategies = default_strategies) ?(utils = default_utils) ?(requests = 240)
+let run cfg ?(strategies = default_strategies) ?(utils = default_utils)
+    ?(requests = default_requests)
     (entry : Catalog.entry) =
   List.map
     (fun util ->
@@ -312,6 +289,16 @@ let violations points =
         (fun n r -> n + r.unsafe_served + r.leaked_words + r.shed_served + r.late_uncounted)
         n p.rows)
     0 points
+
+let gate points =
+  match violations points with
+  | 0 -> Ok ()
+  | n ->
+      Error
+        (Printf.sprintf
+           "OVERLOAD CONTRACT VIOLATION: %d breach(es) — non-clean serve, leaked residue, \
+            shed request consuming work, or uncounted late completion"
+           n)
 
 let print ppf (entry : Catalog.entry) points =
   let header =
@@ -374,3 +361,21 @@ let print ppf (entry : Catalog.entry) points =
           always counted."
          entry.Catalog.display)
     ~header rows
+
+let sweep =
+  Sweep.Sweep
+    {
+      name = "overload";
+      doc =
+        "Sweep offered load past capacity with overload protection (deadlines, bounded EDF \
+         admission, brownout) on and off; exits nonzero if any request was served by a \
+         non-clean process, a shed request consumed work, or a late completion went \
+         uncounted.";
+      n_doc = "Arrivals per (strategy, protection, utilization) cell.";
+      default_n = default_requests;
+      smoke_doc = "Tiny CI run: two utilization points, few requests.";
+      smoke = (fun cfg entry -> run cfg ~utils:[ 0.8; 1.6 ] ~requests:90 entry);
+      run = (fun cfg ~requests entry -> run cfg ~requests entry);
+      print;
+      gate;
+    }

@@ -61,4 +61,11 @@ val violations : point list -> int
     [shed_served] + [late_uncounted]) across the sweep; the CI gate
     requires 0. *)
 
+val gate : point list -> (unit, string) result
+(** [Error] naming the count when {!violations} is nonzero. *)
+
 val print : Format.formatter -> Gh_workloads.Catalog.entry -> point list -> unit
+
+val sweep : Sweep.t
+(** The `gh-bench overload` descriptor: default 240 arrivals per cell;
+    the smoke grid is utilizations 0.8 and 1.6 with 90 arrivals. *)

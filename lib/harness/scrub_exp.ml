@@ -2,14 +2,12 @@ module Engine = Gh_sim.Engine
 module Rng = Gh_sim.Rng
 module Time_ns = Gh_sim.Time_ns
 module Fault = Gh_sim.Fault
-module Stats = Gh_sim.Stats
 module Registry = Gh_isolation.Registry
 module Catalog = Gh_workloads.Catalog
 module Fm = Gh_faas.Function_model
 module Intf = Gh_faas.Strategy_intf
 module Invoker = Gh_faas.Invoker
 module Container = Gh_faas.Container
-module Backoff = Gh_faas.Backoff
 module Manager = Groundhog_core.Manager
 module Snapshot = Groundhog_core.Snapshot
 module Dedup = Groundhog_core.Dedup
@@ -25,6 +23,7 @@ let policy_name = function
 
 let default_policies = [ Off; Scrub_only; Sampled 4; Full ]
 let default_rates = [ 0.0; 0.02; 0.1 ]
+let default_requests = 60
 let strategies = Registry.all
 
 type row = {
@@ -48,9 +47,6 @@ type row = {
 }
 
 type point = { rate : float; policy : policy; rows : row list }
-
-let principals =
-  [| Gh_faas.Principal.make ~id:1 ~name:"alice"; Gh_faas.Principal.make ~id:2 ~name:"bob" |]
 
 (* The ground-truth oracle, checked at every dispatch: a strategy that can
    prove what its process should contain (eager GH after a real restore,
@@ -92,19 +88,6 @@ let observe engine stats (s : Intf.t) =
             stats.detect_ns <- (Engine.now engine - born) :: stats.detect_ns;
             Intf.Scrub_corrupt why
         | r -> r);
-  }
-
-let default_recovery =
-  {
-    Invoker.container =
-      {
-        Container.timeout_ns = Some (Time_ns.of_sec 1.0);
-        quarantine_after = 3;
-        rebuild_backoff = Backoff.recovery;
-        max_rebuild_attempts = 5;
-      };
-    max_attempts = 3;
-    retry_backoff = Backoff.default;
   }
 
 let measure cfg strategy spec ~rate ~policy ~n_containers ~n_requests =
@@ -150,17 +133,10 @@ let measure cfg strategy spec ~rate ~policy ~n_containers ~n_requests =
       | Ok s -> observe engine stats s
       | Error msg -> failwith msg
     in
-    let recovery =
-      let timeout = Time_ns.of_sec 1.0 + (8 * spec.Fm.exec_ns) in
-      {
-        default_recovery with
-        Invoker.container =
-          { default_recovery.Invoker.container with Container.timeout_ns = Some timeout };
-      }
-    in
     let scrub = match policy with Off -> None | _ -> Some Container.default_scrub in
     let invoker =
-      Invoker.create ~recovery ~rng:(Rng.split root) ?scrub engine ~n_containers
+      Invoker.create ~recovery:(Sweep.recovery spec) ~rng:(Rng.split root) ?scrub engine
+        ~n_containers
         ~dispatch_ns:cfg.Config.dispatch_ns ~make_strategy
     in
     let delivered = ref 0 in
@@ -172,7 +148,7 @@ let measure cfg strategy spec ~rate ~policy ~n_containers ~n_requests =
              fun () ->
                let req =
                  Gh_faas.Request.make ~id:i
-                   ~principal:principals.(i land 1)
+                   ~principal:Sweep.principals.(i land 1)
                    ~input_kb:spec.Fm.input_kb ()
                in
                Invoker.submit invoker req ~on_response:(fun _ _ -> incr delivered) )));
@@ -184,11 +160,6 @@ let measure cfg strategy spec ~rate ~policy ~n_containers ~n_requests =
     in
     let scrubbed_blocks =
       Array.fold_left (fun n c -> n + Container.scrubbed_blocks c) 0 containers
-    in
-    let mean_ms samples =
-      match samples with
-      | [] -> Float.nan
-      | l -> Stats.mean (Array.of_list (List.map Time_ns.to_ms l))
     in
     (* The integrity tax, had it been charged: every audited or scrubbed
        block is [block_pages] page hashes at the modelled per-page rate.
@@ -213,8 +184,8 @@ let measure cfg strategy spec ~rate ~policy ~n_containers ~n_requests =
         scrub_detections;
         verified_blocks = stats.verified_blocks;
         scrubbed_blocks;
-        detect_ms = mean_ms stats.detect_ns;
-        mttr_ms = mean_ms rs.Invoker.mttr_ns;
+        detect_ms = Sweep.mean_ms stats.detect_ns;
+        mttr_ms = Sweep.mean_ms rs.Invoker.mttr_ns;
         quarantined = rs.Invoker.quarantined;
         replacements = rs.Invoker.replacements;
         overhead_ms;
@@ -224,7 +195,7 @@ let measure cfg strategy spec ~rate ~policy ~n_containers ~n_requests =
   end
 
 let run cfg ?(rates = default_rates) ?(policies = default_policies) ?(n_containers = 2)
-    ?(requests = 60) (entry : Catalog.entry) =
+    ?(requests = default_requests) (entry : Catalog.entry) =
   List.concat_map
     (fun rate ->
       List.map
@@ -257,6 +228,28 @@ let unprotected_corrupted_serves points =
         List.fold_left (fun n (r : row) -> n + r.corrupted_served) n p.rows
       else n)
     0 points
+
+(* Fail-closed twice: no corrupted serve under full verification, and the
+   sweep must prove the hazard is real — with verification off and
+   corruption injected, the oracle has to catch at least one corrupted
+   serve, or the protected zero means nothing. *)
+let gate points =
+  match protected_corrupted_serves points with
+  | 0 ->
+      if
+        List.exists (fun p -> p.policy = Off && p.rate > 0.0) points
+        && unprotected_corrupted_serves points = 0
+      then
+        Error
+          "VACUOUS SWEEP: corruption injected but the unverified baseline served nothing \
+           corrupt — the zero under full verification proves nothing"
+      else Ok ()
+  | corrupt ->
+      Error
+        (Printf.sprintf
+           "INTEGRITY VIOLATION: %d request(s) served from corrupted state under full \
+            verification"
+           corrupt)
 
 let print ppf (entry : Catalog.entry) points =
   let header =
@@ -313,3 +306,22 @@ let print ppf (entry : Catalog.entry) points =
           modelled hashing cost, tallied off the timeline."
          entry.Catalog.display)
     ~header rows
+
+let sweep =
+  Sweep.Sweep
+    {
+      name = "scrub";
+      doc =
+        "Sweep seeded snapshot-corruption rates against the verification policies (off, \
+         scrub-only, sampled, full); exits nonzero if any request is served from corrupted \
+         state under full verification, or if the unverified baseline fails to demonstrate \
+         the hazard.";
+      n_doc = "Requests per (strategy, rate, policy) cell.";
+      default_n = default_requests;
+      smoke_doc = "Tiny CI run: policies off and full, rates 0 and 5%, few requests.";
+      smoke =
+        (fun cfg entry -> run cfg ~rates:[ 0.0; 0.05 ] ~policies:[ Off; Full ] ~requests:30 entry);
+      run = (fun cfg ~requests entry -> run cfg ~requests entry);
+      print;
+      gate;
+    }

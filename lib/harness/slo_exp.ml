@@ -21,10 +21,7 @@
    timely alert is the expected catastrophe, not a regression. *)
 
 module Engine = Gh_sim.Engine
-module Rng = Gh_sim.Rng
 module Time_ns = Gh_sim.Time_ns
-module Stats = Gh_sim.Stats
-module Fault = Gh_sim.Fault
 module Trace = Gh_sim.Trace
 module Span = Gh_sim.Span
 module Metrics = Gh_sim.Metrics
@@ -33,12 +30,8 @@ module Slo = Gh_sim.Slo
 module Flight_recorder = Gh_sim.Flight_recorder
 module Registry = Gh_isolation.Registry
 module Catalog = Gh_workloads.Catalog
-module Synthetic = Gh_workloads.Synthetic
 module Fm = Gh_faas.Function_model
-module Intf = Gh_faas.Strategy_intf
 module Request = Gh_faas.Request
-module Admission = Gh_faas.Admission
-module Node = Gh_faas.Node
 module Cluster = Gh_faas.Cluster
 module Controller = Gh_faas.Controller
 
@@ -67,30 +60,9 @@ type point = { fault_per_min : float; rows : row list }
 
 let default_fault_rates = [ 0.0; 0.2 ]
 let default_load_factors = [ 0.45; 1.25 ]
-let n_nodes = 3
-let cores_per_node = 2
+let default_requests = 160
 let slo_base_ns = Time_ns.of_ms 200.0
 let recorder_window_ns = Time_ns.of_ms 500.0
-
-let principals =
-  [| Gh_faas.Principal.make ~id:1 ~name:"alice"; Gh_faas.Principal.make ~id:2 ~name:"bob" |]
-
-let service_ns cfg spec ~seed =
-  match Registry.make Registry.Gh ~rng:(Rng.create (seed lxor 0x510)) spec with
-  | Error msg -> failwith ("Slo_exp: cannot build probe strategy: " ^ msg)
-  | Ok s ->
-      let n = 8 in
-      let total = ref 0 in
-      for i = 1 to n do
-        let req =
-          Request.make ~id:(1_000_000 + i)
-            ~principal:principals.(i land 1)
-            ~input_kb:spec.Fm.input_kb ()
-        in
-        let inv = s.Intf.invoke req in
-        total := !total + inv.Intf.on_path_ns + inv.Intf.post_ns
-      done;
-      (!total / n) + cfg.Config.dispatch_ns
 
 (* One classified request event, replayed after the run to find the
    exact moment users left an objective (the SLO's sketchless ground
@@ -161,52 +133,9 @@ let measure cfg spec ~fault_per_min ~load_factor ~failover ~requests =
   let seed =
     cfg.Config.seed lxor Hashtbl.hash ("slo", spec.Fm.name, fault_per_min, load_factor)
   in
-  let root = Rng.create seed in
-  let service = service_ns cfg spec ~seed in
-  let fleet_cores = n_nodes * cores_per_node in
-  let capacity_rps = float_of_int fleet_cores *. 1.0e9 /. float_of_int service in
-  let rate_rps =
-    Float.min (load_factor *. capacity_rps) (float_of_int requests /. 2.0)
-  in
-  let hb = Time_ns.of_ms 100.0 in
-  let response_timeout = max (Time_ns.of_ms 250.0) (6 * service) in
-  let ttl = max (Time_ns.of_sec 2.0) (8 * response_timeout) in
-  let latency_limit_ms = Time_ns.to_ms response_timeout in
-  let warmup = Time_ns.of_sec 2.0 in
-  let arrivals =
-    let arng = Rng.create (seed lxor Hashtbl.hash "slo-arrivals") in
-    List.map
-      (fun t -> t + warmup)
-      (Synthetic.burst ~duty:0.5 ~cycle_s:1.0 arng ~rate_rps ~n:requests)
-  in
-  let last_arrival = List.fold_left max warmup arrivals in
-  let horizon = last_arrival + ttl + Time_ns.of_sec 2.0 in
-  let fault =
-    if fault_per_min <= 0.0 then Fault.none
-    else begin
-      let plan = Fault.create ~seed:(Hashtbl.hash (seed, "slo-plan")) in
-      let ticks_per_min = 60.0 *. 1.0e9 /. float_of_int hb in
-      let per_tick = fault_per_min /. ticks_per_min in
-      (* Two scheduled crashes across the arrival span (see Cluster_exp
-         for the occurrence arithmetic) on top of the background rate:
-         every faulty cell contains real episodes at any seed. *)
-      let crash_nths =
-        List.map
-          (fun (node, f) ->
-            let tick =
-              max 1 ((warmup + int_of_float (f *. float_of_int (last_arrival - warmup))) / hb)
-            in
-            ((tick - 1) * n_nodes) + node + 1)
-          [ (0, 0.15); (1, 0.55) ]
-      in
-      Fault.set plan Fault.Node_crash ~prob:per_tick ~nth:crash_nths ();
-      Fault.set plan Fault.Node_hang ~prob:(2.0 *. per_tick) ();
-      Fault.set plan Fault.Cluster_msg_loss ~prob:0.002 ();
-      Fault.set plan Fault.Heartbeat_drop ~prob:0.01 ();
-      plan
-    end
-  in
-  let engine = Engine.create () in
+  let service = Sweep.service_ns cfg Registry.Gh spec ~seed ~salt:0x510 in
+  (* The latency objective is the fleet's own attempt patience. *)
+  let latency_limit_ms = Time_ns.to_ms (Cluster_exp.response_timeout ~service) in
   let registry = Metrics.create () in
   let trace = Trace.create ~capacity:50_000 () in
   let spans = Span.create () in
@@ -222,100 +151,36 @@ let measure cfg spec ~fault_per_min ~load_factor ~failover ~requests =
            (if failover then "on" else "off"))
       ()
   in
-  let builds = ref 0 in
-  let make_strategy _name sp =
-    incr builds;
-    match
-      Registry.make Registry.Gh ~rng:(Rng.named_split root (Printf.sprintf "c%d" !builds)) sp
-    with
-    | Ok s -> s
-    | Error msg -> failwith ("Slo_exp: " ^ msg)
+  (* Two scheduled crashes across the arrival span on top of the
+     background rate: every faulty cell contains real episodes at any
+     seed. *)
+  let f =
+    Cluster_exp.fleet ~trace ~spans ~series ~slos ~recorder ~metrics:registry cfg spec ~seed
+      ~service ~label:"slo" ~load:load_factor ~min_span_s:2.0 ~fault_per_min
+      ~crashes:[ (0, 0.15); (1, 0.55) ]
+      ~placement:Cluster.Least_loaded ~failover ~requests
   in
-  let cluster_config =
-    {
-      Cluster.n_nodes;
-      node =
-        {
-          Node.total_cores = cores_per_node;
-          memory_mb = 65_536;
-          idle_timeout = Time_ns.of_sec 600.0;
-          dispatch_ns = cfg.Config.dispatch_ns;
-          recovery = None;
-          admission = Admission.bounded ~policy:Admission.Edf_drop (10 * cores_per_node);
-          brownout = None;
-          scrub = None;
-        };
-      placement = Cluster.Least_loaded;
-      failover;
-      hb_interval = hb;
-      hang_ns = 4 * hb;
-      response_timeout;
-      max_attempts = 4;
-      hedge_after = (if failover then Some (3 * response_timeout / 4) else None);
-      restart_ns = Time_ns.of_ms 500.0;
-      health = Gh_faas.Health.default_config;
-      breaker = Gh_faas.Breaker.default_config;
-    }
-  in
-  let cluster =
-    Cluster.create ~trace ~spans ~series ~slos ~recorder ~metrics:registry
-      ~rng:(Rng.named_split root "cluster") ~fault engine cluster_config ~make_strategy
-  in
-  let fn = spec.Fm.name in
-  Cluster.register cluster ~name:fn spec;
-  let controller =
-    Controller.create_sink ~ttl_ns:ttl engine
-      ~rng:(Rng.named_split root "controller")
-      (fun req ~on_response -> Cluster.submit cluster ~name:fn req ~on_response)
-  in
+  let engine = f.Cluster_exp.engine in
   (* The exact per-request log, measured requests only (warm-ups are
      invisible to the breach replay, like any pre-launch traffic). *)
   let events = ref [] in
   let served = ref 0 in
   let e2e_samples = ref [] in
-  Cluster.set_on_failed cluster (fun req ->
-      if req.Request.id < 1_000_000 then
-        events :=
-          { ev_at = Engine.now engine; ev_ok = false; ev_e2e_ms = Float.infinity }
-          :: !events);
-  Controller.set_on_shed controller (fun req ->
-      if req.Request.id < 1_000_000 then
-        events :=
-          { ev_at = Engine.now engine; ev_ok = false; ev_e2e_ms = Float.infinity }
-          :: !events);
-  for i = 1 to fleet_cores do
-    Engine.at engine ~time:0 (fun () ->
-        Cluster.submit cluster ~name:fn
-          (Request.make ~id:(2_000_000 + i)
-             ~principal:principals.(i land 1)
-             ~input_kb:spec.Fm.input_kb ())
-          ~on_response:(fun _ _ -> ()))
-  done;
-  Cluster.start cluster ~until:horizon;
-  Engine.at_batch engine
-    (List.mapi
-       (fun i at ->
-         let id = i + 1 in
-         ( at,
-           fun () ->
-             let req =
-               Request.make ~id
-                 ~principal:principals.(i land 1)
-                 ~input_kb:spec.Fm.input_kb ()
-             in
-             Controller.submit controller req
-               ~on_complete:(fun (c : Controller.completion) ->
-                 incr served;
-                 let ms = Time_ns.to_ms c.Controller.e2e_ns in
-                 e2e_samples := ms :: !e2e_samples;
-                 events :=
-                   { ev_at = Engine.now engine; ev_ok = true; ev_e2e_ms = ms }
-                   :: !events) ))
-       arrivals);
-  Engine.run_all engine;
+  let failed req =
+    if req.Request.id < 1_000_000 then
+      events :=
+        { ev_at = Engine.now engine; ev_ok = false; ev_e2e_ms = Float.infinity } :: !events
+  in
+  Cluster.set_on_failed f.Cluster_exp.cluster failed;
+  Controller.set_on_shed f.Cluster_exp.controller failed;
+  Cluster_exp.launch f ~on_complete:(fun (c : Controller.completion) ->
+      incr served;
+      let ms = Time_ns.to_ms c.Controller.e2e_ns in
+      e2e_samples := ms :: !e2e_samples;
+      events := { ev_at = Engine.now engine; ev_ok = true; ev_e2e_ms = ms } :: !events);
   Timeseries.flush series ~now:(Engine.now engine);
   let events = List.rev !events in
-  let offered = List.length arrivals in
+  let offered = List.length f.Cluster_exp.arrivals in
   (* Lead times: replayed breach instant minus the objective's first
      fired alert. Negative lead (alert after the breach) is exactly what
      the violation count below catches. *)
@@ -381,12 +246,10 @@ let measure cfg spec ~fault_per_min ~load_factor ~failover ~requests =
         | Some a, None -> Some a)
       None slos
   in
-  let summary =
-    match !e2e_samples with
-    | [] -> None
-    | samples -> Some (Stats.summarize (Array.of_list samples))
+  let rel_ms = function
+    | Some t -> Time_ns.to_ms (t - Cluster_exp.warmup)
+    | None -> Float.nan
   in
-  let rel_ms = function Some t -> Time_ns.to_ms (t - warmup) | None -> Float.nan in
   {
     fault_per_min;
     load_factor;
@@ -395,7 +258,7 @@ let measure cfg spec ~fault_per_min ~load_factor ~failover ~requests =
     served = !served;
     availability =
       (if offered = 0 then Float.nan else float_of_int !served /. float_of_int offered);
-    p99_ms = (match summary with Some s -> s.Stats.p99 | None -> Float.nan);
+    p99_ms = snd (Sweep.p50_p99 !e2e_samples);
     alerts_fired;
     first_alert_ms = rel_ms first_alert;
     avail_breach_ms = rel_ms avail_breach;
@@ -410,7 +273,7 @@ let measure cfg spec ~fault_per_min ~load_factor ~failover ~requests =
   }
 
 let run cfg ?(fault_rates = default_fault_rates) ?(load_factors = default_load_factors)
-    ?(requests = 160) (entry : Catalog.entry) =
+    ?(requests = default_requests) (entry : Catalog.entry) =
   List.map
     (fun fault_per_min ->
       {
@@ -438,6 +301,16 @@ let violations points =
         (fun n r -> n + r.unalerted_breaches + r.dump_errors + r.span_errors)
         n p.rows)
     0 points
+
+let gate points =
+  match violations points with
+  | 0 -> Ok ()
+  | n ->
+      Error
+        (Printf.sprintf
+           "OBSERVABILITY CONTRACT VIOLATION: %d breach(es) — objective left without a prior \
+            alert, invalid or window-short flight-recorder dump, or unclosed span tree"
+           n)
 
 let print ppf (entry : Catalog.entry) points =
   let header =
@@ -499,5 +372,23 @@ let print ppf (entry : Catalog.entry) points =
           replayed breach instant. 'unalerted'/'dump-err'/'span-err' must be 0 on \
           failover-on rows: every breach pre-announced, every flight-recorder dump \
           schema-valid and window-covering, every span tree closed."
-         entry.Catalog.display n_nodes)
+         entry.Catalog.display Cluster_exp.n_nodes)
     ~header rows
+
+let sweep =
+  Sweep.Sweep
+    {
+      name = "slo";
+      doc =
+        "Sweep injected fault and offered-load rates through the fleet with the full \
+         observability stack (windowed series, burn-rate SLO alerts, failure flight \
+         recorder); exits nonzero if any availability/latency breach arrives without a \
+         prior alert on the failover arm, or any flight-recorder dump fails validation.";
+      n_doc = "Arrivals per (fault rate, load, failover) cell.";
+      default_n = default_requests;
+      smoke_doc = "Tiny CI run: one nonzero fault rate, both load points, few requests.";
+      smoke = (fun cfg entry -> run cfg ~fault_rates:[ 0.2 ] ~requests:120 entry);
+      run = (fun cfg ~requests entry -> run cfg ~requests entry);
+      print;
+      gate;
+    }

@@ -54,4 +54,12 @@ val violations : point list -> int
 (** Unalerted gated breaches + invalid or window-short dumps + span
     failures, failover-on rows only. 0 is the CI gate. *)
 
+val gate : point list -> (unit, string) result
+(** [Error] naming the count when {!violations} is nonzero. *)
+
 val print : Format.formatter -> Gh_workloads.Catalog.entry -> point list -> unit
+
+val sweep : Sweep.t
+(** The `gh-bench slo` descriptor: default 160 arrivals per cell; the
+    smoke grid is fault rate 0.2/min at both default loads with 120
+    arrivals. *)

@@ -1,6 +1,6 @@
 (* Byte-level safety net for the five fail-closed sweeps (fault, overload,
-   cluster, scrub, slo). Each sweep's smoke grid runs at three seeds; the
-   rendered table must hash to the golden below — the md5 of
+   cluster, scrub, slo). Each sweep descriptor's smoke grid runs at three
+   seeds; the rendered table must hash to the golden below — the md5 of
    `gh-bench <sweep> --smoke --seed N` stdout — and the sweep's gate must
    pass. Any refactor of the harnesses must keep every golden. *)
 
@@ -43,57 +43,92 @@ let goldens =
       ] );
   ]
 
-let render print =
+let check_golden sweep seed md5 () =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
-  print ppf;
+  let gate =
+    Gh_harness.Sweep.exec sweep { Config.default with Config.seed } ~smoke:true ~requests:0
+      entry ppf
+  in
   Format.pp_print_flush ppf ();
-  Buffer.contents buf
-
-let gate_count what n = if n = 0 then Ok () else Error (Printf.sprintf "%s=%d" what n)
-
-(* The smoke grid of each sweep, as `gh-bench <sweep> --smoke` runs it:
-   the rendered table and the gate verdict. *)
-let smoke name cfg =
-  let open Gh_harness in
-  match name with
-  | "fault" ->
-      let points = Fault_exp.run cfg ~rates:[ 0.0; 1e-3 ] ~requests:30 entry in
-      ( render (fun ppf -> Fault_exp.print ppf entry points),
-        gate_count "unsafe" (Fault_exp.total_unsafe points) )
-  | "overload" ->
-      let points = Overload_exp.run cfg ~utils:[ 0.8; 1.6 ] ~requests:90 entry in
-      ( render (fun ppf -> Overload_exp.print ppf entry points),
-        gate_count "violations" (Overload_exp.violations points) )
-  | "cluster" ->
-      let points =
-        Cluster_exp.run cfg ~rates:[ 0.0; 0.01 ]
-          ~placements:[ Gh_faas.Cluster.Least_loaded ] ~requests:150 entry
-      in
-      ( render (fun ppf -> Cluster_exp.print ppf entry points),
-        gate_count "violations" (Cluster_exp.violations points) )
-  | "scrub" ->
-      let points =
-        Scrub_exp.run cfg ~rates:[ 0.0; 0.05 ] ~policies:[ Scrub_exp.Off; Scrub_exp.Full ]
-          ~requests:30 entry
-      in
-      ( render (fun ppf -> Scrub_exp.print ppf entry points),
-        match
-          ( Scrub_exp.protected_corrupted_serves points,
-            Scrub_exp.unprotected_corrupted_serves points )
-        with
-        | 0, 0 -> Error "vacuous"
-        | n, _ -> gate_count "corrupted" n )
-  | "slo" ->
-      let points = Slo_exp.run cfg ~fault_rates:[ 0.2 ] ~requests:120 entry in
-      ( render (fun ppf -> Slo_exp.print ppf entry points),
-        gate_count "violations" (Slo_exp.violations points) )
-  | _ -> Alcotest.failf "no sweep named %s" name
-
-let check_golden name seed md5 () =
-  let table, gate = smoke name { Config.default with Config.seed } in
   Alcotest.(check (result unit string)) "gate" (Ok ()) gate;
-  Alcotest.(check string) "table md5" md5 (Digest.to_hex (Digest.string table))
+  Alcotest.(check string) "table md5" md5 (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let golden_cases =
+  List.concat_map
+    (fun (Gh_harness.Sweep.Sweep s as sweep) ->
+      List.map
+        (fun (seed, md5) ->
+          Alcotest.test_case (Printf.sprintf "%s seed %d" s.name seed) `Quick
+            (check_golden sweep seed md5))
+        (List.assoc s.name goldens))
+    Gh_harness.Experiments.sweeps
+
+(* The cluster acceptance check, on hand-built rows: at 1%/min the
+   failover-on arm must hold 99% availability and the failover-off arm
+   must collapse below 90%. *)
+let cluster_row ~rate ~failover ~availability =
+  {
+    Gh_harness.Cluster_exp.rate_per_min = rate;
+    placement = Gh_faas.Cluster.Least_loaded;
+    failover;
+    offered = 100;
+    served = int_of_float (100.0 *. availability);
+    failed = 0;
+    availability;
+    goodput_rps = 0.0;
+    p50_ms = 10.0;
+    p99_ms = 20.0;
+    failover_p99_ms = Float.nan;
+    retries = 0;
+    hedges = 0;
+    cancelled = 0;
+    crashes = 0;
+    hangs = 0;
+    restarts = 0;
+    timeouts = 0;
+    wasted = 0;
+    lost = 0;
+    double_served = 0;
+    shed_and_served = 0;
+    conservation_residue = 0;
+    inflight_residue = 0;
+  }
+
+let cluster_gate ~on ~off =
+  Gh_harness.Cluster_exp.gate
+    [
+      {
+        Gh_harness.Cluster_exp.rate_per_min = 0.0;
+        rows = [ cluster_row ~rate:0.0 ~failover:true ~availability:1.0 ];
+      };
+      {
+        rate_per_min = 0.01;
+        rows =
+          [
+            cluster_row ~rate:0.01 ~failover:true ~availability:on;
+            cluster_row ~rate:0.01 ~failover:false ~availability:off;
+          ];
+      };
+    ]
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let expect_error ~names = function
+  | Ok () -> Alcotest.failf "expected the gate to fail naming %S" names
+  | Error msg ->
+      if not (contains msg names) then Alcotest.failf "%S does not name %S" msg names
+
+let test_cluster_acceptance () =
+  Alcotest.(check (result unit string)) "healthy arms pass" (Ok ())
+    (cluster_gate ~on:0.995 ~off:0.6);
+  expect_error ~names:"failover-on availability 98.00% < 99%"
+    (cluster_gate ~on:0.98 ~off:0.6);
+  expect_error ~names:"failover-off availability 95.00% did not collapse"
+    (cluster_gate ~on:0.995 ~off:0.95)
 
 (* Known defect, pinned as it stands so no refactor can hide or move it:
    the default scrub grid at seed 3 dispatches a request into a dirty
@@ -109,15 +144,9 @@ let test_scrub_seed3_defect () =
 let () =
   Alcotest.run "sweeps"
     [
-      ( "smoke-goldens",
-        List.concat_map
-          (fun (name, seeds) ->
-            List.map
-              (fun (seed, md5) ->
-                Alcotest.test_case (Printf.sprintf "%s seed %d" name seed) `Quick
-                  (check_golden name seed md5))
-              seeds)
-          goldens );
+      ("smoke-goldens", golden_cases);
+      ( "gates",
+        [ Alcotest.test_case "cluster acceptance names the failed arm" `Quick test_cluster_acceptance ] );
       ( "known-defects",
         [ Alcotest.test_case "scrub seed 3 raises (pinned)" `Quick test_scrub_seed3_defect ] );
     ]

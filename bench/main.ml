@@ -495,36 +495,6 @@ let test_admit_batch =
          let e = Engine.create () in
          Engine.at_batch e admit_list))
 
-(* Wall-clock of `gh_bench run all --seed 42` (default profile) on this
-   machine, measured immediately before and after the engine moved to the
-   calendar queue — same discipline as [fig3_pre_pr_us]. The sweep is
-   dominated by per-request memory-model work (a ~45 us GH invoke dwarfs a
-   ~0.2 us event dispatch), so the queue swap holds the sweep at parity
-   while the queue-level rows above carry the speedup; the trajectory
-   toward ROADMAP item 2 is recorded here so the next optimization knows
-   its starting point. *)
-let runall_wall_s_pre_pr = 40.7
-let runall_wall_s_post_pr = 39.5
-let runall_md5 = "09fde233dc7f8a93b99557ab479b780f"
-
-(* Domain-parallel sweep runner + buffer pooling (the `-j` flag), measured
-   on the CI container — which exposes a single CPU, so the -j2/-j4 rows
-   show domain overhead under time-slicing, not scaling; the md5 equality
-   across all job counts is the result that transfers (on a >= 4-core
-   host the same sharding is where the wall-clock win lands). What does
-   land here: recycling fork-clone/resize page arrays through
-   Buffer_pool cut the serial sweep 64.3 s -> 53.7 s and major-heap
-   allocation 10.3x (GH_BUFFER_POOL=off vs on, `--gc-stats`). *)
-let runall_wall_s_j1 = 53.7
-let runall_wall_s_j2 = 69.4
-let runall_wall_s_j4 = 64.5
-let runall_wall_s_j1_prepool = 64.3
-let runall_gc_minor_words_prepool = 1.816e9
-let runall_gc_major_words_prepool = 3.498e9
-let runall_gc_minor_words = 1.780e9
-let runall_gc_major_words = 0.339e9
-let runall_host_cores = 1
-
 let run_engine_bench () =
   print_endline "== Engine hot loop: calendar queue vs reference binary heap ==";
   Printf.printf "%-32s %14s\n" "benchmark" "time/run";
@@ -580,18 +550,7 @@ let run_engine_bench () =
       Printf.printf "engine/admit-10k: %.2fx (at-loop %s -> at-batch %s)\n" (l /. b)
         (time_str l) (time_str b)
   | _ -> ());
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\n  \"runall_seed42_wall_s_pre_pr\": %.1f,\n  \"runall_seed42_wall_s\": %.1f,\n  \"runall_seed42_md5\": \"%s\""
-       runall_wall_s_pre_pr runall_wall_s_post_pr runall_md5);
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\n  \"runall_seed42_wall_s_j1_prepool\": %.1f,\n  \"runall_seed42_wall_s_j1\": %.1f,\n  \"runall_seed42_wall_s_j2\": %.1f,\n  \"runall_seed42_wall_s_j4\": %.1f,\n  \"runall_seed42_speedup_j4\": %.2f,\n  \"runall_seed42_pool_speedup_j1\": %.2f,\n  \"runall_gc_minor_words_prepool\": %.3e,\n  \"runall_gc_major_words_prepool\": %.3e,\n  \"runall_gc_minor_words\": %.3e,\n  \"runall_gc_major_words\": %.3e,\n  \"runall_host_cores\": %d\n}\n"
-       runall_wall_s_j1_prepool runall_wall_s_j1 runall_wall_s_j2 runall_wall_s_j4
-       (runall_wall_s_j1 /. runall_wall_s_j4)
-       (runall_wall_s_j1_prepool /. runall_wall_s_j1)
-       runall_gc_minor_words_prepool runall_gc_major_words_prepool
-       runall_gc_minor_words runall_gc_major_words runall_host_cores);
+  Buffer.add_string buf "\n}\n";
   let oc = open_out "BENCH_engine.json" in
   Buffer.output_buffer oc buf;
   close_out oc;

@@ -22,83 +22,157 @@ let seed_arg =
   let doc = "Root random seed (experiments are deterministic per seed)." in
   Arg.(value & opt int 42 & info [ "seed" ] ~doc)
 
+(* Converters reject bad input while the command line is parsed — before
+   any work runs — with an error that names the offending value. *)
+
+let int_at_least lo what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid %s %S (expected an integer >= %d)" what s lo))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let count_conv = int_at_least 1 "count"
+
+let bench_conv =
+  let parse name =
+    match Gh_workloads.Catalog.find name with
+    | Some entry -> Ok entry
+    | None ->
+        Error (`Msg (Printf.sprintf "benchmark %S not in catalog (see gh-bench catalog)" name))
+  in
+  let print ppf (e : Gh_workloads.Catalog.entry) =
+    Format.pp_print_string ppf e.Gh_workloads.Catalog.display
+  in
+  Arg.conv (parse, print)
+
+let strategy_conv =
+  let parse s = Result.map_error (fun msg -> `Msg msg) (Gh_isolation.Registry.of_string s) in
+  let print ppf id = Format.pp_print_string ppf (Gh_isolation.Registry.to_string id) in
+  Arg.conv (parse, print)
+
+(* An output file must land in an existing directory. *)
+let out_file_conv =
+  let parse path =
+    let dir = Filename.dirname path in
+    if Sys.file_exists dir && Sys.is_directory dir then Ok path
+    else Error (`Msg (Printf.sprintf "cannot write %S: %S is not a directory" path dir))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+let bench_pos_arg =
+  Arg.(
+    required
+    & pos 0 (some bench_conv) None
+    & info [] ~docv:"BENCHMARK" ~doc:"Benchmark name, e.g. 'json (n)' or json.")
+
+let strategy_arg =
+  Arg.(
+    value
+    & opt strategy_conv Gh_isolation.Registry.Gh
+    & info [ "strategy"; "s" ]
+        ~doc:"Isolation strategy: base, gh, gh-nop, fork, faasm, coldstart, criu.")
+
 let jobs_arg =
   let doc =
     "Fan experiment cells across $(docv) domains (0 = one per core). The report is \
      byte-identical for any value — each cell seeds its own RNG from the root seed and \
      the cell's identity, and results merge in input order."
   in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 0 "job count") 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let gc_stats_arg =
   let doc =
-    "After the run, print GC allocation totals (all domains) and snapshot buffer-pool \
-     reuse counters to stderr; stdout is untouched, so reports stay bit-identical."
+    "After the run, print GC allocation totals (all domains) and the main domain's \
+     buffer-pool reuse counters to stderr; stdout is untouched, so reports stay \
+     bit-identical."
   in
   Arg.(value & flag & info [ "gc-stats" ] ~doc)
 
 let with_seed cfg seed = { cfg with Gh_harness.Config.seed = seed }
 
 let with_jobs cfg jobs =
-  let jobs = if jobs <= 0 then Gh_sim.Domain_pool.recommended_jobs () else jobs in
+  let jobs = if jobs = 0 then Gh_sim.Domain_pool.recommended_jobs () else jobs in
   { cfg with Gh_harness.Config.jobs = jobs }
 
-(* Allocation totals must sum every domain: Gc.stat is per-domain in
-   OCaml 5, so the pool accumulates its workers' words as they exit and we
-   add the main domain's own tally here. Stderr only — never the report. *)
+(* Gc.quick_stat already sums every domain, pool workers that have exited
+   included, so the main domain's reading is the whole run's allocation.
+   Stderr only — never the report. *)
 let print_gc_stats () =
   let st = Gc.quick_stat () in
-  let w_minor, w_major = Gh_sim.Domain_pool.worker_gc_words () in
   let pool = Gh_sim.Buffer_pool.stats () in
-  Printf.eprintf
-    "gc-stats: minor_words=%.0f major_words=%.0f (main domain %.0f/%.0f, workers \
-     %.0f/%.0f)\n"
-    (st.Gc.minor_words +. w_minor)
-    (st.Gc.major_words +. w_major)
-    st.Gc.minor_words st.Gc.major_words w_minor w_major;
+  Printf.eprintf "gc-stats: minor_words=%.0f major_words=%.0f (all domains)\n"
+    st.Gc.minor_words st.Gc.major_words;
   Printf.eprintf
     "gc-stats: buffer-pool hits=%d misses=%d releases=%d held_words=%d (main domain \
      only)\n%!"
     pool.Gh_sim.Buffer_pool.hits pool.Gh_sim.Buffer_pool.misses
     pool.Gh_sim.Buffer_pool.releases pool.Gh_sim.Buffer_pool.held_words
 
-let write_file path content =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc content);
-  Printf.printf "wrote %s\n%!" path
+(* Every file gh-bench writes goes through here. The notice goes to
+   stderr, so stdout carries the report and nothing else. *)
+let write_file path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents);
+  Printf.eprintf "wrote %s\n%!" path
+
+(* A late I/O failure (a file that opened but could not be written) ends
+   the command with an error naming the path, not an uncaught exception. *)
+let guard_io k = try k () with Sys_error msg -> `Error (false, msg)
 
 let export_observability ?trace_out ?metrics_out spans metrics =
-  (match trace_out with
-  | Some path -> write_file path (Gh_sim.Span.chrome_json spans)
-  | None -> ());
-  match metrics_out with
-  | Some path ->
-      let buf = Buffer.create 4096 in
-      let ppf = Format.formatter_of_buffer buf in
-      Gh_sim.Metrics.render ppf metrics;
-      Format.pp_print_flush ppf ();
-      write_file path (Buffer.contents buf)
-  | None -> ()
+  Option.iter (fun path -> write_file path (Gh_sim.Span.chrome_json spans)) trace_out;
+  Option.iter
+    (fun path -> write_file path (Format.asprintf "%a" Gh_sim.Metrics.render metrics))
+    metrics_out
 
 (* -- run -- *)
 
+type selection = All | Extras | One of Gh_harness.Experiments.id
+
+let experiment_conv =
+  let parse s =
+    match String.lowercase_ascii s with
+    | "all" -> Ok All
+    | "extras" -> Ok Extras
+    | _ -> (
+        match Gh_harness.Experiments.of_string s with
+        | Ok id -> Ok (One id)
+        | Error msg -> Error (`Msg msg))
+  in
+  let print ppf = function
+    | All -> Format.pp_print_string ppf "all"
+    | Extras -> Format.pp_print_string ppf "extras"
+    | One id -> Format.pp_print_string ppf (Gh_harness.Experiments.to_string id)
+  in
+  Arg.conv (parse, print)
+
 let experiments_arg =
   let doc = "Experiments to run (see `gh-bench list'), or 'all' (the paper set) / 'extras' (ablations and extensions)." in
-  Arg.(non_empty & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
+  Arg.(non_empty & pos_all experiment_conv [] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let output_arg =
   let doc = "Write each experiment's report into $(docv)/<experiment>.txt instead of stdout." in
   Arg.(value & opt (some string) None & info [ "output"; "o" ] ~docv:"DIR" ~doc)
 
+(* Make the -o directory before any work, so an unusable path fails up
+   front. *)
+let prepare_output_dir dir =
+  match Sys.is_directory dir with
+  | true -> Ok ()
+  | false -> Error (Printf.sprintf "output %S is not a directory" dir)
+  | exception Sys_error _ -> (
+      match Sys.mkdir dir 0o755 with
+      | () -> Ok ()
+      | exception Sys_error msg -> Error ("cannot create output directory: " ^ msg))
+
 let trace_out_arg =
   let doc = "Also export a Chrome trace-event JSON of every request span to $(docv) (load it in Perfetto or chrome://tracing)." in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file_conv) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
 let metrics_out_arg =
   let doc = "Also export a text snapshot of the metrics registry to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file_conv) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
 let series_out_arg =
   let doc =
@@ -106,7 +180,7 @@ let series_out_arg =
      sketches) and export them to $(docv): Prometheus text exposition, or the JSON \
      series document when $(docv) ends in .json."
   in
-  Arg.(value & opt (some string) None & info [ "series-out" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file_conv) None & info [ "series-out" ] ~docv:"FILE" ~doc)
 
 let slo_out_arg =
   let doc =
@@ -114,132 +188,95 @@ let slo_out_arg =
      rate) at every front door and export their state and alert history as JSON to \
      $(docv)."
   in
-  Arg.(value & opt (some string) None & info [ "slo" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file_conv) None & info [ "slo" ] ~docv:"FILE" ~doc)
 
 let run_cmd =
-  let run profile seed jobs gc_stats output trace_out metrics_out series_out slo_out names
+  let run profile seed jobs gc_stats output trace_out metrics_out series_out slo_out selections
       =
-    let cfg = with_jobs (with_seed profile seed) jobs in
-    (* Observability sinks are attached only on request; either way the
-       simulated runs are bit-identical (collectors only read clocks).
-       Export notices for the extra collectors go to stderr so an
-       instrumented `run all` keeps a byte-identical report on stdout. *)
-    let spans = Gh_sim.Span.create () in
-    let metrics = Gh_sim.Metrics.create () in
-    let series = Gh_sim.Timeseries.create metrics in
-    let slos = Gh_sim.Slo.standard ~metrics () in
-    let cfg =
-      if trace_out = None && metrics_out = None then cfg
-      else { cfg with Gh_harness.Config.spans = Some spans; metrics = Some metrics }
-    in
-    (* Series and SLOs roll the same registry the nodes count into, so
-       attaching either also shares the registry. *)
-    let cfg =
-      if series_out = None then cfg
-      else { cfg with Gh_harness.Config.series = Some series; metrics = Some metrics }
-    in
-    let cfg =
-      if slo_out = None then cfg
-      else { cfg with Gh_harness.Config.slos = slos; metrics = Some metrics }
-    in
-    (* An instrumented run is forced serial (the collectors are shared
-       mutable state): say so, naming the flags responsible, whenever
-       that overrides an explicit -j request. *)
-    (if
-       cfg.Gh_harness.Config.jobs > 1
-       && Gh_harness.Config.effective_jobs cfg < cfg.Gh_harness.Config.jobs
-     then
-       let reasons =
-         List.filter_map
-           (fun (passed, flag) -> if passed then Some flag else None)
-           [
-             (trace_out <> None, "--trace-out");
-             (metrics_out <> None, "--metrics-out");
-             (series_out <> None, "--series-out");
-             (slo_out <> None, "--slo");
-           ]
-       in
-       Printf.eprintf
-         "gh-bench: warning: %s %s shared observability collectors; ignoring -j %d and \
-          running serial\n\
-          %!"
-         (String.concat ", " reasons)
-         (if List.length reasons = 1 then "attaches" else "attach")
-         cfg.Gh_harness.Config.jobs);
-    let with_ppf id k =
-      match output with
-      | None -> k Format.std_formatter
-      | Some dir ->
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-          let path = Filename.concat dir (id ^ ".txt") in
-          let oc = open_out path in
-          let ppf = Format.formatter_of_out_channel oc in
-          Fun.protect
-            ~finally:(fun () ->
-              Format.pp_print_flush ppf ();
-              close_out oc;
-              Printf.printf "wrote %s\n%!" path)
-            (fun () -> k ppf)
-    in
-    let results =
-      List.map
-        (fun name ->
-          if String.lowercase_ascii name = "all" then begin
-            with_ppf "all" (fun ppf -> Gh_harness.Experiments.run_all cfg ppf);
-            Ok ()
-          end
-          else if String.lowercase_ascii name = "extras" then begin
-            with_ppf "extras" (fun ppf -> Gh_harness.Experiments.run_extras cfg ppf);
-            Ok ()
-          end
-          else
-            match Gh_harness.Experiments.of_string name with
-            | Ok id ->
-                with_ppf
-                  (Gh_harness.Experiments.to_string id)
-                  (fun ppf ->
-                    Format.fprintf ppf "@.#### %s: %s@."
-                      (Gh_harness.Experiments.to_string id)
-                      (Gh_harness.Experiments.describe id);
-                    Gh_harness.Experiments.run id cfg ppf);
-                Ok ()
-            | Error msg -> Error msg)
-        names
-    in
-    export_observability ?trace_out ?metrics_out spans metrics;
-    (match series_out with
-    | None -> ()
-    | Some path ->
-        Gh_sim.Timeseries.flush series ~now:0;
-        let content =
-          if Filename.check_suffix path ".json" then
-            Gh_sim.Json.to_string (Gh_sim.Timeseries.to_json series)
-          else begin
-            let buf = Buffer.create 4096 in
-            let ppf = Format.formatter_of_buffer buf in
-            Gh_sim.Timeseries.render_prom ppf series;
-            Format.pp_print_flush ppf ();
-            Buffer.contents buf
-          end
+    match Option.fold ~none:(Ok ()) ~some:prepare_output_dir output with
+    | Error msg -> `Error (false, msg)
+    | Ok () ->
+        guard_io @@ fun () ->
+        let cfg = with_jobs (with_seed profile seed) jobs in
+        (* Observability sinks are attached only on request; either way the
+           simulated runs are bit-identical (collectors only read clocks). *)
+        let spans = Gh_sim.Span.create () in
+        let metrics = Gh_sim.Metrics.create () in
+        let series = Gh_sim.Timeseries.create metrics in
+        let slos = Gh_sim.Slo.standard ~metrics () in
+        let cfg =
+          if trace_out = None && metrics_out = None then cfg
+          else { cfg with Gh_harness.Config.spans = Some spans; metrics = Some metrics }
         in
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc content);
-        Printf.eprintf "wrote %s\n%!" path);
-    (match slo_out with
-    | None -> ()
-    | Some path ->
-        let doc = Gh_sim.Json.List (List.map Gh_sim.Slo.to_json slos) in
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Gh_sim.Json.to_string doc));
-        Printf.eprintf "wrote %s\n%!" path);
-    if gc_stats then print_gc_stats ();
-    match List.find_opt Result.is_error results with
-    | Some (Error msg) -> `Error (false, msg)
-    | _ -> `Ok ()
+        (* Series and SLOs roll the same registry the nodes count into, so
+           attaching either also shares the registry. *)
+        let cfg =
+          if series_out = None then cfg
+          else { cfg with Gh_harness.Config.series = Some series; metrics = Some metrics }
+        in
+        let cfg =
+          if slo_out = None then cfg
+          else { cfg with Gh_harness.Config.slos = slos; metrics = Some metrics }
+        in
+        (* An instrumented run is forced serial (the collectors are shared
+           mutable state): say so, naming the flags responsible, whenever
+           that overrides an explicit -j request. *)
+        (if
+           cfg.Gh_harness.Config.jobs > 1
+           && Gh_harness.Config.effective_jobs cfg < cfg.Gh_harness.Config.jobs
+         then
+           let reasons =
+             List.filter_map
+               (fun (passed, flag) -> if passed then Some flag else None)
+               [
+                 (trace_out <> None, "--trace-out");
+                 (metrics_out <> None, "--metrics-out");
+                 (series_out <> None, "--series-out");
+                 (slo_out <> None, "--slo");
+               ]
+           in
+           Printf.eprintf
+             "gh-bench: warning: %s %s shared observability collectors; ignoring -j %d and \
+              running serial\n\
+              %!"
+             (String.concat ", " reasons)
+             (if List.length reasons = 1 then "attaches" else "attach")
+             cfg.Gh_harness.Config.jobs);
+        List.iter
+          (fun selection ->
+            let name, render =
+              match selection with
+              | All -> ("all", Gh_harness.Experiments.run_all cfg)
+              | Extras -> ("extras", Gh_harness.Experiments.run_extras cfg)
+              | One id ->
+                  let name = Gh_harness.Experiments.to_string id in
+                  ( name,
+                    fun ppf ->
+                      Format.fprintf ppf "@.#### %s: %s@." name
+                        (Gh_harness.Experiments.describe id);
+                      Gh_harness.Experiments.run id cfg ppf )
+            in
+            match output with
+            | None -> render Format.std_formatter
+            | Some dir ->
+                write_file (Filename.concat dir (name ^ ".txt")) (Format.asprintf "%t" render))
+          selections;
+        export_observability ?trace_out ?metrics_out spans metrics;
+        Option.iter
+          (fun path ->
+            Gh_sim.Timeseries.flush series ~now:0;
+            write_file path
+              (if Filename.check_suffix path ".json" then
+                 Gh_sim.Json.to_string (Gh_sim.Timeseries.to_json series)
+               else Format.asprintf "%a" Gh_sim.Timeseries.render_prom series))
+          series_out;
+        Option.iter
+          (fun path ->
+            write_file path
+              (Gh_sim.Json.to_string (Gh_sim.Json.List (List.map Gh_sim.Slo.to_json slos))))
+          slo_out;
+        if gc_stats then print_gc_stats ();
+        `Ok ()
   in
   let doc = "Regenerate one or more of the paper's tables/figures." in
   Cmd.v (Cmd.info "run" ~doc)
@@ -293,135 +330,118 @@ let catalog_cmd =
 (* -- invoke: run one benchmark under one strategy -- *)
 
 let invoke_cmd =
-  let bench_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK" ~doc:"Benchmark name, e.g. 'json (n)' or json.")
-  in
-  let strat_arg =
-    Arg.(value & opt string "gh" & info [ "strategy"; "s" ] ~doc:"Isolation strategy: base, gh, gh-nop, fork, faasm, coldstart, criu.")
-  in
-  let n_arg = Arg.(value & opt int 20 & info [ "n" ] ~doc:"Number of requests.") in
-  let run profile seed bench strat n =
-    let cfg = with_seed profile seed in
-    match Gh_workloads.Catalog.find bench with
-    | None -> `Error (false, Printf.sprintf "benchmark %S not in catalog (see gh-bench catalog)" bench)
-    | Some entry -> begin
-        match Gh_isolation.Registry.of_string strat with
-        | Error msg -> `Error (false, msg)
-        | Ok id -> begin
-            let cfg = { cfg with Gh_harness.Config.latency_requests = n; latency_requests_medium = n; latency_requests_long = n } in
-            match Gh_harness.Latency_exp.run_one cfg id entry with
-            | None -> `Error (false, Printf.sprintf "strategy %s does not support %s" strat bench)
-            | Some m ->
-                let open Gh_sim in
-                Format.printf "%s under %s (%d requests)@." entry.Gh_workloads.Catalog.display
-                  strat n;
-                Format.printf "  invoker latency: %a (ms)@." Stats.pp_summary
-                  m.Gh_harness.Latency_exp.invoker;
-                Format.printf "  e2e latency:     %a (ms)@." Stats.pp_summary
-                  m.Gh_harness.Latency_exp.e2e;
-                `Ok ()
-          end
-      end
+  let n_arg = Arg.(value & opt count_conv 20 & info [ "n" ] ~doc:"Number of requests.") in
+  let run profile seed entry id n =
+    let cfg =
+      {
+        (with_seed profile seed) with
+        Gh_harness.Config.latency_requests = n;
+        latency_requests_medium = n;
+        latency_requests_long = n;
+      }
+    in
+    let strat = Gh_isolation.Registry.to_string id in
+    match Gh_harness.Latency_exp.run_one cfg id entry with
+    | None ->
+        `Error
+          ( false,
+            Printf.sprintf "strategy %s does not support %s" strat
+              entry.Gh_workloads.Catalog.display )
+    | Some m ->
+        let open Gh_sim in
+        Format.printf "%s under %s (%d requests)@." entry.Gh_workloads.Catalog.display strat n;
+        Format.printf "  invoker latency: %a (ms)@." Stats.pp_summary
+          m.Gh_harness.Latency_exp.invoker;
+        Format.printf "  e2e latency:     %a (ms)@." Stats.pp_summary
+          m.Gh_harness.Latency_exp.e2e;
+        `Ok ()
   in
   let doc = "Measure one benchmark under one isolation strategy." in
   Cmd.v (Cmd.info "invoke" ~doc)
-    Term.(ret (const run $ profile_arg $ seed_arg $ bench_arg $ strat_arg $ n_arg))
+    Term.(ret (const run $ profile_arg $ seed_arg $ bench_pos_arg $ strategy_arg $ n_arg))
 
 (* -- trace: a container timeline for one benchmark -- *)
 
 let trace_cmd =
-  let bench_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK" ~doc:"Benchmark name.")
-  in
-  let n_arg = Arg.(value & opt int 6 & info [ "n" ] ~doc:"Requests to trace.") in
-  let strat_arg =
-    Arg.(
-      value & opt string "gh"
-      & info [ "strategy"; "s" ] ~doc:"Isolation strategy: base, gh, gh-nop, fork, faasm, coldstart, criu.")
-  in
-  let run seed bench n strat trace_out metrics_out =
-    match (Gh_workloads.Catalog.find bench, Gh_isolation.Registry.of_string strat) with
-    | None, _ -> `Error (false, Printf.sprintf "benchmark %S not in catalog" bench)
-    | _, Error msg -> `Error (false, msg)
-    | Some entry, Ok strategy -> (
-        let spec = entry.Gh_workloads.Catalog.spec in
-        if not (Gh_isolation.Registry.supports strategy spec) then
-          `Error (false, Printf.sprintf "strategy %s does not support %s" strat bench)
-        else begin
-          let trace = Gh_sim.Trace.create () in
-          let spans = Gh_sim.Span.create () in
-          let root = Gh_sim.Rng.create seed in
-          let make_strategy salt i =
+  let n_arg = Arg.(value & opt count_conv 6 & info [ "n" ] ~doc:"Requests to trace.") in
+  let run seed entry n strategy trace_out metrics_out =
+    let spec = entry.Gh_workloads.Catalog.spec in
+    let strat = Gh_isolation.Registry.to_string strategy in
+    if not (Gh_isolation.Registry.supports strategy spec) then
+      `Error
+        ( false,
+          Printf.sprintf "strategy %s does not support %s" strat
+            entry.Gh_workloads.Catalog.display )
+    else
+      guard_io @@ fun () ->
+      let trace = Gh_sim.Trace.create () in
+      let spans = Gh_sim.Span.create () in
+      let root = Gh_sim.Rng.create seed in
+      let make_strategy salt i =
+        match
+          Gh_isolation.Registry.make strategy
+            ~rng:(Gh_sim.Rng.named_split root (salt ^ string_of_int i))
+            spec
+        with
+        | Ok s -> s
+        | Error msg -> failwith msg
+      in
+      let deployment =
+        Gh_faas.Openwhisk.deploy ~trace ~spans
+          { Gh_faas.Openwhisk.default_config with Gh_faas.Openwhisk.n_cores = 1; seed }
+          ~make_strategy:(make_strategy "platform")
+      in
+      let principals = Gh_harness.Sweep.principals in
+      ignore
+        (Gh_faas.Client.closed_loop deployment.Gh_faas.Openwhisk.engine
+           deployment.Gh_faas.Openwhisk.controller ~n_requests:n
+           ~think_ns:(Gh_sim.Time_ns.of_ms 20.0) ~principals
+           ~input_kb:spec.Gh_faas.Function_model.input_kb);
+      Format.printf "Container timeline for %s under %s (%d requests):@."
+        entry.Gh_workloads.Catalog.display strat n;
+      Gh_sim.Trace.render Format.std_formatter trace;
+      (* A second run of the same workload through the multi-tenant node
+         populates the metrics registry (per-function counters, latency
+         histogram, node gauges) for the metrics snapshot. *)
+      let node_engine = Gh_sim.Engine.create () in
+      let node =
+        (* Restore verification and idle-time scrubbing are on so the
+           snapshot-integrity counters land in the metrics snapshot. *)
+        Gh_faas.Node.create node_engine
+          {
+            Gh_faas.Node.default_config with
+            Gh_faas.Node.total_cores = 1;
+            scrub = Some Gh_faas.Container.default_scrub;
+          }
+          ~make_strategy:(fun _name sp ->
             match
               Gh_isolation.Registry.make strategy
-                ~rng:(Gh_sim.Rng.named_split root (salt ^ string_of_int i))
-                spec
+                ~verify:Groundhog_core.Manager.Verify_full
+                ~rng:(Gh_sim.Rng.named_split root "node")
+                sp
             with
             | Ok s -> s
-            | Error msg -> failwith msg
-          in
-          let deployment =
-            Gh_faas.Openwhisk.deploy ~trace ~spans
-              { Gh_faas.Openwhisk.default_config with Gh_faas.Openwhisk.n_cores = 1; seed }
-              ~make_strategy:(make_strategy "platform")
-          in
-          let principals =
-            [|
-              Gh_faas.Principal.make ~id:1 ~name:"alice";
-              Gh_faas.Principal.make ~id:2 ~name:"bob";
-            |]
-          in
-          ignore
-            (Gh_faas.Client.closed_loop deployment.Gh_faas.Openwhisk.engine
-               deployment.Gh_faas.Openwhisk.controller ~n_requests:n
-               ~think_ns:(Gh_sim.Time_ns.of_ms 20.0) ~principals
-               ~input_kb:spec.Gh_faas.Function_model.input_kb);
-          Format.printf "Container timeline for %s under %s (%d requests):@."
-            entry.Gh_workloads.Catalog.display strat n;
-          Gh_sim.Trace.render Format.std_formatter trace;
-          (* A second run of the same workload through the multi-tenant node
-             populates the metrics registry (per-function counters, latency
-             histogram, node gauges) for the metrics snapshot. *)
-          let node_engine = Gh_sim.Engine.create () in
-          let node =
-            (* Restore verification and idle-time scrubbing are on so the
-               snapshot-integrity counters land in the metrics snapshot. *)
-            Gh_faas.Node.create node_engine
-              {
-                Gh_faas.Node.default_config with
-                Gh_faas.Node.total_cores = 1;
-                scrub = Some Gh_faas.Container.default_scrub;
-              }
-              ~make_strategy:(fun _name sp ->
-                match
-                  Gh_isolation.Registry.make strategy
-                    ~verify:Groundhog_core.Manager.Verify_full
-                    ~rng:(Gh_sim.Rng.named_split root "node")
-                    sp
-                with
-                | Ok s -> s
-                | Error msg -> failwith msg)
-          in
-          Gh_faas.Node.register node ~name:spec.Gh_faas.Function_model.name spec;
-          for i = 1 to n do
-            Gh_sim.Engine.at node_engine
-              ~time:((i - 1) * Gh_sim.Time_ns.of_ms 30.0)
-              (fun () ->
-                Gh_faas.Node.submit node ~name:spec.Gh_faas.Function_model.name
-                  (Gh_faas.Request.make ~id:i
-                     ~principal:principals.((i - 1) mod Array.length principals)
-                     ~input_kb:spec.Gh_faas.Function_model.input_kb ()))
-          done;
-          Gh_sim.Engine.run_all node_engine;
-          (match Gh_sim.Span.check spans with
-          | Ok () -> ()
-          | Error msg -> Format.printf "@.SPAN INVARIANT VIOLATION: %s@." msg);
-          Format.printf "@.%a@." Gh_sim.Critical_path.pp
-            (Gh_sim.Critical_path.analyze spans);
-          export_observability ?trace_out ?metrics_out spans
-            (Gh_faas.Node.metrics node);
-          `Ok ()
-        end)
+            | Error msg -> failwith msg)
+      in
+      Gh_faas.Node.register node ~name:spec.Gh_faas.Function_model.name spec;
+      for i = 1 to n do
+        Gh_sim.Engine.at node_engine
+          ~time:((i - 1) * Gh_sim.Time_ns.of_ms 30.0)
+          (fun () ->
+            Gh_faas.Node.submit node ~name:spec.Gh_faas.Function_model.name
+              (Gh_faas.Request.make ~id:i
+                 ~principal:principals.((i - 1) mod Array.length principals)
+                 ~input_kb:spec.Gh_faas.Function_model.input_kb ()))
+      done;
+      Gh_sim.Engine.run_all node_engine;
+      (match Gh_sim.Span.check spans with
+      | Ok () -> ()
+      | Error msg -> Format.printf "@.SPAN INVARIANT VIOLATION: %s@." msg);
+      Format.printf "@.%a@." Gh_sim.Critical_path.pp
+        (Gh_sim.Critical_path.analyze spans);
+      export_observability ?trace_out ?metrics_out spans
+        (Gh_faas.Node.metrics node);
+      `Ok ()
   in
   let doc =
     "Trace one benchmark: print the container timeline and the critical-path report; \
@@ -431,7 +451,7 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
       ret
-        (const run $ seed_arg $ bench_arg $ n_arg $ strat_arg $ trace_out_arg
+        (const run $ seed_arg $ bench_pos_arg $ n_arg $ strategy_arg $ trace_out_arg
        $ metrics_out_arg))
 
 (* -- trace-validate: schema-check an exported Chrome trace -- *)
@@ -459,66 +479,61 @@ let trace_validate_cmd =
 (* -- compare: all strategies side by side on one benchmark -- *)
 
 let compare_cmd =
-  let bench_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK" ~doc:"Benchmark name.")
-  in
-  let n_arg = Arg.(value & opt int 20 & info [ "n" ] ~doc:"Requests per strategy.") in
-  let run profile seed bench n =
-    let cfg = with_seed profile seed in
-    match Gh_workloads.Catalog.find bench with
-    | None -> `Error (false, Printf.sprintf "benchmark %S not in catalog" bench)
-    | Some entry ->
-        let cfg =
-          {
-            cfg with
-            Gh_harness.Config.latency_requests = n;
-            latency_requests_medium = n;
-            latency_requests_long = max 3 (n / 4);
-          }
-        in
-        Format.printf "%s — all isolation strategies (%d requests each)@."
-          entry.Gh_workloads.Catalog.display n;
-        Format.printf "%-10s %14s %14s %14s@." "strategy" "invoker ms" "e2e ms" "deferred ms";
-        List.iter
-          (fun id ->
-            match Gh_harness.Latency_exp.run_one cfg id entry with
-            | None -> Format.printf "%-10s %14s@." (Gh_isolation.Registry.to_string id) "unsupported"
-            | Some m ->
-                (* Mean deferred (off-path) work per request. *)
-                let deferred =
-                  match
-                    Gh_isolation.Registry.make id
-                      ~rng:(Gh_sim.Rng.create (seed + 1))
-                      entry.Gh_workloads.Catalog.spec
-                  with
-                  | Error _ -> Float.nan
-                  | Ok strat ->
-                      let total = ref 0 in
-                      for i = 1 to 5 do
-                        let req =
-                          Gh_faas.Request.make ~id:i
-                            ~principal:(Gh_faas.Principal.make ~id:1 ~name:"a")
-                            ()
-                        in
-                        total := !total + (strat.Gh_faas.Strategy_intf.invoke req).Gh_faas.Strategy_intf.post_ns
-                      done;
-                      Gh_sim.Time_ns.to_ms (!total / 5)
-                in
-                Format.printf "%-10s %14.2f %14.1f %14.2f@."
-                  (Gh_isolation.Registry.to_string id)
-                  m.Gh_harness.Latency_exp.invoker.Gh_sim.Stats.mean
-                  m.Gh_harness.Latency_exp.e2e.Gh_sim.Stats.mean deferred)
-          Gh_isolation.Registry.all;
-        `Ok ()
+  let n_arg = Arg.(value & opt count_conv 20 & info [ "n" ] ~doc:"Requests per strategy.") in
+  let run profile seed entry n =
+    let cfg =
+      {
+        (with_seed profile seed) with
+        Gh_harness.Config.latency_requests = n;
+        latency_requests_medium = n;
+        latency_requests_long = max 3 (n / 4);
+      }
+    in
+    Format.printf "%s — all isolation strategies (%d requests each)@."
+      entry.Gh_workloads.Catalog.display n;
+    Format.printf "%-10s %14s %14s %14s@." "strategy" "invoker ms" "e2e ms" "deferred ms";
+    List.iter
+      (fun id ->
+        match Gh_harness.Latency_exp.run_one cfg id entry with
+        | None -> Format.printf "%-10s %14s@." (Gh_isolation.Registry.to_string id) "unsupported"
+        | Some m ->
+            (* Mean deferred (off-path) work per request. *)
+            let deferred =
+              match
+                Gh_isolation.Registry.make id
+                  ~rng:(Gh_sim.Rng.create (seed + 1))
+                  entry.Gh_workloads.Catalog.spec
+              with
+              | Error _ -> Float.nan
+              | Ok strat ->
+                  let total = ref 0 in
+                  for i = 1 to 5 do
+                    let req =
+                      Gh_faas.Request.make ~id:i
+                        ~principal:(Gh_faas.Principal.make ~id:1 ~name:"a")
+                        ()
+                    in
+                    total := !total + (strat.Gh_faas.Strategy_intf.invoke req).Gh_faas.Strategy_intf.post_ns
+                  done;
+                  Gh_sim.Time_ns.to_ms (!total / 5)
+            in
+            Format.printf "%-10s %14.2f %14.1f %14.2f@."
+              (Gh_isolation.Registry.to_string id)
+              m.Gh_harness.Latency_exp.invoker.Gh_sim.Stats.mean
+              m.Gh_harness.Latency_exp.e2e.Gh_sim.Stats.mean deferred)
+      Gh_isolation.Registry.all;
+    `Ok ()
   in
   let doc = "Compare every isolation strategy on one benchmark." in
   Cmd.v (Cmd.info "compare" ~doc)
-    Term.(ret (const run $ profile_arg $ seed_arg $ bench_arg $ n_arg))
+    Term.(ret (const run $ profile_arg $ seed_arg $ bench_pos_arg $ n_arg))
 
 (* -- security-check: who leaks? -- *)
 
 let security_cmd =
-  let n_arg = Arg.(value & opt int 8 & info [ "n" ] ~doc:"Alternating requests per strategy.") in
+  let n_arg =
+    Arg.(value & opt count_conv 8 & info [ "n" ] ~doc:"Alternating requests per strategy.")
+  in
   let run seed n =
     let alice = Gh_faas.Principal.make ~id:1 ~name:"alice" in
     let bob = Gh_faas.Principal.make ~id:2 ~name:"bob" in
@@ -569,18 +584,6 @@ let security_cmd =
 
 (* -- the fail-closed sweeps: one subcommand per Gh_harness.Sweep descriptor -- *)
 
-let bench_conv =
-  let parse name =
-    match Gh_workloads.Catalog.find name with
-    | Some entry -> Ok entry
-    | None ->
-        Error (`Msg (Printf.sprintf "benchmark %S not in catalog (see gh-bench catalog)" name))
-  in
-  let print ppf (e : Gh_workloads.Catalog.entry) =
-    Format.pp_print_string ppf e.Gh_workloads.Catalog.display
-  in
-  Arg.conv (parse, print)
-
 let sweep_cmd (Gh_harness.Sweep.Sweep s as sweep) =
   let bench_arg =
     Arg.(
@@ -589,7 +592,7 @@ let sweep_cmd (Gh_harness.Sweep.Sweep s as sweep) =
       & info [ "benchmark"; "b" ] ~docv:"BENCHMARK" ~doc:"Benchmark the sweep runs on.")
   in
   let smoke_arg = Arg.(value & flag & info [ "smoke" ] ~doc:s.smoke_doc) in
-  let n_arg = Arg.(value & opt int s.default_n & info [ "n" ] ~doc:s.n_doc) in
+  let n_arg = Arg.(value & opt count_conv s.default_n & info [ "n" ] ~doc:s.n_doc) in
   let run profile seed entry smoke requests =
     match
       Gh_harness.Sweep.exec sweep (with_seed profile seed) ~smoke ~requests entry

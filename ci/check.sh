@@ -4,6 +4,9 @@
 # Usage: sh ci/check.sh
 set -eu
 cd "$(dirname "$0")/.."
+# Scratch files live in a private temp dir (honours TMPDIR), removed on exit.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 dune build
 dune build bench/main.exe
 dune runtest
@@ -64,21 +67,29 @@ test -s BENCH_engine.json
 # collectors attached. Regenerate ci/runall_quick.md5 only with an
 # intentional, reviewed behavior change.
 dune exec bin/gh_bench.exe -- run all --seed 42 --profile quick \
-  --series-out /tmp/gh_ci_series.txt --slo /tmp/gh_ci_slo.json \
-  > /tmp/gh_ci_runall_quick.txt
-md5sum /tmp/gh_ci_runall_quick.txt | awk '{print $1}' \
+  --series-out "$tmp/series.txt" --slo "$tmp/slo.json" \
+  > "$tmp/runall_quick.txt"
+md5sum "$tmp/runall_quick.txt" | awk '{print $1}' \
   | diff - ci/runall_quick.md5
-test -s /tmp/gh_ci_series.txt
-test -s /tmp/gh_ci_slo.json
+test -s "$tmp/series.txt"
+test -s "$tmp/slo.json"
+
+# The ablations and extensions (including the fault, overload and scrub
+# sweeps at their default grids) are pinned the same way, serial and on 2
+# domains.
+for jobs in 1 2; do
+  dune exec bin/gh_bench.exe -- run extras --seed 42 --profile quick -j $jobs \
+    | md5sum | awk '{print $1}' | diff - ci/runextras_quick.md5
+done
 
 # Parallel bit-identity gate: the same sweep fanned across 4 domains must
 # be byte-for-byte identical to the serial run (and hence to the committed
 # baseline) — cells seed their own RNGs and merge in input order, so any
 # difference means shared state leaked into a sweep.
 dune exec bin/gh_bench.exe -- run all --seed 42 --profile quick -j 4 \
-  > /tmp/gh_ci_runall_quick_j4.txt
-diff /tmp/gh_ci_runall_quick.txt /tmp/gh_ci_runall_quick_j4.txt
-md5sum /tmp/gh_ci_runall_quick_j4.txt | awk '{print $1}' \
+  > "$tmp/runall_quick_j4.txt"
+diff "$tmp/runall_quick.txt" "$tmp/runall_quick_j4.txt"
+md5sum "$tmp/runall_quick_j4.txt" | awk '{print $1}' \
   | diff - ci/runall_quick.md5
 
 # Domain-pool suite once more with an oversubscribed job count: the
@@ -90,17 +101,36 @@ GH_JOBS=8 dune exec test/test_parallel.exe >/dev/null
 # and diff the metrics snapshot against the committed baseline — any
 # counting drift (or nondeterminism) in the instrumented stack fails CI.
 dune exec bin/gh_bench.exe -- trace "json (n)" --seed 42 \
-  --trace-out /tmp/gh_ci_trace.json --metrics-out /tmp/gh_ci_metrics.txt \
+  --trace-out "$tmp/trace.json" --metrics-out "$tmp/metrics.txt" \
   >/dev/null
-dune exec bin/gh_bench.exe -- trace-validate /tmp/gh_ci_trace.json >/dev/null
-diff -u ci/metrics_baseline.txt /tmp/gh_ci_metrics.txt
+dune exec bin/gh_bench.exe -- trace-validate "$tmp/trace.json" >/dev/null
+diff -u ci/metrics_baseline.txt "$tmp/metrics.txt"
 
 # Shared-collector downgrade: asking for -j with a collector attached
 # must keep the run serial and say so on stderr, naming the causing flag.
 dune exec bin/gh_bench.exe -- run all --seed 42 --profile quick -j 4 \
-  --series-out /tmp/gh_ci_series_warn.txt \
-  >/dev/null 2>/tmp/gh_ci_downgrade_warn.txt
-grep -q -- '--series-out' /tmp/gh_ci_downgrade_warn.txt
-grep -q 'ignoring -j 4' /tmp/gh_ci_downgrade_warn.txt
+  --series-out "$tmp/series_warn.txt" \
+  >/dev/null 2>"$tmp/downgrade_warn.txt"
+grep -q -- '--series-out' "$tmp/downgrade_warn.txt"
+grep -q 'ignoring -j 4' "$tmp/downgrade_warn.txt"
+
+# Bad input is rejected before any work runs: nonzero exit, nothing on
+# stdout, and an error on stderr that names the offending value.
+reject() {
+  needle=$1
+  shift
+  if dune exec bin/gh_bench.exe -- "$@" >"$tmp/reject.out" 2>"$tmp/reject.err"; then
+    echo "ci/check.sh: gh-bench accepted bad input: $*" >&2
+    exit 1
+  fi
+  if test -s "$tmp/reject.out" || ! grep -qF -- "$needle" "$tmp/reject.err"; then
+    echo "ci/check.sh: gh-bench $* was not rejected up front naming '$needle'" >&2
+    exit 1
+  fi
+}
+reject bogus run fig4 bogus
+reject -3 run table1 --jobs=-3
+reject nope fault -b nope
+reject /proc/nope run fig3-left -o /proc/nope
 
 echo "ci/check.sh: OK"

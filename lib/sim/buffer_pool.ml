@@ -23,14 +23,6 @@
 
 let max_held_words = 64 * 1024 * 1024
 
-(* GH_BUFFER_POOL=off restores the pre-pool allocation profile (every
-   acquire a fresh [Array.make], every release dropped) — the A/B knob
-   behind the GC-churn numbers in BENCH_engine.json. *)
-let enabled =
-  match Sys.getenv_opt "GH_BUFFER_POOL" with
-  | Some ("0" | "off" | "false") -> false
-  | _ -> true
-
 (* Arrays below a cache line are cheaper to allocate than to look up. *)
 let min_pooled_len = 64
 
@@ -50,7 +42,7 @@ let pool () = Domain.DLS.get key
 
 (* Contents unspecified: the caller promises to overwrite every slot. *)
 let acquire_raw n =
-  if n < min_pooled_len || not enabled then Array.make n 0
+  if n < min_pooled_len then Array.make n 0
   else begin
     let p = pool () in
     match Hashtbl.find_opt p.by_len n with
@@ -75,7 +67,7 @@ let acquire_zeroed n =
 
 let release arr =
   let n = Array.length arr in
-  if n >= min_pooled_len && enabled then begin
+  if n >= min_pooled_len then begin
     let p = pool () in
     if p.held_words + n <= max_held_words then begin
       let tail = Option.value (Hashtbl.find_opt p.by_len n) ~default:[] in

@@ -8,11 +8,7 @@
     identical to [Array.make n 0]. Releasing an array the caller still
     reads from is the usual use-after-free hazard — release only at a
     clear end-of-life point (a reaped fork child, a replaced backing
-    array).
-
-    Setting [GH_BUFFER_POOL=off] in the environment disables reuse
-    entirely (every acquire allocates, every release is dropped) — the
-    baseline side of the GC-churn comparison. *)
+    array). *)
 
 val acquire_zeroed : int -> int array
 (** All slots zero, like [Array.make n 0]. *)

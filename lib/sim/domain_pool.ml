@@ -29,21 +29,6 @@ let recommended_jobs () = Domain.recommended_domain_count ()
    [parallel_map] calls observe it and degrade to [List.map]. *)
 let inside_pool = Domain.DLS.new_key (fun () -> false)
 
-(* Minor/major words allocated by *worker* domains, accumulated at each
-   domain's exit ([Gc.stat] is per-domain in OCaml 5, so the spawning
-   domain's own counters never see this churn). Read by [--gc-stats]. *)
-let gc_mutex = Mutex.create ()
-let worker_minor_words = ref 0.0
-let worker_major_words = ref 0.0
-
-let reset_worker_gc_words () =
-  Mutex.protect gc_mutex (fun () ->
-      worker_minor_words := 0.0;
-      worker_major_words := 0.0)
-
-let worker_gc_words () =
-  Mutex.protect gc_mutex (fun () -> (!worker_minor_words, !worker_major_words))
-
 let serial_map f xs = List.map f xs
 
 let parallel_map ?jobs f xs =
@@ -71,13 +56,7 @@ let parallel_map ?jobs f xs =
     in
     let worker () =
       Domain.DLS.set inside_pool true;
-      let st0 = Gc.quick_stat () in
-      Fun.protect work ~finally:(fun () ->
-          let st1 = Gc.quick_stat () in
-          Mutex.protect gc_mutex (fun () ->
-              worker_minor_words := !worker_minor_words +. st1.Gc.minor_words -. st0.Gc.minor_words;
-              worker_major_words :=
-                !worker_major_words +. st1.Gc.major_words -. st0.Gc.major_words))
+      work ()
     in
     let domains = List.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
     (* The calling domain is a worker too; flag it so f's own nested

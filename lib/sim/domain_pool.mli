@@ -24,12 +24,3 @@ val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     If any jobs raise, every remaining job still runs, and the exception
     of the lowest raising index is re-raised with its backtrace — the
     same exception [List.map f xs] would have produced. *)
-
-val worker_gc_words : unit -> float * float
-(** (minor, major) words allocated inside completed worker domains since
-    the last {!reset_worker_gc_words} — [Gc.stat] is per-domain in OCaml
-    5, so the spawning domain's own counters miss this churn. The
-    caller's share of pool work is not included (it is already in the
-    caller's [Gc.stat]). *)
-
-val reset_worker_gc_words : unit -> unit

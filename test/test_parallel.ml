@@ -109,6 +109,33 @@ let test_all_jobs_run_after_failure () =
   | exception Boom 0 -> ());
   check_int "every cell ran" 20 (Atomic.get ran)
 
+(* Gc.quick_stat sums every domain, joined pool workers included, so the
+   calling domain reads a sweep's whole allocation at any job count — the
+   figure `gh-bench run --gc-stats` prints. Each domain's count can be off
+   by up to one minor heap (256K words by default), so the sweep allocates
+   ~96M short-lived words to hold the 1% bound at 3 spawned domains. *)
+let test_gc_words_independent_of_jobs () =
+  let alloc x =
+    for _ = 1 to 25 do
+      ignore (List.length (List.init 20_000 (fun i -> i + x)))
+    done
+  in
+  let xs = List.init 64 Fun.id in
+  let minor_words jobs =
+    let before = (Gc.quick_stat ()).Gc.minor_words in
+    ignore (Domain_pool.parallel_map ~jobs alloc xs);
+    (Gc.quick_stat ()).Gc.minor_words -. before
+  in
+  let serial = minor_words 1 in
+  List.iter
+    (fun jobs ->
+      let w = minor_words jobs in
+      check_bool
+        (Printf.sprintf "jobs %d: %.0f minor words within 1%% of jobs 1 (%.0f)" jobs w serial)
+        true
+        (Float.abs (w -. serial) <= 0.01 *. serial))
+    [ 2; 4 ]
+
 let test_recommended_jobs_positive () =
   check_bool "recommended_jobs >= 1" true (Domain_pool.recommended_jobs () >= 1)
 
@@ -123,6 +150,8 @@ let () =
           Alcotest.test_case "nested degrades to serial" `Quick test_nested_degrades_to_serial;
           Alcotest.test_case "all jobs run after a failure" `Quick test_all_jobs_run_after_failure;
           Alcotest.test_case "recommended jobs positive" `Quick test_recommended_jobs_positive;
+          Alcotest.test_case "gc words independent of jobs" `Quick
+            test_gc_words_independent_of_jobs;
         ] );
       ( "properties",
         [

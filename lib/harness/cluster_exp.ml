@@ -22,13 +22,11 @@
 module Engine = Gh_sim.Engine
 module Rng = Gh_sim.Rng
 module Time_ns = Gh_sim.Time_ns
-module Stats = Gh_sim.Stats
 module Fault = Gh_sim.Fault
 module Registry = Gh_isolation.Registry
 module Catalog = Gh_workloads.Catalog
 module Synthetic = Gh_workloads.Synthetic
 module Fm = Gh_faas.Function_model
-module Intf = Gh_faas.Strategy_intf
 module Request = Gh_faas.Request
 module Admission = Gh_faas.Admission
 module Node = Gh_faas.Node

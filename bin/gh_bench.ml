@@ -151,20 +151,23 @@ let experiments_arg =
   let doc = "Experiments to run (see `gh-bench list'), or 'all' (the paper set) / 'extras' (ablations and extensions)." in
   Arg.(non_empty & pos_all experiment_conv [] & info [] ~docv:"EXPERIMENT" ~doc)
 
+(* The -o directory is made while the command line is parsed, so an
+   unusable path fails before any work. *)
+let out_dir_conv =
+  let parse dir =
+    match Sys.is_directory dir with
+    | true -> Ok dir
+    | false -> Error (`Msg (Printf.sprintf "%S is not a directory" dir))
+    | exception Sys_error _ -> (
+        match Sys.mkdir dir 0o755 with
+        | () -> Ok dir
+        | exception Sys_error msg -> Error (`Msg ("cannot create output directory: " ^ msg)))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let output_arg =
   let doc = "Write each experiment's report into $(docv)/<experiment>.txt instead of stdout." in
-  Arg.(value & opt (some string) None & info [ "output"; "o" ] ~docv:"DIR" ~doc)
-
-(* Make the -o directory before any work, so an unusable path fails up
-   front. *)
-let prepare_output_dir dir =
-  match Sys.is_directory dir with
-  | true -> Ok ()
-  | false -> Error (Printf.sprintf "output %S is not a directory" dir)
-  | exception Sys_error _ -> (
-      match Sys.mkdir dir 0o755 with
-      | () -> Ok ()
-      | exception Sys_error msg -> Error ("cannot create output directory: " ^ msg))
+  Arg.(value & opt (some out_dir_conv) None & info [ "output"; "o" ] ~docv:"DIR" ~doc)
 
 let trace_out_arg =
   let doc = "Also export a Chrome trace-event JSON of every request span to $(docv) (load it in Perfetto or chrome://tracing)." in
@@ -193,90 +196,87 @@ let slo_out_arg =
 let run_cmd =
   let run profile seed jobs gc_stats output trace_out metrics_out series_out slo_out selections
       =
-    match Option.fold ~none:(Ok ()) ~some:prepare_output_dir output with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
-        guard_io @@ fun () ->
-        let cfg = with_jobs (with_seed profile seed) jobs in
-        (* Observability sinks are attached only on request; either way the
-           simulated runs are bit-identical (collectors only read clocks). *)
-        let spans = Gh_sim.Span.create () in
-        let metrics = Gh_sim.Metrics.create () in
-        let series = Gh_sim.Timeseries.create metrics in
-        let slos = Gh_sim.Slo.standard ~metrics () in
-        let cfg =
-          if trace_out = None && metrics_out = None then cfg
-          else { cfg with Gh_harness.Config.spans = Some spans; metrics = Some metrics }
+    guard_io @@ fun () ->
+    let cfg = with_jobs (with_seed profile seed) jobs in
+    (* Observability sinks are attached only on request; either way the
+       simulated runs are bit-identical (collectors only read clocks). *)
+    let spans = Gh_sim.Span.create () in
+    let metrics = Gh_sim.Metrics.create () in
+    let series = Gh_sim.Timeseries.create metrics in
+    let slos = Gh_sim.Slo.standard ~metrics () in
+    let cfg =
+      if trace_out = None && metrics_out = None then cfg
+      else { cfg with Gh_harness.Config.spans = Some spans; metrics = Some metrics }
+    in
+    (* Series and SLOs roll the same registry the nodes count into, so
+       attaching either also shares the registry. *)
+    let cfg =
+      if series_out = None then cfg
+      else { cfg with Gh_harness.Config.series = Some series; metrics = Some metrics }
+    in
+    let cfg =
+      if slo_out = None then cfg
+      else { cfg with Gh_harness.Config.slos = slos; metrics = Some metrics }
+    in
+    (* An instrumented run is forced serial (the collectors are shared
+       mutable state): say so, naming the flags responsible, whenever
+       that overrides an explicit -j request. *)
+    (if
+       cfg.Gh_harness.Config.jobs > 1
+       && Gh_harness.Config.effective_jobs cfg < cfg.Gh_harness.Config.jobs
+     then
+       let reasons =
+         List.filter_map
+           (fun (passed, flag) -> if passed then Some flag else None)
+           [
+             (trace_out <> None, "--trace-out");
+             (metrics_out <> None, "--metrics-out");
+             (series_out <> None, "--series-out");
+             (slo_out <> None, "--slo");
+           ]
+       in
+       Printf.eprintf
+         "gh-bench: warning: %s %s shared observability collectors; ignoring -j %d and \
+          running serial\n\
+          %!"
+         (String.concat ", " reasons)
+         (if List.length reasons = 1 then "attaches" else "attach")
+         cfg.Gh_harness.Config.jobs);
+    List.iter
+      (fun selection ->
+        let name, render =
+          match selection with
+          | All -> ("all", Gh_harness.Experiments.run_all cfg)
+          | Extras -> ("extras", Gh_harness.Experiments.run_extras cfg)
+          | One id ->
+              let name = Gh_harness.Experiments.to_string id in
+              ( name,
+                fun ppf ->
+                  Format.fprintf ppf "@.#### %s: %s@." name
+                    (Gh_harness.Experiments.describe id);
+                  Gh_harness.Experiments.run id cfg ppf )
         in
-        (* Series and SLOs roll the same registry the nodes count into, so
-           attaching either also shares the registry. *)
-        let cfg =
-          if series_out = None then cfg
-          else { cfg with Gh_harness.Config.series = Some series; metrics = Some metrics }
-        in
-        let cfg =
-          if slo_out = None then cfg
-          else { cfg with Gh_harness.Config.slos = slos; metrics = Some metrics }
-        in
-        (* An instrumented run is forced serial (the collectors are shared
-           mutable state): say so, naming the flags responsible, whenever
-           that overrides an explicit -j request. *)
-        (if
-           cfg.Gh_harness.Config.jobs > 1
-           && Gh_harness.Config.effective_jobs cfg < cfg.Gh_harness.Config.jobs
-         then
-           let reasons =
-             List.filter_map
-               (fun (passed, flag) -> if passed then Some flag else None)
-               [
-                 (trace_out <> None, "--trace-out");
-                 (metrics_out <> None, "--metrics-out");
-                 (series_out <> None, "--series-out");
-                 (slo_out <> None, "--slo");
-               ]
-           in
-           Printf.eprintf
-             "gh-bench: warning: %s %s shared observability collectors; ignoring -j %d and \
-              running serial\n\
-              %!"
-             (String.concat ", " reasons)
-             (if List.length reasons = 1 then "attaches" else "attach")
-             cfg.Gh_harness.Config.jobs);
-        List.iter
-          (fun selection ->
-            let name, render =
-              match selection with
-              | All -> ("all", Gh_harness.Experiments.run_all cfg)
-              | Extras -> ("extras", Gh_harness.Experiments.run_extras cfg)
-              | One id ->
-                  let name = Gh_harness.Experiments.to_string id in
-                  ( name,
-                    fun ppf ->
-                      Format.fprintf ppf "@.#### %s: %s@." name
-                        (Gh_harness.Experiments.describe id);
-                      Gh_harness.Experiments.run id cfg ppf )
-            in
-            match output with
-            | None -> render Format.std_formatter
-            | Some dir ->
-                write_file (Filename.concat dir (name ^ ".txt")) (Format.asprintf "%t" render))
-          selections;
-        export_observability ?trace_out ?metrics_out spans metrics;
-        Option.iter
-          (fun path ->
-            Gh_sim.Timeseries.flush series ~now:0;
-            write_file path
-              (if Filename.check_suffix path ".json" then
-                 Gh_sim.Json.to_string (Gh_sim.Timeseries.to_json series)
-               else Format.asprintf "%a" Gh_sim.Timeseries.render_prom series))
-          series_out;
-        Option.iter
-          (fun path ->
-            write_file path
-              (Gh_sim.Json.to_string (Gh_sim.Json.List (List.map Gh_sim.Slo.to_json slos))))
-          slo_out;
-        if gc_stats then print_gc_stats ();
-        `Ok ()
+        match output with
+        | None -> render Format.std_formatter
+        | Some dir ->
+            write_file (Filename.concat dir (name ^ ".txt")) (Format.asprintf "%t" render))
+      selections;
+    export_observability ?trace_out ?metrics_out spans metrics;
+    Option.iter
+      (fun path ->
+        Gh_sim.Timeseries.flush series ~now:0;
+        write_file path
+          (if Filename.check_suffix path ".json" then
+             Gh_sim.Json.to_string (Gh_sim.Timeseries.to_json series)
+           else Format.asprintf "%a" Gh_sim.Timeseries.render_prom series))
+      series_out;
+    Option.iter
+      (fun path ->
+        write_file path
+          (Gh_sim.Json.to_string (Gh_sim.Json.List (List.map Gh_sim.Slo.to_json slos))))
+      slo_out;
+    if gc_stats then print_gc_stats ();
+    `Ok ()
   in
   let doc = "Regenerate one or more of the paper's tables/figures." in
   Cmd.v (Cmd.info "run" ~doc)

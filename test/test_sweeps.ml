@@ -43,12 +43,14 @@ let goldens =
       ] );
   ]
 
-let check_golden sweep seed md5 () =
+(* [-n] does not apply to the smoke grid; the default is passed as the CLI
+   would. *)
+let check_golden (Gh_harness.Sweep.Sweep s as sweep) seed md5 () =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
   let gate =
-    Gh_harness.Sweep.exec sweep { Config.default with Config.seed } ~smoke:true ~requests:0
-      entry ppf
+    Gh_harness.Sweep.exec sweep { Config.default with Config.seed } ~smoke:true
+      ~requests:s.default_n entry ppf
   in
   Format.pp_print_flush ppf ();
   Alcotest.(check (result unit string)) "gate" (Ok ()) gate;
@@ -146,7 +148,10 @@ let () =
     [
       ("smoke-goldens", golden_cases);
       ( "gates",
-        [ Alcotest.test_case "cluster acceptance names the failed arm" `Quick test_cluster_acceptance ] );
+        [
+          Alcotest.test_case "cluster acceptance names the failed arm" `Quick
+            test_cluster_acceptance;
+        ] );
       ( "known-defects",
         [ Alcotest.test_case "scrub seed 3 raises (pinned)" `Quick test_scrub_seed3_defect ] );
     ]

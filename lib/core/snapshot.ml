@@ -42,17 +42,20 @@ let hash_words data ~pos ~len =
   done;
   !h
 
-(* All-zero blocks get their hash by construction — no data read. Full
-   blocks dominate, so the 63-page constant is precomputed once. *)
-let zero_words = Array.make block_pages 0
-let zero_full_hash = hash_words zero_words ~pos:0 ~len:block_pages
+(* All-zero blocks get their hash by construction — no data read. The
+   hashes of all 64 lengths are precomputed, so a region's short last
+   block costs no more than a full one. *)
+let zero_hashes =
+  let zeros = Array.make block_pages 0 in
+  Array.init (block_pages + 1) (fun len -> hash_words zeros ~pos:0 ~len)
 
-let zero_block_hash len =
-  if len = block_pages then zero_full_hash else hash_words zero_words ~pos:0 ~len
+let zero_block_hash len = zero_hashes.(len)
 
 let region_blocks (r : region) = (r.n_pages + block_pages - 1) / block_pages
 
-let block_len (r : region) b = min block_pages (r.n_pages - (b * block_pages))
+let block_len (r : region) b =
+  let rest = r.n_pages - (b * block_pages) in
+  if rest < block_pages then rest else block_pages
 
 (* The reference hash for block [b]. For eager captures this is the hash
    taken from the *source* during the copy; for incremental shells the
@@ -114,28 +117,30 @@ let copy_region acct fault cost (v : Vma.t) =
      page contents on every restore. *)
   let n = v.Vma.n_pages in
   let src = v.Vma.data in
+  if Array.length src < n then invalid_arg "Snapshot.capture: region has no page data";
   let data = Array.make n 0 in
   let zeros = Bitmap.create n in
-  let bpw = Bitmap.bits_per_word in
-  let n_blocks = (n + bpw - 1) / bpw in
+  let zw = Bitmap.words zeros in
+  let n_blocks = (n + block_pages - 1) / block_pages in
   let hashes = Array.make n_blocks 0 in
   let i = ref 0 in
-  while !i < n do
-    let lim = min bpw (n - !i) in
+  for blk = 0 to n_blocks - 1 do
+    let rest = n - !i in
+    let lim = if rest < block_pages then rest else block_pages in
     let w = ref 0 in
     for b = 0 to lim - 1 do
       if Array.unsafe_get src (!i + b) = 0 then w := !w lor (1 lsl b)
     done;
-    Bitmap.set_word zeros (!i / bpw) !w;
+    Array.unsafe_set zw blk !w;
     (* The block hash is taken from the *source* while it is hot in cache;
        all-zero blocks get theirs by construction, so the hash pass is
        elided exactly where the copy is. Hashing before the store also
        means a corrupted buffer (below) never forges its own hash. *)
-    if !w <> Bitmap.mask ~pos:0 ~len:lim then begin
-      Array.blit src !i data !i lim;
-      hashes.(!i / bpw) <- hash_words src ~pos:!i ~len:lim
+    if !w <> (if lim = block_pages then -1 else (1 lsl lim) - 1) then begin
+      Vma.blit_pages src !i data !i lim;
+      hashes.(blk) <- hash_words src ~pos:!i ~len:lim
     end
-    else hashes.(!i / bpw) <- zero_block_hash lim;
+    else hashes.(blk) <- zero_block_hash lim;
     i := !i + lim
   done;
   (* Silent corruption sites. Both fire *after* the hash pass — the hashes

@@ -40,7 +40,8 @@ val hash_words : int array -> pos:int -> len:int -> int
 
 val zero_block_hash : int -> int
 (** [zero_block_hash len] = [hash_words] of [len] zero words, without
-    reading data (precomputed for full blocks). *)
+    reading data (precomputed for every [len] in [0 .. block_pages]).
+    @raise Invalid_argument outside that range. *)
 
 val region_blocks : region -> int
 val block_len : region -> int -> int

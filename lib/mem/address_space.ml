@@ -274,7 +274,7 @@ let check_range (vma : Vma.t) ~pos ~len op =
 
 (* Bulk page kernels. One iteration per packed 63-page bitmap word:
    fault classes fall out of popcounts over word masks, bitmap updates
-   are word ops, data moves are Array.fill/blit. The classification
+   are word ops, data moves are typed stores. The classification
    mirrors [write_one] exactly:
      first-touch : untouched ∧ m            (then untouched &= ¬m)
      demand-zero : ¬present ∧ m             (born dirty, no re-arm)
@@ -282,51 +282,81 @@ let check_range (vma : Vma.t) ~pos ~len op =
      re-arm      : sd_on ∧ present ∧ ¬soft_dirty ∧ m
    Words holding CoW hits while a salvage hook is installed take the
    scalar path so the hook still observes pre-write contents page by
-   page, in page order — bit-identical behavior by construction. *)
+   page, in page order — bit-identical behavior by construction.
+
+   The loops work on the bitmaps' backing arrays and carry the word index
+   and bit offset as loop state: this module is compiled [-opaque] in the
+   dev profile, so a [Bitmap.word]/[or_word] per word would be a curried
+   call through [caml_applyN], and [/ Bitmap.bits_per_word] an [idiv]
+   ([Bitmap.word_index] divides once per call instead). Only the
+   one-argument [Bitmap.popcount] is called per word, and only on nonzero
+   masks. *)
+
+(* The loops below index unchecked, so the arrays are checked once per
+   call: a recycled VMA ([Vma.recycle]) keeps its size but has no data
+   and must raise, and no map may be shorter than the range. *)
+let check_backing (vma : Vma.t) stop =
+  if stop > Array.length vma.Vma.data
+     || stop > Bitmap.length vma.Vma.present
+     || stop > Bitmap.length vma.Vma.soft_dirty
+     || stop > Bitmap.length vma.Vma.cow_pending
+     || stop > Bitmap.length vma.Vma.untouched
+  then invalid_arg "Address_space: page index out of bounds"
+
 let dirty_range t acct vma ~pos ~len ~value =
   check_range vma ~pos ~len "dirty_range";
   let fc = no_faults () in
   if len > 0 then begin
     if not vma.Vma.prot.Prot.write then
       invalid_arg "Address_space: write to non-writable VMA";
-    let present = vma.Vma.present
-    and sd = vma.Vma.soft_dirty
-    and cowp = vma.Vma.cow_pending
-    and unt = vma.Vma.untouched in
     let stop = pos + len in
-    let i = ref pos in
+    check_backing vma stop;
+    let present = Bitmap.words vma.Vma.present
+    and sd = Bitmap.words vma.Vma.soft_dirty
+    and cowp = Bitmap.words vma.Vma.cow_pending
+    and unt = Bitmap.words vma.Vma.untouched
+    and data = vma.Vma.data in
+    let hooked = match t.cow_hook with Some _ -> true | None -> false in
+    let bpw = Bitmap.bits_per_word in
+    let w0 = Bitmap.word_index pos in
+    let i = ref pos and wi = ref w0 and b = ref (pos - (w0 * bpw)) in
     while !i < stop do
-      let wi = !i / Bitmap.bits_per_word in
-      let b = !i mod Bitmap.bits_per_word in
-      let n = min (stop - !i) (Bitmap.bits_per_word - b) in
-      let m = Bitmap.mask ~pos:b ~len:n in
-      let pw = Bitmap.word present wi in
-      let cow_hits = Bitmap.word cowp wi land pw land m in
-      if cow_hits <> 0 && t.cow_hook <> None then
+      let room = bpw - !b and left = stop - !i in
+      let n = if left < room then left else room in
+      let m = if n = bpw then -1 else ((1 lsl n) - 1) lsl !b in
+      let w = !wi in
+      let pw = Array.unsafe_get present w in
+      let cow_hits = Array.unsafe_get cowp w land pw land m in
+      if cow_hits <> 0 && hooked then
         for k = !i to !i + n - 1 do
           write_one t fc vma k value
         done
       else begin
-        let uw = Bitmap.word unt wi land m in
+        let uw = Array.unsafe_get unt w land m in
         if uw <> 0 then begin
           fc.first_touch <- fc.first_touch + Bitmap.popcount uw;
-          Bitmap.andnot_word unt wi uw
+          Array.unsafe_set unt w (Array.unsafe_get unt w lxor uw)
         end;
         let dz = lnot pw land m in
         if dz <> 0 then fc.demand_zero <- fc.demand_zero + Bitmap.popcount dz;
         if cow_hits <> 0 then begin
           fc.cow <- fc.cow + Bitmap.popcount cow_hits;
-          Bitmap.andnot_word cowp wi cow_hits
+          Array.unsafe_set cowp w (Array.unsafe_get cowp w lxor cow_hits)
         end;
+        let sw = Array.unsafe_get sd w in
         if t.sd_on then begin
-          let rearm = pw land lnot (Bitmap.word sd wi) land m in
+          let rearm = pw land lnot sw land m in
           if rearm <> 0 then fc.track <- fc.track + Bitmap.popcount rearm
         end;
-        Bitmap.or_word present wi m;
-        Bitmap.or_word sd wi m;
-        Array.fill vma.Vma.data !i n value
+        Array.unsafe_set present w (pw lor m);
+        Array.unsafe_set sd w (sw lor m);
+        for k = !i to !i + n - 1 do
+          Array.unsafe_set data k value
+        done
       end;
-      i := !i + n
+      i := !i + n;
+      incr wi;
+      b := 0
     done
   end;
   charge_faults t acct fc ~gran:vma.Vma.fault_gran ~reads:0 ~writes:len
@@ -337,30 +367,35 @@ let read_range t acct vma ~pos ~len =
   if len > 0 then begin
     if not vma.Vma.prot.Prot.read then
       invalid_arg "Address_space: read from non-readable VMA";
-    let present = vma.Vma.present
-    and sd = vma.Vma.soft_dirty
-    and unt = vma.Vma.untouched in
     let stop = pos + len in
-    let i = ref pos in
+    check_backing vma stop;
+    let present = Bitmap.words vma.Vma.present
+    and sd = Bitmap.words vma.Vma.soft_dirty
+    and unt = Bitmap.words vma.Vma.untouched in
+    let bpw = Bitmap.bits_per_word in
+    let w0 = Bitmap.word_index pos in
+    let i = ref pos and wi = ref w0 and b = ref (pos - (w0 * bpw)) in
     while !i < stop do
-      let wi = !i / Bitmap.bits_per_word in
-      let b = !i mod Bitmap.bits_per_word in
-      let n = min (stop - !i) (Bitmap.bits_per_word - b) in
-      let m = Bitmap.mask ~pos:b ~len:n in
-      let uw = Bitmap.word unt wi land m in
+      let room = bpw - !b and left = stop - !i in
+      let n = if left < room then left else room in
+      let m = if n = bpw then -1 else ((1 lsl n) - 1) lsl !b in
+      let w = !wi in
+      let uw = Array.unsafe_get unt w land m in
       if uw <> 0 then begin
         fc.first_touch <- fc.first_touch + Bitmap.popcount uw;
-        Bitmap.andnot_word unt wi uw
+        Array.unsafe_set unt w (Array.unsafe_get unt w lxor uw)
       end;
       (* Only pages faulted in by this read become (born-dirty) present;
          already-present pages stay clean under a read. *)
-      let dz = lnot (Bitmap.word present wi) land m in
+      let dz = lnot (Array.unsafe_get present w) land m in
       if dz <> 0 then begin
         fc.demand_zero <- fc.demand_zero + Bitmap.popcount dz;
-        Bitmap.or_word present wi dz;
-        Bitmap.or_word sd wi dz
+        Array.unsafe_set present w (Array.unsafe_get present w lor dz);
+        Array.unsafe_set sd w (Array.unsafe_get sd w lor dz)
       end;
-      i := !i + n
+      i := !i + n;
+      incr wi;
+      b := 0
     done
   end;
   charge_faults t acct fc ~gran:vma.Vma.fault_gran ~reads:len ~writes:0
@@ -396,14 +431,14 @@ let poke (vma : Vma.t) i v =
   Bitmap.set vma.Vma.soft_dirty i true;
   Bitmap.set vma.Vma.cow_pending i false
 
-(* Bulk [poke]: one blit plus three word-batched range ops. Same
+(* Bulk [poke]: one page copy plus three word-batched range ops. Same
    per-page effect (data set, present + soft-dirty, pending CoW
    cancelled, untouched untouched). *)
 let poke_range (vma : Vma.t) ~pos ~len ~src ~src_pos =
   check_range vma ~pos ~len "poke_range";
   if src_pos < 0 || src_pos + len > Array.length src then
     invalid_arg "Address_space.poke_range: source range out of bounds";
-  Array.blit src src_pos vma.Vma.data pos len;
+  Vma.blit_pages src src_pos vma.Vma.data pos len;
   Bitmap.set_range vma.Vma.present ~pos ~len true;
   Bitmap.set_range vma.Vma.soft_dirty ~pos ~len true;
   Bitmap.set_range vma.Vma.cow_pending ~pos ~len false

@@ -60,12 +60,17 @@ let word t i = if i < Array.length t.words then Array.unsafe_get t.words i else 
 
 let word_count t = Array.length t.words
 
+let words t = t.words
+
+(* Here the divisor is a constant, so this is a multiply and a shift;
+   elsewhere [/ bits_per_word] is an [idiv]. *)
+let word_index i = i / bits_per_word
+
 let check_word t wi op =
   if wi < 0 || wi >= Array.length t.words then
     invalid_arg ("Bitmap." ^ op ^ ": word index out of bounds")
 
-(* Word-level mask ops for the bulk page kernels (dirty_range/read_range and
-   the restore copy backends). [or_word] clamps against the tail so the
+(* Checked word-level mask ops. [or_word] clamps against the tail so the
    bits-past-length invariant survives any mask; the other two can only
    clear bits and need no clamp. *)
 let or_word t wi m =
@@ -99,38 +104,23 @@ let popcount32 x =
 
 let popcount w = popcount32 (w land 0xFFFFFFFF) + popcount32 (w lsr 32)
 
-(* Trailing zeros: isolate the lowest set bit, then binary-search its
-   position with shifts — about half the ALU work of a popcount-based
-   count, and this sits in the inner loop of every set-bit iteration.
-   Returns [bits_per_word] for zero. *)
-let ctz w =
-  if w = 0 then bits_per_word
-  else begin
-    let w = ref (w land -w) in
-    let n = ref 0 in
-    if !w land 0xFFFFFFFF = 0 then begin
-      n := 32;
-      w := !w lsr 32
-    end;
-    if !w land 0xFFFF = 0 then begin
-      n := !n + 16;
-      w := !w lsr 16
-    end;
-    if !w land 0xFF = 0 then begin
-      n := !n + 8;
-      w := !w lsr 8
-    end;
-    if !w land 0xF = 0 then begin
-      n := !n + 4;
-      w := !w lsr 4
-    end;
-    if !w land 0x3 = 0 then begin
-      n := !n + 2;
-      w := !w lsr 2
-    end;
-    if !w land 0x1 = 0 then incr n;
-    !n
-  end
+(* Trailing zeros, branch-free: [w land -w] isolates the lowest set bit
+   2^k, and multiplying by a de Bruijn constant moves a distinct 6-bit
+   window into the top bits for each k in 0..62 (OCaml ints wrap mod
+   2^63), which a 64-entry table maps back to k. Window 0 belongs to no
+   k, so zero maps to [bits_per_word] without a test. This sits in the
+   inner loop of every run hop; the shift-and-test version it replaced
+   mispredicted on mixed words. *)
+let debruijn = 0x03f79d71b4cb0a89
+
+let ctz_table =
+  let t = Bytes.make 64 (Char.chr bits_per_word) in
+  for k = 0 to bits_per_word - 1 do
+    Bytes.set t (((1 lsl k) * debruijn) lsr 57) (Char.chr k)
+  done;
+  Bytes.unsafe_to_string t
+
+let ctz w = Char.code (String.unsafe_get ctz_table (((w land -w) * debruijn) lsr 57))
 
 let count t =
   let c = ref 0 in
@@ -237,14 +227,6 @@ let fold_runs t ~init ~f =
   done;
   if !run_start >= 0 then acc := f !acc ~pos:!run_start ~len:(t.len - !run_start);
   !acc
-
-let assign dst src =
-  let n = min (Array.length dst.words) (Array.length src.words) in
-  Array.blit src.words 0 dst.words 0 n;
-  Array.fill dst.words n (Array.length dst.words - n) 0;
-  (* [src]'s own tail invariant covers bits in [src.len, n*63); only bits
-     past [dst.len] (when [src] is the longer map) need clearing. *)
-  clamp_tail dst
 
 let equal a b =
   a.len = b.len && Array.for_all2 ( = ) a.words b.words

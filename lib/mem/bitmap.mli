@@ -33,10 +33,6 @@ val set_range : t -> pos:int -> len:int -> bool -> unit
 
 val copy : t -> t
 
-val assign : t -> t -> unit
-(** [assign dst src] overwrites [dst] with [src] over the common prefix and
-    clears the rest of [dst]; lengths are unchanged. Word-level blit. *)
-
 val resize : t -> int -> t
 (** [resize t n] keeps the common prefix, zero-extends when growing. *)
 
@@ -47,16 +43,29 @@ val popcount : int -> int
 (** Set bits in one packed word (branch-free SWAR). *)
 
 val ctz : int -> int
-(** Trailing zeros of a packed word; [bits_per_word] for zero. *)
+(** Trailing zeros of a packed word; [bits_per_word] for zero. Branch-free
+    (de Bruijn multiply and a table load). *)
 
 val word : t -> int -> int
 (** [word t i] is the [i]-th packed word — bits
     [i * bits_per_word .. (i+1) * bits_per_word - 1] — or [0] when [i] is
-    past the last word. For word-batched consumers (the restore engine's
-    classifier); bits past [length t] are always zero. *)
+    past the last word. Bits past [length t] are always zero. *)
 
 val word_count : t -> int
 (** Number of packed words backing the map. *)
+
+val words : t -> int array
+(** The backing words themselves, shared, not copied: word [i] holds bits
+    [i * bits_per_word .. (i+1) * bits_per_word - 1]. For page kernels in
+    other modules that must not make a call per word (library modules
+    are compiled [-opaque] in the dev profile, so {!word} and {!or_word}
+    are real calls there). Writers must keep bits at positions
+    [>= length t] zero. *)
+
+val word_index : int -> int
+(** [word_index i = i / bits_per_word], the word holding bit [i]. Compiled
+    where the divisor is a known constant, so it costs a multiply where a
+    caller's own [/ bits_per_word] would be a hardware divide. *)
 
 val or_word : t -> int -> int -> unit
 (** [or_word t i m] sets the bits of mask [m] in word [i]; bits of [m] past

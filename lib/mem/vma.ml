@@ -48,12 +48,24 @@ let kind_to_string = function
   | Anon -> "anon"
   | Wasm_linear -> "wasm"
 
+(* Typed as [int array], so the stores need no write barrier (see the
+   interface); forward, hence distinct arrays only. *)
+let blit_pages (src : int array) src_pos (dst : int array) dst_pos len =
+  if len < 0 || src_pos < 0 || dst_pos < 0
+     || src_pos > Array.length src - len
+     || dst_pos > Array.length dst - len
+  then invalid_arg "Vma.blit_pages: range out of bounds";
+  if src == dst && len > 0 then invalid_arg "Vma.blit_pages: source and destination alias";
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst (dst_pos + i) (Array.unsafe_get src (src_pos + i))
+  done
+
 let resize t n_pages =
   if n_pages < 0 then invalid_arg "Vma.resize: negative size";
   if n_pages <> t.n_pages then begin
     let keep = min t.n_pages n_pages in
     let data = Gh_sim.Buffer_pool.acquire_raw n_pages in
-    Array.blit t.data 0 data 0 keep;
+    blit_pages t.data 0 data 0 keep;
     if n_pages > keep then Array.fill data keep (n_pages - keep) 0;
     Gh_sim.Buffer_pool.release t.data;
     t.data <- data;
@@ -66,7 +78,7 @@ let resize t n_pages =
 
 let clone_cow t =
   let data = Gh_sim.Buffer_pool.acquire_raw t.n_pages in
-  Array.blit t.data 0 data 0 t.n_pages;
+  blit_pages t.data 0 data 0 t.n_pages;
   {
     t with
     data;
@@ -82,14 +94,6 @@ let clone_cow t =
 let recycle t =
   Gh_sim.Buffer_pool.release t.data;
   t.data <- [||]
-
-let restore_data_from t data present =
-  let n = min t.n_pages (Array.length data) in
-  Array.blit data 0 t.data 0 n;
-  Bitmap.assign t.present present;
-  for i = Bitmap.length present to t.n_pages - 1 do
-    t.data.(i) <- 0
-  done
 
 let pp ppf t =
   Format.fprintf ppf "%012x-%012x %a %s (%d pages, %d present, %d dirty)"

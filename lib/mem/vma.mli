@@ -44,6 +44,15 @@ val page_index : t -> int -> int
 
 val kind_to_string : kind -> string
 
+val blit_pages : int array -> int -> int array -> int -> int -> unit
+(** [blit_pages src src_pos dst dst_pos len] copies [len] page words, like
+    [Array.blit] but as plain stores: OCaml 5's [Array.blit] pays the
+    [caml_modify] write barrier per word on a major-heap array, even an
+    [int array]. All page data ([data] here, snapshot buffers) is copied
+    through this.
+    @raise Invalid_argument if either range is out of bounds, or if [src]
+    and [dst] are the same array (the copy runs forward). *)
+
 val resize : t -> int -> unit
 (** Grow (zero-filled, non-present new pages) or shrink at the end. *)
 
@@ -55,11 +64,6 @@ val recycle : t -> unit
 (** Release the page buffer into this domain's {!Gh_sim.Buffer_pool} and
     replace it with an empty array. Only for VMAs that nothing will touch
     again (a reaped fork child); any later page access raises. *)
-
-val restore_data_from : t -> int array -> Bitmap.t -> unit
-(** [restore_data_from t data present] overwrites page contents and
-    presence wholesale (FAASM-style remap; the caller charges costs).
-    Arrays may be shorter or longer than [t]; the common prefix is used. *)
 
 val pp : Format.formatter -> t -> unit
 (** One /proc/pid/maps-style line. *)

@@ -209,6 +209,27 @@ let test_bitmap_word_ops () =
     (Invalid_argument "Bitmap.or_word: word index out of bounds") (fun () ->
       Bitmap.or_word b 2 1)
 
+(* Branch-free ctz against the obvious scan, on zero (which reads as
+   bits_per_word), on every single bit — bit 62 is [min_int] — and on
+   random words with their low bits cleared to spread the answers. *)
+let test_bitmap_ctz () =
+  let bpw = Bitmap.bits_per_word in
+  let naive w =
+    let rec go k = if k >= bpw || (w lsr k) land 1 = 1 then k else go (k + 1) in
+    go 0
+  in
+  check_int "ctz 0" bpw (Bitmap.ctz 0);
+  for k = 0 to bpw - 1 do
+    check_int (Printf.sprintf "ctz (1 lsl %d)" k) k (Bitmap.ctz (1 lsl k))
+  done;
+  check_int "ctz min_int" (bpw - 1) (Bitmap.ctz min_int);
+  let rng = Gh_sim.Rng.create 7 in
+  for _ = 1 to 10_000 do
+    let w = Int64.to_int (Gh_sim.Rng.bits64 rng) in
+    let w = w land (-1 lsl Gh_sim.Rng.int rng bpw) in
+    check_int (Printf.sprintf "ctz %x" w) (naive w) (Bitmap.ctz w)
+  done
+
 (* -- Prot -- *)
 
 let test_prot () =
@@ -249,6 +270,29 @@ let test_vma_clone_cow () =
   check_bool "cow not armed on lazy page" false (Bitmap.get c.Vma.cow_pending 1);
   c.Vma.data.(0) <- 1;
   check_int "copy is deep" 9 v.Vma.data.(0)
+
+let test_vma_blit_pages () =
+  (* Past the minor heap's size limit: the destination lives in the major
+     heap, where a barrier-free copy matters. *)
+  let src = Array.init 1000 (fun i -> i + 1) and dst = Array.make 1000 0 in
+  Vma.blit_pages src 10 dst 500 300;
+  check_int "first word" 11 dst.(500);
+  check_int "last word" 310 dst.(799);
+  check_int "before the range" 0 dst.(499);
+  check_int "after the range" 0 dst.(800);
+  Vma.blit_pages src 0 dst 0 0;
+  let oob = Invalid_argument "Vma.blit_pages: range out of bounds" in
+  Alcotest.check_raises "negative length" oob (fun () -> Vma.blit_pages src 0 dst 0 (-1));
+  Alcotest.check_raises "negative source" oob (fun () -> Vma.blit_pages src (-1) dst 0 1);
+  Alcotest.check_raises "negative destination" oob (fun () ->
+      Vma.blit_pages src 0 dst (-1) 1);
+  Alcotest.check_raises "source overrun" oob (fun () -> Vma.blit_pages src 901 dst 0 100);
+  Alcotest.check_raises "destination overrun" oob (fun () ->
+      Vma.blit_pages src 0 dst 901 100);
+  Alcotest.check_raises "length overflow" oob (fun () -> Vma.blit_pages src 1 dst 1 max_int);
+  Alcotest.check_raises "one array"
+    (Invalid_argument "Vma.blit_pages: source and destination alias") (fun () ->
+      Vma.blit_pages src 0 src 1 10)
 
 let test_vma_unaligned_raises () =
   Alcotest.check_raises "unaligned" (Invalid_argument "Vma.create: unaligned start") (fun () ->
@@ -689,6 +733,7 @@ let () =
           Alcotest.test_case "set_range" `Quick test_bitmap_set_range;
           Alcotest.test_case "bounds checked" `Quick test_bitmap_bounds_checked;
           Alcotest.test_case "word-level ops" `Quick test_bitmap_word_ops;
+          Alcotest.test_case "ctz matches a naive scan" `Quick test_bitmap_ctz;
           QCheck_alcotest.to_alcotest bitmap_differential;
         ] );
       ("prot", [ Alcotest.test_case "flags" `Quick test_prot ]);
@@ -698,6 +743,7 @@ let () =
           Alcotest.test_case "resize preserves prefix" `Quick test_vma_resize_preserves_prefix;
           Alcotest.test_case "clone cow" `Quick test_vma_clone_cow;
           Alcotest.test_case "unaligned raises" `Quick test_vma_unaligned_raises;
+          Alcotest.test_case "blit_pages copies and checks ranges" `Quick test_vma_blit_pages;
         ] );
       ( "layout",
         [

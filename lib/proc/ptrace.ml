@@ -99,30 +99,42 @@ let inject_syscall s acct call =
           As.madvise_dontneed mem vma ~pos ~len;
           None)
 
+(* The charge and fault site of a restore copy, apart from the data
+   movement: the restore engine moves page data word by word itself but
+   the cost model and the [Ptrace_write] site stay here. *)
+let write_runs s acct ~runs ~pages =
+  check s;
+  let c = cost s in
+  let setups = if c.Cost.coalesce_runs then runs else pages in
+  Account.charge acct
+    ((setups * c.Cost.restore_copy_run_setup_ns) + (pages * c.Cost.restore_copy_per_page_ns));
+  if fires s.proc Fault.Ptrace_write then Error Fault.Ptrace_write else Ok ()
+
+let zero_run s acct ~len =
+  check s;
+  let c = cost s in
+  let setups = if c.Cost.coalesce_runs then 1 else len in
+  Account.charge acct
+    (((setups * c.Cost.restore_copy_run_setup_ns) / 2) + (len * c.Cost.stack_zero_per_page_ns));
+  if fires s.proc Fault.Ptrace_write then Error Fault.Ptrace_write else Ok ()
+
 let write_pages s acct vma ~pos ~len ~src ~src_pos =
   check s;
   if len < 0 || pos < 0 || pos + len > vma.Vma.n_pages || src_pos < 0
      || src_pos + len > Array.length src
   then invalid_arg "Ptrace.write_pages: range out of bounds";
-  let c = cost s in
-  let setups = if c.Cost.coalesce_runs then 1 else len in
-  Account.charge acct ((setups * c.Cost.restore_copy_run_setup_ns) + (len * c.Cost.restore_copy_per_page_ns));
-  if fires s.proc Fault.Ptrace_write then Error Fault.Ptrace_write
-  else begin
-    As.poke_range vma ~pos ~len ~src ~src_pos;
-    Ok ()
-  end
+  match write_runs s acct ~runs:1 ~pages:len with
+  | Error _ as e -> e
+  | Ok () ->
+      As.poke_range vma ~pos ~len ~src ~src_pos;
+      Ok ()
 
 let zero_pages s acct vma ~pos ~len =
   check s;
   if len < 0 || pos < 0 || pos + len > vma.Vma.n_pages then
     invalid_arg "Ptrace.zero_pages: range out of bounds";
-  let c = cost s in
-  let setups = if c.Cost.coalesce_runs then 1 else len in
-  Account.charge acct
-    (((setups * c.Cost.restore_copy_run_setup_ns) / 2) + (len * c.Cost.stack_zero_per_page_ns));
-  if fires s.proc Fault.Ptrace_write then Error Fault.Ptrace_write
-  else begin
-    As.zero_range vma ~pos ~len;
-    Ok ()
-  end
+  match zero_run s acct ~len with
+  | Error _ as e -> e
+  | Ok () ->
+      As.zero_range vma ~pos ~len;
+      Ok ()

@@ -71,3 +71,20 @@ val zero_pages :
   session -> Gh_sim.Account.t -> Gh_mem.Vma.t -> pos:int -> len:int -> (unit, Gh_sim.Fault.site) result
 (** Zero a run of pages at the stack-zeroing rate (cheaper than restoring
     from the snapshot buffer: no source read). *)
+
+(** {2 Charges without the data movement}
+
+    The restore engine moves page data a bitmap word at a time itself;
+    these charge what {!write_pages} and {!zero_pages} charge and pass the
+    same [Ptrace_write] site, once per call. *)
+
+val write_runs :
+  session -> Gh_sim.Account.t -> runs:int -> pages:int -> (unit, Gh_sim.Fault.site) result
+(** [runs] coalesced copy runs of [pages] pages in all: the sum of what
+    {!write_pages} charges for each. The site is passed once per call, so
+    under a live fault plan call it once per run; with
+    {!Gh_sim.Fault.none} one call may cover a whole region. *)
+
+val zero_run : session -> Gh_sim.Account.t -> len:int -> (unit, Gh_sim.Fault.site) result
+(** One zeroing run of [len] pages, as {!zero_pages} charges it. Per run
+    only: the halved setup rounds down run by run. *)

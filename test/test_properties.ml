@@ -406,6 +406,16 @@ let print_bulk (seed, arm, hook, ops) =
               pos len v)
           ops))
 
+(* Same geometry, page data and all four page maps. *)
+let same_vma (x : Vma.t) (y : Vma.t) =
+  x.Vma.start_addr = y.Vma.start_addr
+  && x.Vma.n_pages = y.Vma.n_pages
+  && x.Vma.data = y.Vma.data
+  && Bitmap.equal x.Vma.present y.Vma.present
+  && Bitmap.equal x.Vma.soft_dirty y.Vma.soft_dirty
+  && Bitmap.equal x.Vma.cow_pending y.Vma.cow_pending
+  && Bitmap.equal x.Vma.untouched y.Vma.untouched
+
 let bulk_gen =
   let open QCheck2.Gen in
   let op = tup5 bool bool (int_bound 210) (int_bound 220) (int_range 1 1000) in
@@ -465,16 +475,7 @@ let bulk_matches_scalar =
             As.Scalar.dirty_range m2 a2 v2 ~pos ~len ~value
           end)
         ops;
-      let vma_eq (x : Vma.t) (y : Vma.t) =
-        x.Vma.start_addr = y.Vma.start_addr
-        && x.Vma.n_pages = y.Vma.n_pages
-        && x.Vma.data = y.Vma.data
-        && Bitmap.equal x.Vma.present y.Vma.present
-        && Bitmap.equal x.Vma.soft_dirty y.Vma.soft_dirty
-        && Bitmap.equal x.Vma.cow_pending y.Vma.cow_pending
-        && Bitmap.equal x.Vma.untouched y.Vma.untouched
-      in
-      List.for_all2 vma_eq (As.vmas m1) (As.vmas m2)
+      List.for_all2 same_vma (As.vmas m1) (As.vmas m2)
       && Account.total a1 = Account.total a2
       && !log1 = !log2)
 
@@ -578,6 +579,184 @@ let gh_oracle_clean_on_synthetic =
       done;
       Gh_faas.Function_model.residue_oracle (Gh_isolation.Gh.instance state) bob = 0)
 
+(* ---------------------------------------------------------------- *)
+(* The word-at-a-time restore kernel against the per-run engine it   *)
+(* replaced (test/restore_oracle.ml): same result, same charges, the  *)
+(* same fault draws and the same process image, faults included.      *)
+(* ---------------------------------------------------------------- *)
+
+module Fault = Gh_sim.Fault
+module Cost = Gh_kernel.Cost
+
+let diff_costs =
+  [|
+    ("default", Cost.default);
+    ("no-coalescing", Cost.no_coalescing);
+    ("uffd", Cost.uffd_tracking);
+    ("kernel-list", Cost.kernel_list_tracking);
+    ("odd-setup", { Cost.default with Cost.restore_copy_run_setup_ns = 6_001 });
+    ("odd-setup-no-coalescing", { Cost.no_coalescing with Cost.restore_copy_run_setup_ns = 6_001 });
+  |]
+
+let diff_sites = [| Fault.Restore_skip; Fault.Ptrace_write; Fault.Ptrace_inject |]
+
+(* [None] is [Fault.none]; otherwise a plan seed and one optional
+   (prob, nth) rule per site of [diff_sites]. *)
+type diff_case = {
+  seed : int;
+  cost_ix : int;
+  plan : (int * (float * int list) option list) option;
+  ops : op list;
+}
+
+let diff_gen =
+  let open QCheck2.Gen in
+  let rule =
+    frequency
+      [
+        (1, return None);
+        ( 3,
+          map2
+            (fun prob nth -> Some (prob, nth))
+            (oneofl [ 0.0; 0.05; 0.2; 0.5; 1.0 ])
+            (list_size (int_range 0 3) (int_range 1 12)) );
+      ]
+  in
+  let plan =
+    frequency
+      [ (1, return None); (2, map2 (fun s rs -> Some (s, rs)) (int_bound 1000) (list_repeat 3 rule)) ]
+  in
+  map4
+    (fun seed cost_ix plan ops -> { seed; cost_ix; plan; ops })
+    (int_bound 1_000_000)
+    (int_bound (Array.length diff_costs - 1))
+    plan
+    (list_size (int_range 0 12) op_gen)
+
+let print_diff_case c =
+  Printf.sprintf "seed=%d cost=%s plan=%s ops=[%s]" c.seed (fst diff_costs.(c.cost_ix))
+    (match c.plan with
+    | None -> "none"
+    | Some (s, rules) ->
+        Printf.sprintf "seed %d: %s" s
+          (String.concat ", "
+             (List.mapi
+                (fun i r ->
+                  Fault.site_name diff_sites.(i) ^ " "
+                  ^
+                  match r with
+                  | None -> "-"
+                  | Some (p, nth) ->
+                      Printf.sprintf "p=%g nth=[%s]" p
+                        (String.concat ";" (List.map string_of_int nth)))
+                rules)))
+    (print_ops c.ops)
+
+let make_plan = function
+  | None -> Fault.none
+  | Some (seed, rules) ->
+      let f = Fault.create ~seed in
+      List.iteri
+        (fun i r ->
+          match r with Some (prob, nth) -> Fault.set f diff_sites.(i) ~prob ~nth () | None -> ())
+        rules;
+      f
+
+(* Random ranges of writes (a third of them zeros), reads and madvises on
+   one VMA: zero and nonzero stretches, holes, multi-word runs. *)
+let scribble rng mem (vma : Vma.t) =
+  let a = Account.create () in
+  let n = vma.Vma.n_pages in
+  if n > 0 then
+    for _ = 1 to 1 + Rng.int rng 8 do
+      let pos = Rng.int rng n in
+      let len = 1 + Rng.int rng (n - pos) in
+      match Rng.int rng 6 with
+      | 0 -> As.read_range mem a vma ~pos ~len
+      | 1 -> As.madvise_dontneed mem vma ~pos ~len
+      | 2 -> As.dirty_range mem a vma ~pos ~len ~value:0
+      | _ -> As.dirty_range mem a vma ~pos ~len ~value:(1 + Rng.int rng 1000)
+    done
+
+(* Two identical processes come from one case: warmed, snapshotted,
+   scribbled and mutated by the same seed and ops. Also returns the log
+   of the salvage hook, when one is installed. *)
+let diff_process c =
+  let rng = Rng.create c.seed in
+  let mem =
+    As.create ~heap_pages:(1 + Rng.int rng 300) ~stack_pages:(1 + Rng.int rng 160)
+      ~cost:(snd diff_costs.(c.cost_ix)) ()
+  in
+  let p = Process.create ~mem ~n_threads:2 () in
+  let anon = As.map mem ~n_pages:(1 + Rng.int rng 200) ~prot:Prot.rw Vma.Anon in
+  let vmas = [ As.heap mem; As.stack mem; anon ] in
+  List.iter (scribble rng mem) vmas;
+  let snap = Snapshot.capture_exn (Account.create ()) p in
+  (* Sometimes the stored stack goes bad the way a bitflip leaves it: the
+     words change, the zeros map does not. *)
+  if Rng.int rng 3 = 0 then begin
+    let r = Option.get (Snapshot.find_region snap ~start_addr:(As.stack mem).Vma.start_addr) in
+    for _ = 1 to 1 + Rng.int rng 8 do
+      let i = Rng.int rng r.Snapshot.n_pages in
+      r.Snapshot.data.(i) <- r.Snapshot.data.(i) lxor (1 lsl Rng.int rng 62)
+    done
+  end;
+  (* Sometimes CoW is armed, as incremental snapshots arm it, with a
+     salvage hook that logs what it sees, in order. *)
+  let hook_log = ref [] in
+  if Rng.int rng 3 = 0 then begin
+    As.arm_cow_all mem;
+    As.set_cow_hook mem
+      (Some (fun v i -> hook_log := (v.Vma.id, i, As.peek v i) :: !hook_log))
+  end;
+  List.iter (scribble rng mem) vmas;
+  (* Stray CoW bits, on pages a restore may copy over: it must clear them. *)
+  List.iter
+    (fun (v : Vma.t) ->
+      if v.Vma.n_pages > 0 then
+        for _ = 1 to Rng.int rng 4 do
+          Bitmap.set v.Vma.cow_pending (Rng.int rng v.Vma.n_pages) true
+        done)
+    vmas;
+  let mapped = ref [] in
+  List.iter (apply_op p mapped) c.ops;
+  Process.set_fault p (make_plan c.plan);
+  (p, snap, hook_log)
+
+let restore_matches_oracle =
+  QCheck2.Test.make ~name:"word-at-a-time restore matches the per-run oracle" ~count:1000
+    ~print:print_diff_case diff_gen (fun c ->
+      let p1, snap1, log1 = diff_process c in
+      let p2, snap2, log2 = diff_process c in
+      let a1 = Account.create () and a2 = Account.create () in
+      let r1 = Restore.run a1 snap1 p1 in
+      let r2 = Restore_oracle.run a2 snap2 p2 in
+      let same_result =
+        match (r1, r2) with
+        | Ok b1, Ok b2 -> b1 = b2
+        | Error s1, Error s2 -> s1 = s2
+        | _ -> false
+      in
+      let f1 = p1.Process.fault and f2 = p2.Process.fault in
+      let same_draws =
+        List.for_all
+          (fun site ->
+            Fault.occurrences f1 site = Fault.occurrences f2 site
+            && Fault.fired f1 site = Fault.fired f2 site)
+          Fault.all_sites
+      in
+      let vmas1 = As.vmas p1.Process.mem and vmas2 = As.vmas p2.Process.mem in
+      if not same_result then QCheck2.Test.fail_report "result or breakdown differs"
+      else if Account.total a1 <> Account.total a2 then
+        QCheck2.Test.fail_reportf "account %d vs oracle %d" (Account.total a1)
+          (Account.total a2)
+      else if not same_draws then QCheck2.Test.fail_report "fault occurrences differ"
+      else if
+        not (List.length vmas1 = List.length vmas2 && List.for_all2 same_vma vmas1 vmas2)
+      then QCheck2.Test.fail_report "process image differs"
+      else if !log1 <> !log2 then QCheck2.Test.fail_report "salvage hook saw a different order"
+      else true)
+
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
   Alcotest.run "properties"
@@ -588,6 +767,7 @@ let () =
           to_alcotest restore_twice;
           to_alcotest incremental_matches_eager;
           to_alcotest no_residue_after_restore;
+          to_alcotest restore_matches_oracle;
         ] );
       ( "strategies",
         [

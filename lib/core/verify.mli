@@ -30,5 +30,8 @@ val audit_hashes :
     sampled policy rotates [offset] across restores so every block is
     eventually covered. Unlike {!state_matches} this reads no stored page
     words (one hash per block), and it catches silently-skipped restore
-    runs, served bitflips and torn captures alike. Reads memory only:
-    charges nothing, draws no randomness. *)
+    runs, served bitflips and torn captures alike. A block whose
+    reference is {!Snapshot.zero_block_hash} passes only if every restored
+    word is zero (checked without hashing) — at least as strict as the
+    hash compare. Reads memory only: charges nothing, draws no
+    randomness. *)

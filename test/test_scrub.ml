@@ -162,6 +162,45 @@ let test_verify_off_serves_corrupt () =
   check_bool "without verification the oracle sees corrupted dispatches" true
     (!corrupt_serves > 0)
 
+(* Blocks whose reference is the all-zero hash are audited by testing the
+   restored words for zero, not by hashing them. One nonzero word at any
+   position of such a block — the short last block of a region included —
+   must be reported at exactly that region and block. *)
+let test_zero_reference_audit () =
+  let p = fresh () in
+  warm p;
+  let snap = Snapshot.capture_exn (acct ()) p in
+  ignore (Restore.run_exn (acct ()) snap p);
+  (match Verify.audit_hashes snap p with
+  | Ok n -> check_int "every block audited" (Snapshot.total_blocks snap) n
+  | Error c -> Alcotest.failf "clean restore accused: %a" Snapshot.pp_corruption c);
+  let short_blocks = ref 0 and probes = ref 0 in
+  List.iter
+    (fun (r : Snapshot.region) ->
+      let vma = Option.get (As.find_vma p.Process.mem r.Snapshot.start_addr) in
+      for b = 0 to Snapshot.region_blocks r - 1 do
+        let len = Snapshot.block_len r b in
+        if Snapshot.block_hash r b = Snapshot.zero_block_hash len then begin
+          if len < Snapshot.block_pages then incr short_blocks;
+          for k = 0 to len - 1 do
+            let i = (b * Snapshot.block_pages) + k in
+            vma.Vma.data.(i) <- 1 lsl (k mod 62);
+            (match Verify.audit_hashes snap p with
+            | Ok _ -> Alcotest.failf "nonzero word at page %d of a zero block passed" i
+            | Error c ->
+                check_int "region located" r.Snapshot.start_addr c.Snapshot.region_addr;
+                check_int "block located" b c.Snapshot.block);
+            vma.Vma.data.(i) <- 0;
+            incr probes
+          done
+        end
+      done)
+    snap.Snapshot.regions;
+  check_bool "some zero-reference block is a short last block" true (!short_blocks > 0);
+  check_bool "probed every page of the zero blocks" true (!probes > Snapshot.block_pages);
+  check_bool "restored image audits clean again" true
+    (Result.is_ok (Verify.audit_hashes snap p))
+
 (* -- Cross-container dedup: savings and blast radius -- *)
 
 let make_dedup_pair () =
@@ -306,6 +345,8 @@ let () =
             test_verify_catches_restore_skip;
           Alcotest.test_case "verify off serves corrupt (oracle)" `Quick
             test_verify_off_serves_corrupt;
+          Alcotest.test_case "zero-reference blocks audited word by word" `Quick
+            test_zero_reference_audit;
         ] );
       ( "dedup",
         [

@@ -14,7 +14,9 @@
    `--bechamel-only` / `--figures-only` to run one part;
    `--bitmap-only` / `--mem-only` / `--engine-only` run a single
    micro-benchmark group (the latter two also write BENCH_mem.json /
-   BENCH_engine.json). *)
+   BENCH_engine.json, into the current directory or into
+   `--out-dir DIR`). Any other argument is rejected before anything
+   runs. *)
 
 open Bechamel
 open Toolkit
@@ -346,12 +348,20 @@ let run_bechamel () =
 let run_bitmap_bench () =
   run_bechamel_list "== Bitmap kernel: packed words vs byte-per-page ==" bitmap_tests
 
-(* Measured on this machine immediately before the batched kernels landed
-   (same binary layout, same bechamel config); kept here so the JSON
-   records the fig3 before/after delta alongside the bulk/scalar ratios. *)
-let fig3_pre_pr_us = 120.625
+(* Every BENCH_*.json record opens with the host it was taken on. *)
+let record_header () =
+  Printf.sprintf "{\n  \"unit\": \"ns/run unless noted\",\n  \"host_cores\": %d,\n  \"ocaml\": \"%s\",\n"
+    (Gh_sim.Domain_pool.recommended_jobs ())
+    Sys.ocaml_version
 
-let run_mem_bench () =
+let write_record out_dir name buf =
+  let path = Filename.concat out_dir name in
+  let oc = open_out path in
+  Buffer.output_buffer oc buf;
+  close_out oc;
+  print_endline ("wrote " ^ path)
+
+let run_mem_bench out_dir =
   print_endline "== Memory fast paths: bulk kernels vs scalar reference ==";
   Printf.printf "%-32s %14s\n" "benchmark" "time/run";
   let results =
@@ -368,7 +378,8 @@ let run_mem_bench () =
   in
   print_newline ();
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"unit\": \"ns/run unless noted\",\n  \"groups\": {\n";
+  Buffer.add_string buf (record_header ());
+  Buffer.add_string buf "  \"groups\": {\n";
   let n_sizes = List.length mem_sizes in
   List.iteri
     (fun si (n, size_name) ->
@@ -394,19 +405,11 @@ let run_mem_bench () =
   Buffer.add_string buf "  }";
   (match fig3 with
   | Some t ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           ",\n  \"fig3_cycle_us\": %.3f,\n  \"fig3_cycle_pre_pr_us\": %.3f,\n  \"fig3_speedup\": %.2f"
-           (t /. 1e3) fig3_pre_pr_us (fig3_pre_pr_us /. (t /. 1e3)));
-      Printf.printf "fig3/gh-microbench-cycle: %s (pre-PR %.3f us, %.2fx)\n" (time_str t)
-        fig3_pre_pr_us
-        (fig3_pre_pr_us /. (t /. 1e3))
+      Buffer.add_string buf (Printf.sprintf ",\n  \"fig3_cycle_us\": %.3f" (t /. 1e3));
+      Printf.printf "fig3/gh-microbench-cycle: %s\n" (time_str t)
   | None -> ());
   Buffer.add_string buf "\n}\n";
-  let oc = open_out "BENCH_mem.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  print_endline "wrote BENCH_mem.json"
+  write_record out_dir "BENCH_mem.json" buf
 
 (* == Engine hot loop: calendar queue vs reference binary heap == *)
 
@@ -495,7 +498,7 @@ let test_admit_batch =
          let e = Engine.create () in
          Engine.at_batch e admit_list))
 
-let run_engine_bench () =
+let run_engine_bench out_dir =
   print_endline "== Engine hot loop: calendar queue vs reference binary heap ==";
   Printf.printf "%-32s %14s\n" "benchmark" "time/run";
   let run tests =
@@ -511,7 +514,8 @@ let run_engine_bench () =
   let find results name = List.assoc_opt name results in
   print_newline ();
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"unit\": \"ns/run unless noted\",\n  \"churn\": {\n";
+  Buffer.add_string buf (record_header ());
+  Buffer.add_string buf "  \"churn\": {\n";
   let n_sizes = List.length churn_sizes in
   List.iteri
     (fun si (p, size_name) ->
@@ -551,10 +555,7 @@ let run_engine_bench () =
         (time_str l) (time_str b)
   | _ -> ());
   Buffer.add_string buf "\n}\n";
-  let oc = open_out "BENCH_engine.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  print_endline "wrote BENCH_engine.json"
+  write_record out_dir "BENCH_engine.json" buf
 
 let run_figures profile =
   print_endline "== Regenerating every table and figure of the evaluation ==";
@@ -563,24 +564,42 @@ let run_figures profile =
   print_endline "== Ablations and extensions (beyond the paper's configurations) ==";
   Gh_harness.Experiments.run_extras profile Format.std_formatter
 
+let flags =
+  [ "--quick"; "--bechamel-only"; "--figures-only"; "--bitmap-only"; "--mem-only"; "--engine-only" ]
+
+(* The flags given, and the directory for the BENCH_*.json records. A typo
+   must not fall through to the whole multi-minute bench. *)
+let parse_args args =
+  let fail msg =
+    prerr_endline ("bench/main.exe: " ^ msg);
+    prerr_endline ("usage: bench/main.exe [" ^ String.concat " | " flags ^ "] [--out-dir DIR]");
+    exit 2
+  in
+  let rec go given out_dir = function
+    | [] -> (given, out_dir)
+    | [ "--out-dir" ] -> fail "--out-dir needs a directory"
+    | "--out-dir" :: dir :: rest ->
+        if not (Sys.file_exists dir && Sys.is_directory dir) then
+          fail (Printf.sprintf "--out-dir %s: no such directory" dir);
+        go given dir rest
+    | a :: rest when List.mem a flags -> go (a :: given) out_dir rest
+    | a :: _ -> fail (Printf.sprintf "unknown argument '%s'" a)
+  in
+  go [] Filename.current_dir_name args
+
 let () =
-  let args = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" args in
-  let bechamel_only = List.mem "--bechamel-only" args in
-  let figures_only = List.mem "--figures-only" args in
-  let bitmap_only = List.mem "--bitmap-only" args in
-  let mem_only = List.mem "--mem-only" args in
-  let engine_only = List.mem "--engine-only" args in
-  let profile = if quick then Gh_harness.Config.quick else Gh_harness.Config.default in
-  if bitmap_only then run_bitmap_bench ()
-  else if mem_only then run_mem_bench ()
-  else if engine_only then run_engine_bench ()
+  let given, out_dir = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let has flag = List.mem flag given in
+  let profile = if has "--quick" then Gh_harness.Config.quick else Gh_harness.Config.default in
+  if has "--bitmap-only" then run_bitmap_bench ()
+  else if has "--mem-only" then run_mem_bench out_dir
+  else if has "--engine-only" then run_engine_bench out_dir
   else begin
-    if not figures_only then begin
+    if not (has "--figures-only") then begin
       run_bechamel ();
       run_bitmap_bench ();
-      run_mem_bench ();
-      run_engine_bench ()
+      run_mem_bench out_dir;
+      run_engine_bench out_dir
     end;
-    if not bechamel_only then run_figures profile
+    if not (has "--bechamel-only") then run_figures profile
   end

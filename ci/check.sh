@@ -55,9 +55,11 @@ done
 
 # Engine hot-loop bench: the calendar-queue vs reference-heap group must
 # build and run (the differential ordering property itself runs under
-# `dune runtest` above), and it records the trajectory in BENCH_engine.json.
-dune exec bench/main.exe -- --engine-only >/dev/null
-test -s BENCH_engine.json
+# `dune runtest` above) and write its record. The record goes to the
+# scratch dir: the committed BENCH_engine.json is taken on purpose, and a
+# CI run must not overwrite it with this host's timings.
+dune exec bench/main.exe -- --engine-only --out-dir "$tmp" >/dev/null
+test -s "$tmp/BENCH_engine.json"
 
 # Bit-identity gate: the quick-profile evaluation sweep must replay
 # byte-for-byte against the committed baseline — the determinism contract
@@ -116,21 +118,27 @@ grep -q 'ignoring -j 4' "$tmp/downgrade_warn.txt"
 
 # Bad input is rejected before any work runs: nonzero exit, nothing on
 # stdout, and an error on stderr that names the offending value.
-reject() {
-  needle=$1
-  shift
-  if dune exec bin/gh_bench.exe -- "$@" >"$tmp/reject.out" 2>"$tmp/reject.err"; then
-    echo "ci/check.sh: gh-bench accepted bad input: $*" >&2
+reject_by() {
+  exe=$1
+  needle=$2
+  shift 2
+  if dune exec "$exe" -- "$@" >"$tmp/reject.out" 2>"$tmp/reject.err"; then
+    echo "ci/check.sh: $exe accepted bad input: $*" >&2
     exit 1
   fi
   if test -s "$tmp/reject.out" || ! grep -qF -- "$needle" "$tmp/reject.err"; then
-    echo "ci/check.sh: gh-bench $* was not rejected up front naming '$needle'" >&2
+    echo "ci/check.sh: $exe $* was not rejected up front naming '$needle'" >&2
     exit 1
   fi
+}
+reject() {
+  reject_by bin/gh_bench.exe "$@"
 }
 reject bogus run fig4 bogus
 reject -3 run table1 --jobs=-3
 reject nope fault -b nope
 reject /proc/nope run fig3-left -o /proc/nope
+# The bench harness too: a mistyped flag used to run the whole bench.
+reject_by bench/main.exe --engine-onyl --engine-onyl
 
 echo "ci/check.sh: OK"

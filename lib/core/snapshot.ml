@@ -22,11 +22,20 @@ type region = {
 
 (* -- Content hashing ----------------------------------------------------
    One hash per 63-page block (the bitmap word granularity, so the hash
-   pass shares the zero-elision scan's word loop). The per-word update is
-   injective in the word for a fixed running state, and injective in the
-   state for a fixed word — so any single-word difference within a block
-   is *guaranteed* to change the block hash (multi-word collisions are
-   ~2^-63). That makes bitflip detection a theorem, not a probability. *)
+   pass shares the zero-elision scan's word loop). The block's words are
+   dealt round-robin to four independent chains — word [pos + 4q + k] to
+   lane [k], the last [len mod 4] words to lane 0 — so four multiplies
+   are in flight at once instead of one per word on a single chain. Each
+   lane has its own seed (lane 0's takes the length), and the lanes are
+   folded into one hash in lane order.
+
+   The per-word update is injective in the word for a fixed running
+   state, and injective in the state for a fixed word, so a single-word
+   difference changes its own lane's final state and no other; the fold
+   is the same update, injective in each lane when the others are fixed.
+   So any single-word difference within a block is *guaranteed* to change
+   the block hash (multi-word collisions are ~2^-63). That makes bitflip
+   detection a theorem, not a probability. *)
 
 let block_pages = Bitmap.bits_per_word
 
@@ -36,11 +45,24 @@ let hash_mix h x =
   h lxor (h lsr 29)
 
 let hash_words data ~pos ~len =
-  let h = ref (hash_mix 0x27D4EB2F165667C5 len) in
-  for i = pos to pos + len - 1 do
-    h := hash_mix !h (Array.unsafe_get data i)
+  let h0 = ref (hash_mix 0x27D4EB2F165667C5 len)
+  and h1 = ref 0x165667B19E3779F9
+  and h2 = ref 0x3C6EF372FE94F82B
+  and h3 = ref 0x0A54FF53A5F1D36F in
+  let quads = pos + (len land lnot 3) in
+  let i = ref pos in
+  while !i < quads do
+    let j = !i in
+    h0 := hash_mix !h0 (Array.unsafe_get data j);
+    h1 := hash_mix !h1 (Array.unsafe_get data (j + 1));
+    h2 := hash_mix !h2 (Array.unsafe_get data (j + 2));
+    h3 := hash_mix !h3 (Array.unsafe_get data (j + 3));
+    i := j + 4
   done;
-  !h
+  for j = quads to pos + len - 1 do
+    h0 := hash_mix !h0 (Array.unsafe_get data j)
+  done;
+  hash_mix (hash_mix (hash_mix !h0 !h1) !h2) !h3
 
 (* All-zero blocks get their hash by construction — no data read. The
    hashes of all 64 lengths are precomputed, so a region's short last

@@ -35,8 +35,10 @@ val block_pages : int
 (** Pages per hash block (= [Bitmap.bits_per_word], 63). *)
 
 val hash_words : int array -> pos:int -> len:int -> int
-(** Hash [len] page words starting at [pos]. Any single-word change is
-    guaranteed to change the hash (the per-word mix is injective). *)
+(** Hash [len] page words starting at [pos], on four interleaved chains
+    folded in lane order. Any single-word change is guaranteed to change
+    the hash (the per-word mix and the fold are injective in the changed
+    word's lane). Depends on the contents only, not on [pos]. *)
 
 val zero_block_hash : int -> int
 (** [zero_block_hash len] = [hash_words] of [len] zero words, without

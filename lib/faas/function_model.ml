@@ -73,13 +73,21 @@ type response = {
    density translates into run lengths the way it does for real heaps. *)
 type chunk = { vma : Vma.t; pos : int; len : int }
 
+(* A plan compiled for the range kernels ([As.dirty_ranges] /
+   [As.read_ranges]): each stretch of consecutive chunks on one VMA as
+   one array of (pos, len) pairs, so a request applies a stretch with one
+   kernel call instead of a call, a closure and a charge per chunk.
+   [first] is the plan index of the group's first chunk (the nonce rule
+   counts plan indices) and [reach] the furthest page its chunks end at. *)
+type group = { gvma : Vma.t; first : int; ranges : int array; reach : int }
+
 type instance = {
   spec : spec;
   rt : Runtime.t;
   process : Process.t;
   pool : Vma.t array;  (* heap + anonymous arenas, the writable pages *)
-  write_plan : chunk array;
-  read_plan : chunk array;
+  write_plan : group array;
+  read_plan : group array;
   prot_region : Vma.t;  (* flipped read-only by churn, flipped back by restore *)
   gc_region : Vma.t option;  (* where Node's GC re-dirtying lands *)
   mutable clean_brk : int;
@@ -166,6 +174,27 @@ let scattered_plan pool ~quota =
     Array.of_list (List.rev !chunks)
   end
 
+let compile (plan : chunk array) =
+  let n = Array.length plan in
+  let groups = ref [] and i = ref 0 in
+  while !i < n do
+    let gvma = plan.(!i).vma in
+    let j = ref !i in
+    while !j < n && plan.(!j).vma == gvma do
+      incr j
+    done;
+    let ranges = Array.make (2 * (!j - !i)) 0 and reach = ref 0 in
+    for k = !i to !j - 1 do
+      let { pos; len; _ } = plan.(k) in
+      ranges.(2 * (k - !i)) <- pos;
+      ranges.((2 * (k - !i)) + 1) <- len;
+      reach := max !reach (pos + len)
+    done;
+    groups := { gvma; first = !i; ranges; reach = !reach } :: !groups;
+    i := !j
+  done;
+  Array.of_list (List.rev !groups)
+
 let build ?(cost = Gh_kernel.Cost.default) spec =
   let rt = Runtime.for_lang spec.lang in
   let fixed = rt.Runtime.text_pages + rt.Runtime.data_pages + rt.Runtime.stack_pages in
@@ -189,10 +218,11 @@ let build ?(cost = Gh_kernel.Cost.default) spec =
   Array.iter (fun (v : Vma.t) -> v.Vma.fault_gran <- max 1 spec.fault_gran) pool;
   let chunk_len = max rt.Runtime.dirty_chunk_pages (min 512 spec.fault_gran) in
   let write_plan =
-    if spec.scattered_writes then scattered_plan pool ~quota:spec.dirtied_pages
-    else spread_plan pool ~quota:spec.dirtied_pages ~chunk_len
+    compile
+      (if spec.scattered_writes then scattered_plan pool ~quota:spec.dirtied_pages
+       else spread_plan pool ~quota:spec.dirtied_pages ~chunk_len)
   in
-  let read_plan = spread_plan pool ~quota:spec.read_pages ~chunk_len:32 in
+  let read_plan = compile (spread_plan pool ~quota:spec.read_pages ~chunk_len:32) in
   let gc_region =
     if spec.gc_extra_dirty > 0 && Array.length arenas > 0 then Some arenas.(0) else None
   in
@@ -293,30 +323,51 @@ let brk_excursion t ctx acct =
 (* Per-request variance: each request skips a nonce-dependent 1/8 of the
    chunks, so some pages keep the previous request's data (the residue a
    buggy function can leak) without touching pages the warm-up did not
-   page in. *)
+   page in. Chunk [idx] is skipped when [(idx + nonce) mod 8 = 0]; the
+   kept chunks between two skipped ones go to the kernel in one call. *)
 let dirty_plan t ctx acct ~nonce ~value =
   let m = cmem ctx in
-  Array.iteri
-    (fun idx { vma; pos; len } ->
-      if (idx + nonce) mod 8 <> 0 then begin
-        let vma = ctx.resolve vma in
-        As.dirty_range m acct vma ~pos ~len ~value
-      end)
-    t.write_plan
+  for gi = 0 to Array.length t.write_plan - 1 do
+    let { gvma; first; ranges; _ } = t.write_plan.(gi) in
+    let n = Array.length ranges / 2 in
+    let j = ref 0 in
+    while !j < n do
+      (* The next skipped chunk at or after [j]: [(-x) land 7] is how far
+         [x = first + j + nonce] lies below the next multiple of 8, for
+         either sign of [nonce]. *)
+      let skip = !j + (-(first + !j + nonce) land 7) in
+      let stop = if skip < n then skip else n in
+      if stop > !j then As.dirty_ranges m acct (ctx.resolve gvma) ranges ~first:!j ~stop ~value;
+      j := stop + 1
+    done
+  done
+
+(* Chunk [r] of [ranges], clipped to the pages [vma] still has. *)
+let clipped (vma : Vma.t) ranges r =
+  let len = ranges.((2 * r) + 1) and left = vma.Vma.n_pages - ranges.(2 * r) in
+  if left <= 0 then 0 else if len < left then len else left
 
 (* Read the working set; a buggy function also exfiltrates foreign secrets
-   it happens to observe. *)
+   it happens to observe. Reads never change page data, so the residue
+   scan can follow a group's reads. Each chunk is clipped to the pages
+   its VMA still has; only a group reaching past them needs the clip. *)
 let read_working_set t ctx acct ~principal =
   let m = cmem ctx in
   let residue = ref [] in
   let n_residue = ref 0 in
-  Array.iter
-    (fun { vma; pos; len } ->
-      let vma = ctx.resolve vma in
-      let len = min len (max 0 (vma.Vma.n_pages - pos)) in
-      As.read_range m acct vma ~pos ~len;
-      if t.spec.buggy_residue_leak then
-        for i = pos to pos + len - 1 do
+  for gi = 0 to Array.length t.read_plan - 1 do
+    let { gvma; ranges; reach; _ } = t.read_plan.(gi) in
+    let vma = ctx.resolve gvma in
+    let n = Array.length ranges / 2 in
+    if reach <= vma.Vma.n_pages then As.read_ranges m acct vma ranges ~first:0 ~stop:n
+    else
+      for r = 0 to n - 1 do
+        As.read_range m acct vma ~pos:ranges.(2 * r) ~len:(clipped vma ranges r)
+      done;
+    if t.spec.buggy_residue_leak then
+      for r = 0 to n - 1 do
+        let pos = ranges.(2 * r) in
+        for i = pos to pos + clipped vma ranges r - 1 do
           let w = As.peek vma i in
           (* A residual secret: tagged word (nonce in the upper bits, owner
              in the lower 16) of neither the caller nor the dummy run. *)
@@ -328,8 +379,9 @@ let read_working_set t ctx acct ~principal =
             residue := w :: !residue;
             incr n_residue
           end
-        done)
-    t.read_plan;
+        done
+      done
+  done;
   !residue
 
 let leak_resident_pages t ctx = max 0 ((As.brk (cmem ctx) - t.clean_brk) / Vma.page_size)

@@ -185,22 +185,27 @@ let salvage_range t (vma : Vma.t) ~pos ~len =
           Bitmap.set vma.Vma.cow_pending i false)
   end
 
-let charge_faults t acct fc ~gran ~reads ~writes =
-  let c = t.cost in
+(* With huge-page-backed regions one PTE fault covers [gran] pages. *)
+let per_block gran n = if gran <= 1 then n else (n + gran - 1) / gran
+
+(* The time one access of [reads] + [writes] pages that raised [fc]
+   costs: the unit every accessor charges, alone or summed over a
+   stretch of ranges. *)
+let faults_ns c fc ~gran ~reads ~writes =
   let track_ns =
     match c.Cost.tracking with
     | Cost.Soft_dirty | Cost.Kernel_list -> c.Cost.sd_fault_ns
     | Cost.Uffd -> c.Cost.uffd_fault_ns
   in
-  (* With huge-page-backed regions one PTE fault covers [gran] pages. *)
-  let per_block n = if gran <= 1 then n else (n + gran - 1) / gran in
-  Account.charge acct
-    ((fc.first_touch * c.Cost.first_touch_fault_ns)
-    + (per_block fc.demand_zero * c.Cost.demand_zero_fault_ns)
-    + (fc.cow * c.Cost.cow_fault_ns)
-    + (per_block fc.track * track_ns)
-    + (reads * c.Cost.page_read_ns)
-    + (writes * c.Cost.page_write_ns))
+  (fc.first_touch * c.Cost.first_touch_fault_ns)
+  + (per_block gran fc.demand_zero * c.Cost.demand_zero_fault_ns)
+  + (fc.cow * c.Cost.cow_fault_ns)
+  + (per_block gran fc.track * track_ns)
+  + (reads * c.Cost.page_read_ns)
+  + (writes * c.Cost.page_write_ns)
+
+let charge_faults t acct fc ~gran ~reads ~writes =
+  Account.charge acct (faults_ns t.cost fc ~gran ~reads ~writes)
 
 let write_one t fc (vma : Vma.t) i v =
   if not vma.prot.Prot.write then invalid_arg "Address_space: write to non-writable VMA";
@@ -286,119 +291,180 @@ let check_range (vma : Vma.t) ~pos ~len op =
 
    The loops work on the bitmaps' backing arrays and carry the word index
    and bit offset as loop state: this module is compiled [-opaque] in the
-   dev profile, so a [Bitmap.word]/[or_word] per word would be a curried
-   call through [caml_applyN], and [/ Bitmap.bits_per_word] an [idiv]
-   ([Bitmap.word_index] divides once per call instead). Only the
+   dev profile, so a [Bitmap.word] per word would be a curried call
+   through [caml_applyN], and [/ Bitmap.bits_per_word] an [idiv]
+   ([Bitmap.word_index] divides once per range instead). Only the
    one-argument [Bitmap.popcount] is called per word, and only on nonzero
-   masks. *)
+   masks.
+
+   The kernels take a list of ranges on one VMA — (pos, len) pairs,
+   range [r] at [ranges.(2r)], [ranges.(2r+1)] — and apply ranges
+   [first, stop) in order, each exactly as a [dirty_range]/[read_range]
+   call of its own would: the same checks raising the same exceptions,
+   the same fault counts with their own [fault_gran] rounding (where
+   ranges overlap, the overlap's faults belong to the earlier range), a
+   charge of the range's length. What no range can change is read once
+   per call: the VMA's protection and granularity, its backing arrays
+   and their common length (the salvage hook only reads the VMA, so the
+   hoisted arrays stay its arrays), the cost constants. Nothing is
+   allocated per range, and one [Account.charge] covers the call; if a
+   range raises, the ranges before it are charged first. A function's
+   compiled page plans ([Function_model]) are the many-range callers;
+   [dirty_range]/[read_range] are the one-range case. *)
 
 (* The loops below index unchecked, so the arrays are checked once per
    call: a recycled VMA ([Vma.recycle]) keeps its size but has no data
-   and must raise, and no map may be shorter than the range. *)
-let check_backing (vma : Vma.t) stop =
-  if stop > Array.length vma.Vma.data
-     || stop > Bitmap.length vma.Vma.present
-     || stop > Bitmap.length vma.Vma.soft_dirty
-     || stop > Bitmap.length vma.Vma.cow_pending
-     || stop > Bitmap.length vma.Vma.untouched
-  then invalid_arg "Address_space: page index out of bounds"
+   and must raise, and no map may be shorter than a range. This is how
+   far a range may reach. *)
+let backed_pages (vma : Vma.t) =
+  (* Typed: [Stdlib.min] would be a polymorphic compare, a C call. *)
+  let min (a : int) b = if a < b then a else b in
+  min
+    (min (Array.length vma.Vma.data) (Bitmap.length vma.Vma.present))
+    (min
+       (min (Bitmap.length vma.Vma.soft_dirty) (Bitmap.length vma.Vma.cow_pending))
+       (Bitmap.length vma.Vma.untouched))
+
+let check_ranges ranges ~first ~stop op =
+  if first < 0 || first > stop || stop > Array.length ranges / 2 then
+    invalid_arg ("Address_space." ^ op ^ ": range index out of bounds")
+
+(* Charge what the applied ranges cost, then let [e] through. *)
+let charge_and_reraise acct ns e =
+  let bt = Printexc.get_raw_backtrace () in
+  Account.charge acct ns;
+  Printexc.raise_with_backtrace e bt
+
+let dirty_ranges t acct (vma : Vma.t) ranges ~first ~stop ~value =
+  check_ranges ranges ~first ~stop "dirty_ranges";
+  let c = t.cost and gran = vma.Vma.fault_gran in
+  let writable = vma.Vma.prot.Prot.write and backed = backed_pages vma in
+  let present = Bitmap.words vma.Vma.present
+  and sd = Bitmap.words vma.Vma.soft_dirty
+  and cowp = Bitmap.words vma.Vma.cow_pending
+  and unt = Bitmap.words vma.Vma.untouched
+  and data = vma.Vma.data in
+  let hooked = match t.cow_hook with Some _ -> true | None -> false in
+  let sd_on = t.sd_on in
+  let bpw = Bitmap.bits_per_word in
+  let fc = no_faults () in
+  let ns = ref 0 in
+  match
+    for r = first to stop - 1 do
+      let pos = Array.unsafe_get ranges (2 * r)
+      and len = Array.unsafe_get ranges ((2 * r) + 1) in
+      check_range vma ~pos ~len "dirty_range";
+      fc.first_touch <- 0;
+      fc.demand_zero <- 0;
+      fc.cow <- 0;
+      fc.track <- 0;
+      if len > 0 then begin
+        if not writable then invalid_arg "Address_space: write to non-writable VMA";
+        let stop = pos + len in
+        if stop > backed then invalid_arg "Address_space: page index out of bounds";
+        let w0 = Bitmap.word_index pos in
+        let i = ref pos and wi = ref w0 and b = ref (pos - (w0 * bpw)) in
+        while !i < stop do
+          let room = bpw - !b and left = stop - !i in
+          let n = if left < room then left else room in
+          let m = if n = bpw then -1 else ((1 lsl n) - 1) lsl !b in
+          let w = !wi in
+          let pw = Array.unsafe_get present w in
+          let cow_hits = Array.unsafe_get cowp w land pw land m in
+          if cow_hits <> 0 && hooked then
+            for k = !i to !i + n - 1 do
+              write_one t fc vma k value
+            done
+          else begin
+            let uw = Array.unsafe_get unt w land m in
+            if uw <> 0 then begin
+              fc.first_touch <- fc.first_touch + Bitmap.popcount uw;
+              Array.unsafe_set unt w (Array.unsafe_get unt w lxor uw)
+            end;
+            let dz = lnot pw land m in
+            if dz <> 0 then fc.demand_zero <- fc.demand_zero + Bitmap.popcount dz;
+            if cow_hits <> 0 then begin
+              fc.cow <- fc.cow + Bitmap.popcount cow_hits;
+              Array.unsafe_set cowp w (Array.unsafe_get cowp w lxor cow_hits)
+            end;
+            let sw = Array.unsafe_get sd w in
+            if sd_on then begin
+              let rearm = pw land lnot sw land m in
+              if rearm <> 0 then fc.track <- fc.track + Bitmap.popcount rearm
+            end;
+            Array.unsafe_set present w (pw lor m);
+            Array.unsafe_set sd w (sw lor m);
+            for k = !i to !i + n - 1 do
+              Array.unsafe_set data k value
+            done
+          end;
+          i := !i + n;
+          incr wi;
+          b := 0
+        done
+      end;
+      ns := !ns + faults_ns c fc ~gran ~reads:0 ~writes:len
+    done
+  with
+  | () -> Account.charge acct !ns
+  | exception e -> charge_and_reraise acct !ns e
+
+let read_ranges t acct (vma : Vma.t) ranges ~first ~stop =
+  check_ranges ranges ~first ~stop "read_ranges";
+  let c = t.cost and gran = vma.Vma.fault_gran in
+  let readable = vma.Vma.prot.Prot.read and backed = backed_pages vma in
+  let present = Bitmap.words vma.Vma.present
+  and sd = Bitmap.words vma.Vma.soft_dirty
+  and unt = Bitmap.words vma.Vma.untouched in
+  let bpw = Bitmap.bits_per_word in
+  let fc = no_faults () in
+  let ns = ref 0 in
+  match
+    for r = first to stop - 1 do
+      let pos = Array.unsafe_get ranges (2 * r)
+      and len = Array.unsafe_get ranges ((2 * r) + 1) in
+      check_range vma ~pos ~len "read_range";
+      fc.first_touch <- 0;
+      fc.demand_zero <- 0;
+      if len > 0 then begin
+        if not readable then invalid_arg "Address_space: read from non-readable VMA";
+        let stop = pos + len in
+        if stop > backed then invalid_arg "Address_space: page index out of bounds";
+        let w0 = Bitmap.word_index pos in
+        let i = ref pos and wi = ref w0 and b = ref (pos - (w0 * bpw)) in
+        while !i < stop do
+          let room = bpw - !b and left = stop - !i in
+          let n = if left < room then left else room in
+          let m = if n = bpw then -1 else ((1 lsl n) - 1) lsl !b in
+          let w = !wi in
+          let uw = Array.unsafe_get unt w land m in
+          if uw <> 0 then begin
+            fc.first_touch <- fc.first_touch + Bitmap.popcount uw;
+            Array.unsafe_set unt w (Array.unsafe_get unt w lxor uw)
+          end;
+          (* Only pages faulted in by this read become (born-dirty) present;
+             already-present pages stay clean under a read. *)
+          let dz = lnot (Array.unsafe_get present w) land m in
+          if dz <> 0 then begin
+            fc.demand_zero <- fc.demand_zero + Bitmap.popcount dz;
+            Array.unsafe_set present w (Array.unsafe_get present w lor dz);
+            Array.unsafe_set sd w (Array.unsafe_get sd w lor dz)
+          end;
+          i := !i + n;
+          incr wi;
+          b := 0
+        done
+      end;
+      ns := !ns + faults_ns c fc ~gran ~reads:len ~writes:0
+    done
+  with
+  | () -> Account.charge acct !ns
+  | exception e -> charge_and_reraise acct !ns e
 
 let dirty_range t acct vma ~pos ~len ~value =
-  check_range vma ~pos ~len "dirty_range";
-  let fc = no_faults () in
-  if len > 0 then begin
-    if not vma.Vma.prot.Prot.write then
-      invalid_arg "Address_space: write to non-writable VMA";
-    let stop = pos + len in
-    check_backing vma stop;
-    let present = Bitmap.words vma.Vma.present
-    and sd = Bitmap.words vma.Vma.soft_dirty
-    and cowp = Bitmap.words vma.Vma.cow_pending
-    and unt = Bitmap.words vma.Vma.untouched
-    and data = vma.Vma.data in
-    let hooked = match t.cow_hook with Some _ -> true | None -> false in
-    let bpw = Bitmap.bits_per_word in
-    let w0 = Bitmap.word_index pos in
-    let i = ref pos and wi = ref w0 and b = ref (pos - (w0 * bpw)) in
-    while !i < stop do
-      let room = bpw - !b and left = stop - !i in
-      let n = if left < room then left else room in
-      let m = if n = bpw then -1 else ((1 lsl n) - 1) lsl !b in
-      let w = !wi in
-      let pw = Array.unsafe_get present w in
-      let cow_hits = Array.unsafe_get cowp w land pw land m in
-      if cow_hits <> 0 && hooked then
-        for k = !i to !i + n - 1 do
-          write_one t fc vma k value
-        done
-      else begin
-        let uw = Array.unsafe_get unt w land m in
-        if uw <> 0 then begin
-          fc.first_touch <- fc.first_touch + Bitmap.popcount uw;
-          Array.unsafe_set unt w (Array.unsafe_get unt w lxor uw)
-        end;
-        let dz = lnot pw land m in
-        if dz <> 0 then fc.demand_zero <- fc.demand_zero + Bitmap.popcount dz;
-        if cow_hits <> 0 then begin
-          fc.cow <- fc.cow + Bitmap.popcount cow_hits;
-          Array.unsafe_set cowp w (Array.unsafe_get cowp w lxor cow_hits)
-        end;
-        let sw = Array.unsafe_get sd w in
-        if t.sd_on then begin
-          let rearm = pw land lnot sw land m in
-          if rearm <> 0 then fc.track <- fc.track + Bitmap.popcount rearm
-        end;
-        Array.unsafe_set present w (pw lor m);
-        Array.unsafe_set sd w (sw lor m);
-        for k = !i to !i + n - 1 do
-          Array.unsafe_set data k value
-        done
-      end;
-      i := !i + n;
-      incr wi;
-      b := 0
-    done
-  end;
-  charge_faults t acct fc ~gran:vma.Vma.fault_gran ~reads:0 ~writes:len
+  dirty_ranges t acct vma [| pos; len |] ~first:0 ~stop:1 ~value
 
-let read_range t acct vma ~pos ~len =
-  check_range vma ~pos ~len "read_range";
-  let fc = no_faults () in
-  if len > 0 then begin
-    if not vma.Vma.prot.Prot.read then
-      invalid_arg "Address_space: read from non-readable VMA";
-    let stop = pos + len in
-    check_backing vma stop;
-    let present = Bitmap.words vma.Vma.present
-    and sd = Bitmap.words vma.Vma.soft_dirty
-    and unt = Bitmap.words vma.Vma.untouched in
-    let bpw = Bitmap.bits_per_word in
-    let w0 = Bitmap.word_index pos in
-    let i = ref pos and wi = ref w0 and b = ref (pos - (w0 * bpw)) in
-    while !i < stop do
-      let room = bpw - !b and left = stop - !i in
-      let n = if left < room then left else room in
-      let m = if n = bpw then -1 else ((1 lsl n) - 1) lsl !b in
-      let w = !wi in
-      let uw = Array.unsafe_get unt w land m in
-      if uw <> 0 then begin
-        fc.first_touch <- fc.first_touch + Bitmap.popcount uw;
-        Array.unsafe_set unt w (Array.unsafe_get unt w lxor uw)
-      end;
-      (* Only pages faulted in by this read become (born-dirty) present;
-         already-present pages stay clean under a read. *)
-      let dz = lnot (Array.unsafe_get present w) land m in
-      if dz <> 0 then begin
-        fc.demand_zero <- fc.demand_zero + Bitmap.popcount dz;
-        Array.unsafe_set present w (Array.unsafe_get present w lor dz);
-        Array.unsafe_set sd w (Array.unsafe_get sd w lor dz)
-      end;
-      i := !i + n;
-      incr wi;
-      b := 0
-    done
-  end;
-  charge_faults t acct fc ~gran:vma.Vma.fault_gran ~reads:len ~writes:0
+let read_range t acct vma ~pos ~len = read_ranges t acct vma [| pos; len |] ~first:0 ~stop:1
 
 (* Retained scalar reference implementations: the differential property
    tests and the mem bench group compare the word kernels against these. *)

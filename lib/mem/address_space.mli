@@ -69,6 +69,24 @@ val dirty_range : t -> Gh_sim.Account.t -> Vma.t -> pos:int -> len:int -> value:
 val read_range : t -> Gh_sim.Account.t -> Vma.t -> pos:int -> len:int -> unit
 (** Touch (read) [len] consecutive pages. *)
 
+val dirty_ranges :
+  t -> Gh_sim.Account.t -> Vma.t -> int array -> first:int -> stop:int -> value:int -> unit
+(** [dirty_ranges t acct vma ranges ~first ~stop ~value] applies ranges
+    [first .. stop-1] of [ranges], where range [r] is pages
+    [ranges.(2r)] to [ranges.(2r) + ranges.(2r+1) - 1], in order. Each
+    range has exactly the effect, fault counts ([fault_gran] rounding
+    included) and charge of its own {!dirty_range} call, but the VMA's
+    checks and arrays are taken once and the sum is charged once. A range
+    that raises raises what its {!dirty_range} call would, after the
+    ranges before it are applied and charged. {!dirty_range} is the
+    one-range case.
+    @raise Invalid_argument if [first .. stop-1] are not range indices of
+    [ranges]. *)
+
+val read_ranges :
+  t -> Gh_sim.Account.t -> Vma.t -> int array -> first:int -> stop:int -> unit
+(** {!dirty_ranges} for reads: each range as its own {!read_range}. *)
+
 (** Scalar reference implementations of the bulk accessors, retained for
     the differential property tests and the mem bench group. Identical
     observable behavior (bitmaps, data, fault counts, charged ns) to the

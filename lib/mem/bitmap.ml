@@ -49,10 +49,20 @@ let fill t v =
 
 let copy t = { len = t.len; words = Array.copy t.words }
 
+(* A typed copy loop, not [Array.blit]: on a major-heap array (past 256
+   words, 16 K pages) OCaml 5's blit pays the [caml_modify] barrier per
+   word even for ints, and a brk excursion resizes four maps. *)
 let resize t len =
   if len < 0 then invalid_arg "Bitmap.resize: negative length";
-  let nt = { len; words = Array.make (n_words len) 0 } in
-  Array.blit t.words 0 nt.words 0 (min (Array.length t.words) (Array.length nt.words));
+  let words = Array.make (n_words len) 0 in
+  let keep =
+    if Array.length t.words < Array.length words then Array.length t.words
+    else Array.length words
+  in
+  for i = 0 to keep - 1 do
+    Array.unsafe_set words i (Array.unsafe_get t.words i)
+  done;
+  let nt = { len; words } in
   clamp_tail nt;
   nt
 
@@ -65,29 +75,6 @@ let words t = t.words
 (* Here the divisor is a constant, so this is a multiply and a shift;
    elsewhere [/ bits_per_word] is an [idiv]. *)
 let word_index i = i / bits_per_word
-
-let check_word t wi op =
-  if wi < 0 || wi >= Array.length t.words then
-    invalid_arg ("Bitmap." ^ op ^ ": word index out of bounds")
-
-(* Checked word-level mask ops. [or_word] clamps against the tail so the
-   bits-past-length invariant survives any mask; the other two can only
-   clear bits and need no clamp. *)
-let or_word t wi m =
-  check_word t wi "or_word";
-  let m =
-    if wi = Array.length t.words - 1 then m land tail_mask t.len else m
-  in
-  Array.unsafe_set t.words wi (Array.unsafe_get t.words wi lor m)
-
-let andnot_word t wi m =
-  check_word t wi "andnot_word";
-  Array.unsafe_set t.words wi (Array.unsafe_get t.words wi land lnot m)
-
-let set_word t wi w =
-  check_word t wi "set_word";
-  let w = if wi = Array.length t.words - 1 then w land tail_mask t.len else w in
-  Array.unsafe_set t.words wi w
 
 (* Mask of bit positions [pos, pos+len) within one word (len <= 63). *)
 let mask ~pos ~len =

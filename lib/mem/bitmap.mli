@@ -58,27 +58,13 @@ val words : t -> int array
 (** The backing words themselves, shared, not copied: word [i] holds bits
     [i * bits_per_word .. (i+1) * bits_per_word - 1]. For page kernels in
     other modules that must not make a call per word (library modules
-    are compiled [-opaque] in the dev profile, so {!word} and {!or_word}
-    are real calls there). Writers must keep bits at positions
-    [>= length t] zero. *)
+    are compiled [-opaque] in the dev profile, so {!word} is a real call
+    there). Writers must keep bits at positions [>= length t] zero. *)
 
 val word_index : int -> int
 (** [word_index i = i / bits_per_word], the word holding bit [i]. Compiled
     where the divisor is a known constant, so it costs a multiply where a
     caller's own [/ bits_per_word] would be a hardware divide. *)
-
-val or_word : t -> int -> int -> unit
-(** [or_word t i m] sets the bits of mask [m] in word [i]; bits of [m] past
-    [length t] are ignored (the tail invariant is preserved).
-    @raise Invalid_argument if [i] is not a backing-word index. *)
-
-val andnot_word : t -> int -> int -> unit
-(** [andnot_word t i m] clears the bits of mask [m] in word [i].
-    @raise Invalid_argument if [i] is not a backing-word index. *)
-
-val set_word : t -> int -> int -> unit
-(** [set_word t i w] overwrites word [i] with [w], clamped to the map's
-    length. @raise Invalid_argument if [i] is not a backing-word index. *)
 
 val mask : pos:int -> len:int -> int
 (** Mask of bit positions [\[pos, pos+len)] within one packed word

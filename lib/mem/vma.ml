@@ -60,15 +60,29 @@ let blit_pages (src : int array) src_pos (dst : int array) dst_pos len =
     Array.unsafe_set dst (dst_pos + i) (Array.unsafe_get src (src_pos + i))
   done
 
+(* Spare capacity for a VMA that outgrows its array: a constant share of
+   the new size, so a heap that creeps upward reallocates a logarithmic
+   number of times, and a brk excursion and its trim, the common case,
+   stay inside the array. *)
+let grown_length n_pages = n_pages + (n_pages / 8) + 64
+
+(* O(pages gained or lost), not O(size): [data] may be longer than
+   [n_pages], and every word past [n_pages] is zero. Shrinking zeroes the
+   pages that leave, so no request's data survives in the slack and a
+   later growth inside the array has nothing to write. *)
 let resize t n_pages =
   if n_pages < 0 then invalid_arg "Vma.resize: negative size";
-  if n_pages <> t.n_pages then begin
-    let keep = min t.n_pages n_pages in
-    let data = Gh_sim.Buffer_pool.acquire_raw n_pages in
-    blit_pages t.data 0 data 0 keep;
-    if n_pages > keep then Array.fill data keep (n_pages - keep) 0;
-    Gh_sim.Buffer_pool.release t.data;
-    t.data <- data;
+  let old = t.n_pages in
+  if n_pages <> old then begin
+    if n_pages < old then Array.fill t.data n_pages (old - n_pages) 0
+    else if n_pages > Array.length t.data then begin
+      let cap = grown_length n_pages in
+      let data = Gh_sim.Buffer_pool.acquire_raw cap in
+      blit_pages t.data 0 data 0 old;
+      Array.fill data old (cap - old) 0;
+      Gh_sim.Buffer_pool.release t.data;
+      t.data <- data
+    end;
     t.present <- Bitmap.resize t.present n_pages;
     t.soft_dirty <- Bitmap.resize t.soft_dirty n_pages;
     t.cow_pending <- Bitmap.resize t.cow_pending n_pages;
@@ -76,9 +90,13 @@ let resize t n_pages =
     t.n_pages <- n_pages
   end
 
+(* The child's array has the parent's length, slack included (zero, so
+   the copy keeps the invariant); a reaped child's array then goes back
+   to the pool under the length the next clone asks for. *)
 let clone_cow t =
-  let data = Gh_sim.Buffer_pool.acquire_raw t.n_pages in
-  blit_pages t.data 0 data 0 t.n_pages;
+  let len = Array.length t.data in
+  let data = Gh_sim.Buffer_pool.acquire_raw len in
+  blit_pages t.data 0 data 0 len;
   {
     t with
     data;

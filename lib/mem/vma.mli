@@ -23,7 +23,10 @@ type t = {
   mutable n_pages : int;
   mutable prot : Prot.t;
   kind : kind;
-  mutable data : int array;  (** One word per page. *)
+  mutable data : int array;
+      (** One word per page for pages [\[0, n_pages)]. The array may be
+          longer (spare capacity left by {!resize}); every word past
+          [n_pages] is zero. *)
   mutable present : Bitmap.t;  (** Page has a frame (was touched). *)
   mutable soft_dirty : Bitmap.t;  (** Kernel soft-dirty bit. *)
   mutable cow_pending : Bitmap.t;  (** Next write pays a CoW copy fault. *)
@@ -54,11 +57,15 @@ val blit_pages : int array -> int -> int array -> int -> int -> unit
     and [dst] are the same array (the copy runs forward). *)
 
 val resize : t -> int -> unit
-(** Grow (zero-filled, non-present new pages) or shrink at the end. *)
+(** Grow (zero-filled, non-present new pages) or shrink at the end, in
+    time proportional to the pages gained or lost: shrinking zeroes the
+    pages that leave, growth within [data] writes nothing, and growth past
+    it reallocates with spare capacity. *)
 
 val clone_cow : t -> t
-(** Deep copy for fork: data duplicated, [cow_pending] and [untouched] set
-    on every present page so the child pays CoW/first-touch faults. *)
+(** Deep copy for fork: data duplicated (at the parent's array length),
+    [cow_pending] and [untouched] set on every present page so the child
+    pays CoW/first-touch faults. *)
 
 val recycle : t -> unit
 (** Release the page buffer into this domain's {!Gh_sim.Buffer_pool} and

@@ -2,9 +2,9 @@
 
    The simulator's memory model churns through multi-hundred-KB int
    arrays: every fork-isolation request clones the whole address space
-   (one array per VMA, discarded when the child is reaped), every
-   mremap/brk resize swaps the heap's backing array, and every snapshot
-   capture copies each region. Fresh [Array.make] for each of these puts
+   (one array per VMA, discarded when the child is reaped), a brk or
+   mremap growth past a VMA's spare capacity swaps its backing array, and
+   every snapshot capture copies each region. Fresh [Array.make] for each of these puts
    megabytes per request on the major heap; recycling the arrays through
    a free list caps that churn at the working set.
 
@@ -14,9 +14,10 @@
    on one domain is reused only by that domain — cross-domain traffic
    would need locks and buys nothing for per-cell lifetimes.
 
-   Arrays are pooled by *exact* length (consumers treat [Array.length]
-   as the page count, so an over-sized array would corrupt bitmap/blit
-   arithmetic) and handed back either zeroed — indistinguishable from
+   Arrays are pooled by *exact* length, so [acquire_raw n] returns
+   exactly [n] words: a caller that wants spare capacity (a VMA keeps
+   zeroed slack past its page count) asks for it and zeroes it itself.
+   They are handed back either zeroed — indistinguishable from
    [Array.make n 0] — or raw for callers that overwrite every slot.
    Each pool holds at most [max_held_words] (64 M words, 512 MB) and
    drops releases beyond that on the floor for the GC to take. *)

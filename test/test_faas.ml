@@ -379,6 +379,26 @@ let test_openwhisk_deploy () =
   in
   check_int "three containers" 3 (Array.length (Invoker.containers d.Openwhisk.invoker))
 
+(* The function model end to end, pinned: [Fm_digest] runs 100 synthetic
+   specs through requests on the instance, on fork children and under an
+   incremental snapshot's salvage hook, and must reproduce, spec by spec,
+   the digests in fm_golden.txt (taken from the per-chunk page-access
+   implementation the compiled plans replaced). *)
+let test_model_golden () =
+  let golden =
+    (* From dune's test directory, or [dune exec] at the repo root. *)
+    let path = if Sys.file_exists "fm_golden.txt" then "fm_golden.txt" else "test/fm_golden.txt" in
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  check_int "golden entries" Fm_digest.n_specs (List.length golden);
+  List.iteri
+    (fun k d ->
+      Alcotest.(check string) (Printf.sprintf "spec %d" k) (List.nth golden k)
+        (Printf.sprintf "%d %s" k d))
+    (Fm_digest.all ())
+
 let () =
   Alcotest.run "gh_faas"
     [
@@ -400,6 +420,7 @@ let () =
             test_model_invoke_on_child_isolates_parent;
           Alcotest.test_case "warmup pages in" `Quick test_model_warmup_pages_in_plans;
           Alcotest.test_case "service calls and ACL" `Quick test_model_service_calls_and_acl;
+          Alcotest.test_case "digests match the golden" `Quick test_model_golden;
         ] );
       ( "actionloop",
         [

@@ -190,24 +190,14 @@ let test_bitmap_word_ops () =
   let n = bpw + 10 in
   let b = Bitmap.create n in
   check_int "word count" 2 (Bitmap.word_count b);
-  Bitmap.or_word b 0 0b1010;
-  check_int "or_word" 2 (Bitmap.count b);
-  Bitmap.andnot_word b 0 0b0010;
-  check_int "andnot_word" 1 (Bitmap.count b);
-  check_bool "bit 3 survives" true (Bitmap.get b 3);
-  Bitmap.set_word b 0 0;
-  check_int "set_word clears" 0 (Bitmap.count b);
-  (* Tail clamp: setting every bit of the last word only sets the in-range
-     ones, and the invariant that bits past the length are zero holds. *)
-  Bitmap.or_word b 1 (-1);
-  check_int "or_word clamps to tail" 10 (Bitmap.count b);
-  Bitmap.set_word b 1 (-1);
-  check_int "set_word clamps to tail" 10 (Bitmap.count b);
+  Bitmap.set b 1 true;
+  Bitmap.set b 3 true;
+  Bitmap.set b (bpw + 2) true;
+  check_int "word 0" 0b1010 (Bitmap.word b 0);
+  check_int "word 1" 0b100 (Bitmap.word b 1);
+  check_int "past the last word" 0 (Bitmap.word b 2);
   check_int "mask" 0b11100 (Bitmap.mask ~pos:2 ~len:3);
-  check_int "full mask" (-1) (Bitmap.mask ~pos:0 ~len:bpw);
-  Alcotest.check_raises "word oob"
-    (Invalid_argument "Bitmap.or_word: word index out of bounds") (fun () ->
-      Bitmap.or_word b 2 1)
+  check_int "full mask" (-1) (Bitmap.mask ~pos:0 ~len:bpw)
 
 (* Branch-free ctz against the obvious scan, on zero (which reads as
    bits_per_word), on every single bit — bit 62 is [min_int] — and on
@@ -259,6 +249,105 @@ let test_vma_resize_preserves_prefix () =
   check_int "new pages zero" 0 v.Vma.data.(6);
   Vma.resize v 1;
   check_int "shrunk" 1 v.Vma.n_pages
+
+(* Grow/shrink/grow sequences against a model of the page words and the
+   present map. After every step: [0, n) is kept, new pages read zero,
+   the maps have length n, the array covers n and its slack is zero — a
+   secret written near the end, shrunk away and grown back reads zero. *)
+let test_vma_resize_model () =
+  let rng = Gh_sim.Rng.create 11 in
+  let v = Vma.create ~id:1 ~start_addr:0 ~n_pages:40 ~prot:Prot.rw Vma.Heap in
+  let model = Array.make 1000 0 and present = Array.make 1000 false in
+  let check step =
+    let n = v.Vma.n_pages in
+    let label what = Printf.sprintf "step %d (%d pages): %s" step n what in
+    check_bool (label "array covers the pages") true (Array.length v.Vma.data >= n);
+    let first_bad p = List.find_opt p (List.init n Fun.id) in
+    Alcotest.(check (option int)) (label "data kept") None
+      (first_bad (fun i -> v.Vma.data.(i) <> model.(i)));
+    Alcotest.(check (option int)) (label "present kept") None
+      (first_bad (fun i -> Bitmap.get v.Vma.present i <> present.(i)));
+    Alcotest.(check (option int)) (label "slack is zero") None
+      (List.find_opt
+         (fun i -> v.Vma.data.(i) <> 0)
+         (List.init (Array.length v.Vma.data - n) (( + ) n)));
+    List.iter
+      (fun m -> check_int (label "map length") n (Bitmap.length m))
+      [ v.Vma.present; v.Vma.soft_dirty; v.Vma.cow_pending; v.Vma.untouched ]
+  in
+  for step = 1 to 400 do
+    let n = v.Vma.n_pages in
+    (* Secrets on the last pages, the ones a shrink drops. *)
+    for _ = 1 to 3 do
+      if n > 0 then begin
+        let i = n - 1 - Gh_sim.Rng.int rng (min n 20) in
+        let x = 1 + Gh_sim.Rng.int rng 1_000_000 in
+        v.Vma.data.(i) <- x;
+        model.(i) <- x;
+        Bitmap.set v.Vma.present i true;
+        present.(i) <- true
+      end
+    done;
+    let target =
+      match Gh_sim.Rng.int rng 4 with
+      | 0 -> Gh_sim.Rng.int rng 1000
+      | 1 -> max 0 (n - 1 - Gh_sim.Rng.int rng 16)
+      | _ -> min 999 (n + Gh_sim.Rng.int rng 17)
+    in
+    Vma.resize v target;
+    for i = min n target to max n target - 1 do
+      model.(i) <- 0;
+      present.(i) <- false
+    done;
+    check step
+  done;
+  (* Shrink past a secret and grow straight back over it. *)
+  let n = v.Vma.n_pages in
+  Vma.resize v (n + 5);
+  v.Vma.data.(n + 4) <- 77;
+  Vma.resize v n;
+  Vma.resize v (n + 5);
+  check_int "dropped page reads zero" 0 v.Vma.data.(n + 4);
+  (* Growth past the array takes a pooled one: a reaped VMA's array full
+     of secrets, reused at the same length, must come back with zero
+     slack. *)
+  let grown () =
+    let w = Vma.create ~id:2 ~start_addr:0 ~n_pages:40 ~prot:Prot.rw Vma.Heap in
+    Vma.resize w 500;
+    w
+  in
+  let old = grown () in
+  Array.fill old.Vma.data 0 (Array.length old.Vma.data) 99;
+  Vma.recycle old;
+  let w = grown () in
+  check_bool "grown array zero past the old pages" true
+    (Array.for_all (( = ) 0) (Array.sub w.Vma.data 40 (Array.length w.Vma.data - 40)));
+  (* A fork clone of a VMA with slack is deep, slack included. *)
+  v.Vma.data.(0) <- 5;
+  let c = Vma.clone_cow v in
+  check_int "clone has the parent's array length" (Array.length v.Vma.data)
+    (Array.length c.Vma.data);
+  c.Vma.data.(0) <- 6;
+  Vma.resize c (Array.length c.Vma.data);
+  c.Vma.data.(Array.length c.Vma.data - 1) <- 9;
+  check_int "clone is deep" 5 v.Vma.data.(0);
+  check_int "parent slack untouched" 0 v.Vma.data.(Array.length v.Vma.data - 1)
+
+(* A recycled VMA keeps its size but not its pages: every page access
+   still raises, even when its old array had slack. *)
+let test_vma_recycled_raises () =
+  let m = fresh () in
+  let heap = Address_space.heap m in
+  Address_space.set_brk m (Address_space.brk m + (20 * Vma.page_size));
+  Address_space.set_brk m (Address_space.brk m - (10 * Vma.page_size));
+  check_bool "slack after the shrink" true
+    (Array.length heap.Vma.data > heap.Vma.n_pages);
+  Vma.recycle heap;
+  let oob = Invalid_argument "Address_space: page index out of bounds" in
+  Alcotest.check_raises "dirty_range" oob (fun () ->
+      Address_space.dirty_range m (acct ()) heap ~pos:0 ~len:1 ~value:1);
+  Alcotest.check_raises "read_range" oob (fun () ->
+      Address_space.read_range m (acct ()) heap ~pos:0 ~len:1)
 
 let test_vma_clone_cow () =
   let v = Vma.create ~id:1 ~start_addr:0 ~n_pages:4 ~prot:Prot.rw Vma.Anon in
@@ -609,6 +698,32 @@ let test_bulk_zero_len_is_free () =
   check_vma_eq "len=0 touches nothing" before h;
   check_int "len=0 charges nothing" 0 (Account.total a)
 
+(* A range list: a bad slice of it raises before anything is applied;
+   a range that raises leaves the ranges before it applied and charged,
+   exactly as the same ranges as single calls would. *)
+let test_range_list_slices () =
+  let m1, h1 = mixed_space () in
+  let m2, h2 = mixed_space () in
+  let a1 = acct () and a2 = acct () in
+  let ranges = [| 0; 5; 3; 9; 60; 8; 1000; 1 |] in
+  let bad_slice = Invalid_argument "Address_space.dirty_ranges: range index out of bounds" in
+  List.iter
+    (fun (first, stop) ->
+      Alcotest.check_raises (Printf.sprintf "slice %d..%d" first stop) bad_slice (fun () ->
+          Address_space.dirty_ranges m1 a1 h1 ranges ~first ~stop ~value:4))
+    [ (-1, 1); (2, 1); (0, 5) ];
+  Alcotest.check_raises "read slice" (Invalid_argument "Address_space.read_ranges: range index out of bounds")
+    (fun () -> Address_space.read_ranges m1 a1 h1 ranges ~first:0 ~stop:5);
+  check_int "bad slices charge nothing" 0 (Account.total a1);
+  let oob = Invalid_argument "Address_space.dirty_range: range out of bounds" in
+  Alcotest.check_raises "fourth range" oob (fun () ->
+      Address_space.dirty_ranges m1 a1 h1 ranges ~first:0 ~stop:4 ~value:4);
+  Address_space.Scalar.dirty_range m2 a2 h2 ~pos:0 ~len:5 ~value:4;
+  Address_space.Scalar.dirty_range m2 a2 h2 ~pos:3 ~len:9 ~value:4;
+  Address_space.Scalar.dirty_range m2 a2 h2 ~pos:60 ~len:8 ~value:4;
+  check_vma_eq "earlier ranges applied" (snapshot_vma h2) h1;
+  check_int "earlier ranges charged" (Account.total a2) (Account.total a1)
+
 let test_poke_and_zero_range () =
   let m = fresh () in
   let a = acct () in
@@ -742,6 +857,8 @@ let () =
           Alcotest.test_case "geometry" `Quick test_vma_geometry;
           Alcotest.test_case "resize preserves prefix" `Quick test_vma_resize_preserves_prefix;
           Alcotest.test_case "clone cow" `Quick test_vma_clone_cow;
+          Alcotest.test_case "resize against a model, slack zero" `Quick test_vma_resize_model;
+          Alcotest.test_case "recycled VMA raises" `Quick test_vma_recycled_raises;
           Alcotest.test_case "unaligned raises" `Quick test_vma_unaligned_raises;
           Alcotest.test_case "blit_pages copies and checks ranges" `Quick test_vma_blit_pages;
         ] );
@@ -764,6 +881,8 @@ let () =
           Alcotest.test_case "CoW-hook fallback matches scalar" `Quick
             test_bulk_dirty_with_hook_matches_scalar;
           Alcotest.test_case "len=0 is free" `Quick test_bulk_zero_len_is_free;
+          Alcotest.test_case "range lists: slices and partial failure" `Quick
+            test_range_list_slices;
           Alcotest.test_case "poke_range / zero_range" `Quick test_poke_and_zero_range;
         ] );
       ( "faults",

@@ -479,9 +479,156 @@ let bulk_matches_scalar =
       && Account.total a1 = Account.total a2
       && !log1 = !log2)
 
+(* Differential: the range-list kernels ([As.dirty_ranges] /
+   [As.read_ranges]) against the same ranges applied one at a time
+   through the scalar reference. The heap starts in a random state —
+   each of the four maps at its own density (empty, sparse, half, full),
+   random data, soft-dirty tracking on or off — under one of the three
+   tracking cost modes, a random [fault_gran] and protection, with or
+   without a logging CoW-salvage hook. Range lists mix overlaps,
+   zero-length ranges, ranges ending at [n_pages] and out-of-bounds ones;
+   each call applies a random slice [first, stop) of its list. The first
+   exception ends both sides, which must agree on it, on the account
+   total, on data over [0, n_pages), on all four maps and on the hook
+   log. *)
+
+type kernel_case = {
+  kseed : int;
+  tracking : Gh_kernel.Cost.tracking;
+  sd_on : bool;
+  hooked : bool;
+  gran : int;
+  prot : Prot.t;
+  n : int;
+  calls : (bool * (int * int) list * int * int) list;  (* read?, ranges, first, stop *)
+}
+
+let print_kernel_case c =
+  Printf.sprintf "seed=%d tracking=%s sd=%b hook=%b gran=%d prot=%s n=%d calls=[%s]" c.kseed
+    (match c.tracking with
+    | Gh_kernel.Cost.Soft_dirty -> "sd"
+    | Gh_kernel.Cost.Uffd -> "uffd"
+    | Gh_kernel.Cost.Kernel_list -> "klist")
+    c.sd_on c.hooked c.gran (Prot.to_string c.prot) c.n
+    (String.concat "; "
+       (List.map
+          (fun (rd, ranges, first, stop) ->
+            Printf.sprintf "%s [%s] %d..%d" (if rd then "read" else "write")
+              (String.concat " " (List.map (fun (p, l) -> Printf.sprintf "%d+%d" p l) ranges))
+              first stop)
+          c.calls))
+
+let kernel_case_gen =
+  let open QCheck2.Gen in
+  let* kseed = int_bound 1_000_000 in
+  let* tracking =
+    oneofl Gh_kernel.Cost.[ Soft_dirty; Uffd; Kernel_list ]
+  in
+  let* sd_on = bool and* hooked = bool in
+  let* gran = frequency [ (2, return 1); (3, int_range 1 64) ] in
+  let* prot = frequency [ (8, return Prot.rw); (1, return Prot.r); (1, return Prot.none) ] in
+  let* n = frequency [ (3, int_range 1 200); (1, oneofl [ 62; 63; 64; 126; 127 ]) ] in
+  let range =
+    frequency
+      [
+        (6, let* pos = int_bound n in
+            let* len = int_bound (min 24 (n - pos)) in
+            return (pos, len));
+        (2, let* len = int_bound (min 24 n) in
+            return (n - len, len));
+        (1, let* pos = int_bound n in
+            return (pos, 0));
+        (1, let* pos = int_bound n in
+            let* over = int_range 1 8 in
+            return (pos, n - pos + over));
+        (1, return (-1, 1));
+      ]
+  in
+  let call =
+    let* rd = bool in
+    let* ranges = list_size (int_range 0 12) range in
+    let k = List.length ranges in
+    let* first = int_bound k in
+    let* stop = int_range first k in
+    return (rd, ranges, first, stop)
+  in
+  let* calls = list_size (int_range 1 4) call in
+  return { kseed; tracking; sd_on; hooked; gran; prot; n; calls }
+
+let range_kernels_match_scalar =
+  QCheck2.Test.make ~name:"range kernels match per-range scalar calls" ~count:1000
+    ~print:print_kernel_case kernel_case_gen (fun c ->
+      let build () =
+        let cost = { Gh_kernel.Cost.default with Gh_kernel.Cost.tracking = c.tracking } in
+        let m = As.create ~heap_pages:c.n ~cost () in
+        let v = As.heap m in
+        if c.sd_on then As.clear_refs m;
+        let rng = Rng.create c.kseed in
+        let density () = [| 0.0; 0.1; 0.5; 1.0 |].(Rng.int rng 4) in
+        List.iter
+          (fun map ->
+            let d = density () in
+            for i = 0 to c.n - 1 do
+              Bitmap.set map i (Rng.float rng 1.0 < d)
+            done)
+          [ v.Vma.present; v.Vma.soft_dirty; v.Vma.cow_pending; v.Vma.untouched ];
+        for i = 0 to c.n - 1 do
+          if Rng.int rng 2 = 0 then v.Vma.data.(i) <- 1 + Rng.int rng 1000
+        done;
+        v.Vma.fault_gran <- c.gran;
+        v.Vma.prot <- c.prot;
+        let log = ref [] in
+        if c.hooked then
+          As.set_cow_hook m (Some (fun v i -> log := (v.Vma.id, i, As.peek v i) :: !log));
+        (m, v, log)
+      in
+      let m1, v1, log1 = build () and m2, v2, log2 = build () in
+      let a1 = Account.create () and a2 = Account.create () in
+      let outcome f = match f () with () -> None | exception e -> Some (Printexc.to_string e) in
+      let rec run apply = function
+        | [] -> None
+        | call :: rest -> ( match outcome (fun () -> apply call) with None -> run apply rest | e -> e)
+      in
+      let value = 0xBEEF in
+      let e1 =
+        run
+          (fun (rd, ranges, first, stop) ->
+            let arr = Array.of_list (List.concat_map (fun (p, l) -> [ p; l ]) ranges) in
+            if rd then As.read_ranges m1 a1 v1 arr ~first ~stop
+            else As.dirty_ranges m1 a1 v1 arr ~first ~stop ~value)
+          c.calls
+      in
+      let e2 =
+        run
+          (fun (rd, ranges, first, stop) ->
+            List.iteri
+              (fun r (pos, len) ->
+                if r >= first && r < stop then
+                  if rd then As.Scalar.read_range m2 a2 v2 ~pos ~len
+                  else As.Scalar.dirty_range m2 a2 v2 ~pos ~len ~value)
+              ranges)
+          c.calls
+      in
+      e1 = e2
+      && Account.total a1 = Account.total a2
+      && Array.sub v1.Vma.data 0 c.n = Array.sub v2.Vma.data 0 c.n
+      && Bitmap.equal v1.Vma.present v2.Vma.present
+      && Bitmap.equal v1.Vma.soft_dirty v2.Vma.soft_dirty
+      && Bitmap.equal v1.Vma.cow_pending v2.Vma.cow_pending
+      && Bitmap.equal v1.Vma.untouched v2.Vma.untouched
+      && !log1 = !log2)
+
 (* The zero-elided snapshot copy stores exactly the source contents, with
    a [zeros] map that marks precisely the zero pages — on any layout a
-   random mutation sequence can produce. *)
+   random mutation sequence can produce. A VMA's array may run past its
+   page count; the copy covers [0, n_pages), and the slack must be zero. *)
+let slack_is_zero (v : Vma.t) =
+  let ok = ref true in
+  for i = v.Vma.n_pages to Array.length v.Vma.data - 1 do
+    if v.Vma.data.(i) <> 0 then ok := false
+  done;
+  !ok
+
 let snapshot_zeros_faithful =
   QCheck2.Test.make ~name:"snapshot copy is faithful with an exact zeros map" ~count:100
     ~print:print_ops ops_gen (fun ops ->
@@ -494,7 +641,9 @@ let snapshot_zeros_faithful =
         (fun (r : Snapshot.region) (v : Vma.t) ->
           r.Snapshot.start_addr = v.Vma.start_addr
           && r.Snapshot.n_pages = v.Vma.n_pages
-          && r.Snapshot.data = v.Vma.data
+          && Array.length r.Snapshot.data = v.Vma.n_pages
+          && r.Snapshot.data = Array.sub v.Vma.data 0 v.Vma.n_pages
+          && slack_is_zero v
           && Bitmap.length r.Snapshot.zeros = v.Vma.n_pages
           && begin
                let ok = ref true in
@@ -788,5 +937,9 @@ let () =
           to_alcotest dirty_range_sets_exactly;
         ] );
       ( "mem-kernels",
-        [ to_alcotest bulk_matches_scalar; to_alcotest snapshot_zeros_faithful ] );
+        [
+          to_alcotest bulk_matches_scalar;
+          to_alcotest range_kernels_match_scalar;
+          to_alcotest snapshot_zeros_faithful;
+        ] );
     ]

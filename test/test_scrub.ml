@@ -329,6 +329,44 @@ let prop_dedup_register_preserves_store =
 
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
+(* The four-lane block hash keeps the single-word guarantee: for every
+   block length and every position, replacing that one word (by a
+   one-bit flip, a sign flip, or zero) changes the hash. The hash is a
+   function of the contents alone, and [zero_block_hash] agrees with it
+   on every length. *)
+let test_hash_words () =
+  let bp = Snapshot.block_pages in
+  let rng = Rng.create 5 in
+  let base = Array.init (bp + 8) (fun _ -> Int64.to_int (Rng.bits64 rng)) in
+  for len = 0 to bp do
+    let h = Snapshot.hash_words base ~pos:0 ~len in
+    for i = 0 to len - 1 do
+      List.iter
+        (fun x ->
+          if x <> base.(i) then begin
+            let d = Array.copy base in
+            d.(i) <- x;
+            if Snapshot.hash_words d ~pos:0 ~len = h then
+              Alcotest.failf "len %d: replacing word %d by %x keeps the hash" len i x
+          end)
+        [ base.(i) lxor (1 lsl (i mod 62)); base.(i) lxor min_int; lnot base.(i); 0 ]
+    done;
+    for off = 1 to 8 do
+      let shifted = Array.make (bp + 16) 0 in
+      Array.blit base 0 shifted off len;
+      check_int
+        (Printf.sprintf "len %d at offset %d" len off)
+        h
+        (Snapshot.hash_words shifted ~pos:off ~len)
+    done;
+    check_int
+      (Printf.sprintf "zero_block_hash %d" len)
+      (Snapshot.hash_words (Array.make bp 0) ~pos:0 ~len)
+      (Snapshot.zero_block_hash len)
+  done;
+  check_bool "length is hashed" true
+    (Snapshot.zero_block_hash 3 <> Snapshot.zero_block_hash 4)
+
 let () =
   Alcotest.run "scrub"
     [
@@ -336,6 +374,8 @@ let () =
         [ Alcotest.test_case "duplicate start addr rejected" `Quick test_duplicate_start_rejected ] );
       ( "scrubbing",
         [
+          Alcotest.test_case "block hash: single-word changes, offsets, zero hashes" `Quick
+            test_hash_words;
           Alcotest.test_case "clean snapshot scrubs clean" `Quick test_clean_scrub;
           Alcotest.test_case "stored bitflip detected and poisons" `Quick test_bitflip_detected;
         ] );

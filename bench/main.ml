@@ -310,6 +310,58 @@ let mem_tests_for (n, size_name) =
 
 let mem_tests = List.concat_map mem_tests_for mem_sizes
 
+(* -- The traffic the function model actually puts on the memory model:
+   per request a plan of a few hundred short ranges over the writable
+   pool, and one brk excursion. A plan here is [plan_ranges] ranges of
+   [plan_len] pages spread evenly over a warm [plan_pool]-page VMA,
+   applied through the range kernels in one call ([kernel]) or as one
+   [dirty_range]/[read_range] call per range ([per-range]). The brk cycle
+   grows a [brk_heap]-page heap by [brk_step] pages and trims it back. -- *)
+
+let plan_ranges = 600
+let plan_len = 6
+let plan_pool = 38_000
+let brk_heap = 11_000
+let brk_step = 16
+
+let plan_mem, plan_vma = warm_heap plan_pool
+
+let plan =
+  Array.init (2 * plan_ranges) (fun k ->
+      if k land 1 = 0 then k / 2 * (plan_pool / plan_ranges) else plan_len)
+
+let plan_acct = Account.create ()
+
+let plan_tests =
+  [
+    Test.make ~name:"mem/plan-dirty/per-range"
+      (Staged.stage (fun () ->
+           for r = 0 to plan_ranges - 1 do
+             As.dirty_range plan_mem plan_acct plan_vma ~pos:plan.(2 * r) ~len:plan_len
+               ~value:3
+           done));
+    Test.make ~name:"mem/plan-read/per-range"
+      (Staged.stage (fun () ->
+           for r = 0 to plan_ranges - 1 do
+             As.read_range plan_mem plan_acct plan_vma ~pos:plan.(2 * r) ~len:plan_len
+           done));
+    Test.make ~name:"mem/plan-dirty/kernel"
+      (Staged.stage (fun () ->
+           As.dirty_ranges plan_mem plan_acct plan_vma plan ~first:0 ~stop:plan_ranges
+             ~value:3));
+    Test.make ~name:"mem/plan-read/kernel"
+      (Staged.stage (fun () ->
+           As.read_ranges plan_mem plan_acct plan_vma plan ~first:0 ~stop:plan_ranges));
+  ]
+
+let test_brk_cycle =
+  let mem = As.create ~heap_pages:brk_heap ~cost () in
+  let base = As.brk mem in
+  Test.make ~name:"mem/brk-cycle"
+    (Staged.stage (fun () ->
+         As.set_brk mem (base + (brk_step * Vma.page_size));
+         As.set_brk mem base))
+
 (* Run one bechamel test and return its (name, ns-per-run) estimates. *)
 let estimates test =
   let instances = Instance.[ monotonic_clock ] in
@@ -370,7 +422,7 @@ let run_mem_bench out_dir =
         let es = estimates test in
         List.iter (fun (name, t) -> Printf.printf "%-32s %14s\n" name (time_str t)) es;
         es)
-      mem_tests
+      (mem_tests @ plan_tests @ [ test_brk_cycle ])
   in
   let find name = List.assoc_opt name results in
   let fig3 =
@@ -403,6 +455,33 @@ let run_mem_bench out_dir =
         (if si = n_sizes - 1 then "\n    }\n" else "\n    },\n"))
     mem_sizes;
   Buffer.add_string buf "  }";
+  Buffer.add_string buf
+    (Printf.sprintf ",\n  \"plan\": {\n    \"ranges\": %d,\n    \"pages_per_range\": %d,\n    \"pool_pages\": %d"
+       plan_ranges plan_len plan_pool);
+  List.iter
+    (fun op ->
+      match
+        ( find (Printf.sprintf "mem/plan-%s/kernel" op),
+          find (Printf.sprintf "mem/plan-%s/per-range" op) )
+      with
+      | Some k, Some r ->
+          Buffer.add_string buf
+            (Printf.sprintf
+               ",\n    \"%s_kernel_ns\": %.1f,\n    \"%s_per_range_ns\": %.1f,\n    \"%s_speedup\": %.2f"
+               op k op r op (r /. k));
+          Printf.printf "mem/plan-%s: %.2fx (per-range %s -> kernel %s)\n" op (r /. k)
+            (time_str r) (time_str k)
+      | _ -> ())
+    [ "dirty"; "read" ];
+  Buffer.add_string buf "\n  }";
+  (match find "mem/brk-cycle" with
+  | Some t ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           ",\n  \"brk_cycle\": {\n    \"heap_pages\": %d,\n    \"step_pages\": %d,\n    \"ns\": %.1f\n  }"
+           brk_heap brk_step t);
+      Printf.printf "mem/brk-cycle: %s\n" (time_str t)
+  | None -> ());
   (match fig3 with
   | Some t ->
       Buffer.add_string buf (Printf.sprintf ",\n  \"fig3_cycle_us\": %.3f" (t /. 1e3));

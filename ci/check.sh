@@ -61,6 +61,12 @@ done
 dune exec bench/main.exe -- --engine-only --out-dir "$tmp" >/dev/null
 test -s "$tmp/BENCH_engine.json"
 
+# Memory-model bench, the same way: the bulk kernels against the scalar
+# reference, the function model's range lists through the kernels against
+# per-range calls, and the brk cycle must build, run and write a record.
+dune exec bench/main.exe -- --mem-only --out-dir "$tmp" >/dev/null
+test -s "$tmp/BENCH_mem.json"
+
 # Bit-identity gate: the quick-profile evaluation sweep must replay
 # byte-for-byte against the committed baseline — the determinism contract
 # (time, seq) event order, RNG streams, formatting — all of it. The run

@@ -4,9 +4,9 @@
    arrays: every fork-isolation request clones the whole address space
    (one array per VMA, discarded when the child is reaped), a brk or
    mremap growth past a VMA's spare capacity swaps its backing array, and
-   every snapshot capture copies each region. Fresh [Array.make] for each of these puts
-   megabytes per request on the major heap; recycling the arrays through
-   a free list caps that churn at the working set.
+   every snapshot capture copies each region. Fresh [Array.make] for each
+   of these puts megabytes per request on the major heap; recycling the
+   arrays through a free list caps that churn at the working set.
 
    One pool per domain, reached through [Domain.DLS]: acquire/release
    never synchronize, so pooling costs nothing on the experiment hot path

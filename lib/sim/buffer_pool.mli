@@ -1,10 +1,11 @@
 (** Per-domain reuse pools for the big page-data arrays (fork clones,
-    VMA resizes, snapshot copy buffers).
+    VMA growth past its array's capacity).
 
     Acquire/release touch only the calling domain's pool (via
     [Domain.DLS]), so there is no synchronization on the hot path and the
     pool composes with {!Domain_pool} sharding by construction. Arrays
-    are keyed by exact length; [acquire_zeroed] is observationally
+    are keyed by exact length, and an acquire returns exactly the length
+    asked for; [acquire_zeroed] is observationally
     identical to [Array.make n 0]. Releasing an array the caller still
     reads from is the usual use-after-free hazard — release only at a
     clear end-of-life point (a reaped fork child, a replaced backing

@@ -360,12 +360,12 @@ let dirty_ranges t acct (vma : Vma.t) ranges ~first ~stop ~value =
       fc.track <- 0;
       if len > 0 then begin
         if not writable then invalid_arg "Address_space: write to non-writable VMA";
-        let stop = pos + len in
-        if stop > backed then invalid_arg "Address_space: page index out of bounds";
+        let hi = pos + len in
+        if hi > backed then invalid_arg "Address_space: page index out of bounds";
         let w0 = Bitmap.word_index pos in
         let i = ref pos and wi = ref w0 and b = ref (pos - (w0 * bpw)) in
-        while !i < stop do
-          let room = bpw - !b and left = stop - !i in
+        while !i < hi do
+          let room = bpw - !b and left = hi - !i in
           let n = if left < room then left else room in
           let m = if n = bpw then -1 else ((1 lsl n) - 1) lsl !b in
           let w = !wi in
@@ -428,12 +428,12 @@ let read_ranges t acct (vma : Vma.t) ranges ~first ~stop =
       fc.demand_zero <- 0;
       if len > 0 then begin
         if not readable then invalid_arg "Address_space: read from non-readable VMA";
-        let stop = pos + len in
-        if stop > backed then invalid_arg "Address_space: page index out of bounds";
+        let hi = pos + len in
+        if hi > backed then invalid_arg "Address_space: page index out of bounds";
         let w0 = Bitmap.word_index pos in
         let i = ref pos and wi = ref w0 and b = ref (pos - (w0 * bpw)) in
-        while !i < stop do
-          let room = bpw - !b and left = stop - !i in
+        while !i < hi do
+          let room = bpw - !b and left = hi - !i in
           let n = if left < room then left else room in
           let m = if n = bpw then -1 else ((1 lsl n) - 1) lsl !b in
           let w = !wi in

@@ -59,10 +59,14 @@ let run_mode cfg ~memory_mb ~duration_s ~rate_rps entries mode =
   let seed = cfg.Config.seed lxor Hashtbl.hash ("tenant", mode_to_string mode) in
   let root = Rng.create seed in
   let engine = Engine.create () in
+  (* Each (budget, mode) cell gets its own metric namespace: a shared
+     registry finds counters by name, so cells sharing one would count
+     into each other's rows. *)
   let node =
     Node.create ?spans:cfg.Config.spans ?metrics:cfg.Config.metrics
       ?series:cfg.Config.series ~slos:cfg.Config.slos
-      ~metrics_prefix:("tenant." ^ mode_to_string mode ^ ".") engine
+      ~metrics_prefix:(Printf.sprintf "tenant.%dmb.%s." memory_mb (mode_to_string mode))
+      engine
       {
         Node.default_config with
         Node.memory_mb;

@@ -214,15 +214,14 @@ let test_unknown_function () =
 
 (* -- Tenant experiment -- *)
 
+let tenant_cfg = { Gh_harness.Config.quick with Gh_harness.Config.seed = 7 }
+
+let tenant_run cfg ~memory_budgets_mb =
+  Gh_harness.Tenant_exp.run cfg ~memory_budgets_mb ~duration_s:4.0 ~rate_rps:5.0
+    (List.filter_map Gh_workloads.Catalog.find [ "version (p)"; "jacobi-1d (c)" ])
+
 let test_tenant_experiment_shape () =
-  let cfg = { Gh_harness.Config.quick with Gh_harness.Config.seed = 7 } in
-  let entries =
-    List.filter_map Gh_workloads.Catalog.find [ "version (p)"; "jacobi-1d (c)" ]
-  in
-  let results =
-    Gh_harness.Tenant_exp.run cfg ~memory_budgets_mb:[ 256 ] ~duration_s:4.0 ~rate_rps:5.0
-      entries
-  in
+  let results = tenant_run tenant_cfg ~memory_budgets_mb:[ 256 ] in
   check_int "three modes" 3 (List.length results);
   List.iter
     (fun (r : Gh_harness.Tenant_exp.result) ->
@@ -238,6 +237,21 @@ let test_tenant_experiment_shape () =
       check_int "same demand (base vs incr)" a.Gh_harness.Tenant_exp.completed
         c.Gh_harness.Tenant_exp.completed
   | _ -> Alcotest.fail "three results"
+
+(* Collectors only read: attaching a shared registry must not move a row.
+   Every (budget, mode) cell counts into it, so cells that shared a
+   metric name would add onto each other's counters. *)
+let test_tenant_rows_ignore_shared_registry () =
+  let run cfg = tenant_run cfg ~memory_budgets_mb:[ 256; 192 ] in
+  let plain = run tenant_cfg in
+  let shared =
+    run { tenant_cfg with Gh_harness.Config.metrics = Some (Gh_sim.Metrics.create ()) }
+  in
+  let completed =
+    List.map (fun (r : Gh_harness.Tenant_exp.result) -> r.Gh_harness.Tenant_exp.completed)
+  in
+  Alcotest.(check (list int)) "completed per row" (completed plain) (completed shared);
+  check_bool "identical rows" true (compare plain shared = 0)
 
 let () =
   Alcotest.run "gh_node"
@@ -255,5 +269,10 @@ let () =
           Alcotest.test_case "separate pools" `Quick test_functions_isolated_pools;
           Alcotest.test_case "unknown function" `Quick test_unknown_function;
         ] );
-      ("tenant-exp", [ Alcotest.test_case "shape" `Quick test_tenant_experiment_shape ]);
+      ( "tenant-exp",
+        [
+          Alcotest.test_case "shape" `Quick test_tenant_experiment_shape;
+          Alcotest.test_case "shared registry leaves rows unchanged" `Quick
+            test_tenant_rows_ignore_shared_registry;
+        ] );
     ]

@@ -70,25 +70,39 @@ test -s "$tmp/BENCH_mem.json"
 # Bit-identity gate: the quick-profile evaluation sweep must replay
 # byte-for-byte against the committed baseline — the determinism contract
 # (time, seq) event order, RNG streams, formatting — all of it. The run
-# collects windowed time series and SLO state on the side: observability
-# only reads the clock, so stdout must not move by a byte with the
-# collectors attached. Regenerate ci/runall_quick.md5 only with an
-# intentional, reviewed behavior change.
-dune exec bin/gh_bench.exe -- run all --seed 42 --profile quick \
-  --series-out "$tmp/series.txt" --slo "$tmp/slo.json" \
-  > "$tmp/runall_quick.txt"
+# has every collector attached (spans, metrics, series, SLOs):
+# observability only reads the clock, so stdout must not move by a byte
+# with the collectors attached. Regenerate ci/runall_quick.md5 only with
+# an intentional, reviewed behavior change.
+mkdir "$tmp/exports"
+run_exported() {
+  dune exec bin/gh_bench.exe -- run "$1" --seed 42 --profile quick \
+    --trace-out "$tmp/exports/$1.trace.json" \
+    --metrics-out "$tmp/exports/$1.metrics.txt" \
+    --series-out "$tmp/exports/$1.series.txt" --slo "$tmp/exports/$1.slo.json"
+}
+run_exported all > "$tmp/runall_quick.txt"
 md5sum "$tmp/runall_quick.txt" | awk '{print $1}' \
   | diff - ci/runall_quick.md5
-test -s "$tmp/series.txt"
-test -s "$tmp/slo.json"
 
 # The ablations and extensions (including the fault, overload and scrub
-# sweeps at their default grids) are pinned the same way, serial and on 2
-# domains.
+# sweeps at their default grids) are pinned the same way, serial, on 2
+# domains, and serial with every collector attached.
 for jobs in 1 2; do
   dune exec bin/gh_bench.exe -- run extras --seed 42 --profile quick -j $jobs \
     | md5sum | awk '{print $1}' | diff - ci/runextras_quick.md5
 done
+run_exported extras | md5sum | awk '{print $1}' | diff - ci/runextras_quick.md5
+
+# Export pins: the four exports of both instrumented runs (the Chrome
+# trace, the metrics snapshot, the series and the SLO document) must be
+# byte-identical to the committed digests, so a change to how collectors
+# are passed through the stack cannot move what they record. Regenerate
+# ci/exports_quick.md5 only with an intentional change to what is
+# recorded, by running this block against a scratch directory.
+(cd "$tmp/exports" && md5sum all.trace.json all.metrics.txt all.series.txt all.slo.json \
+  extras.trace.json extras.metrics.txt extras.series.txt extras.slo.json) \
+  | diff - ci/exports_quick.md5
 
 # Parallel bit-identity gate: the same sweep fanned across 4 domains must
 # be byte-for-byte identical to the serial run (and hence to the committed

@@ -31,9 +31,7 @@ module Span = Gh_sim.Span
 module Metrics = Gh_sim.Metrics
 module Rng = Gh_sim.Rng
 module Fault = Gh_sim.Fault
-module Timeseries = Gh_sim.Timeseries
-module Slo = Gh_sim.Slo
-module Flight_recorder = Gh_sim.Flight_recorder
+module Obs = Gh_sim.Obs
 
 type placement = Round_robin | Least_loaded | Warm_aware
 
@@ -117,15 +115,10 @@ type member = {
 type t = {
   engine : Engine.t;
   config : config;
-  trace : Trace.t option;
-  spans : Span.t option;
-  series : Timeseries.t option;
-  slos : Slo.t list;
-  recorder : Flight_recorder.t option;
-  metrics : Metrics.t;
+  obs : Obs.t;  (* the front door's collectors *)
+  metrics : Metrics.t;  (* [obs.metrics], or a private registry *)
   fault : Fault.t;
-  rng : Rng.t option;
-  make_strategy : string -> Function_model.spec -> Strategy_intf.t;
+  new_node : int -> Node.t;  (* member [i]'s next incarnation, unregistered *)
   members : member array;
   mutable fns : (string * Function_model.spec) list;  (* newest first *)
   requests : (int, rstate) Hashtbl.t;
@@ -149,47 +142,18 @@ type t = {
 }
 
 let trace_emitf t ~what fmt =
-  Trace.emitf_opt t.trace ~at:(Engine.now t.engine) ~category:"cluster" ~what fmt
+  Trace.emitf_opt t.obs.Obs.trace ~at:(Engine.now t.engine) ~category:"cluster" ~what fmt
 
 (* Node lifecycle transitions get their own category so a timeline can
    filter the fleet's story from the per-request noise. *)
 let lifecycle_emitf t ~what fmt =
-  Trace.emitf_opt t.trace ~at:(Engine.now t.engine) ~category:"lifecycle" ~what fmt
+  Trace.emitf_opt t.obs.Obs.trace ~at:(Engine.now t.engine) ~category:"lifecycle" ~what fmt
 
-let node_rng t m_id =
-  Option.map (fun r -> Rng.named_split r (Printf.sprintf "cluster-node-%d" m_id)) t.rng
-
-(* ---- observability ----------------------------------------------------
-   Strictly read-only on the timeline: lazy series rolls, SLO bucket
-   arithmetic and recorder snapshots all happen at call sites that
-   already hold the clock — no engine events, no RNG draws. *)
-
-let observe_served t ~now ~e2e_ms inv =
-  (match t.series with
-  | Some ts ->
-      Timeseries.tick ts ~now;
-      Timeseries.observe ts ~now "cluster.e2e_ms" e2e_ms
-  | None -> ());
-  List.iter
-    (fun slo ->
-      Slo.record_completion slo ~now ~ok:true ~e2e_ms
-        ~cold:(inv.Strategy_intf.cold_ns > 0);
-      Slo.tick slo ~now)
-    t.slos
-
-let observe_failed t ~now =
-  List.iter
-    (fun slo ->
-      Slo.record_completion slo ~now ~ok:false ~e2e_ms:Float.infinity ~cold:false;
-      Slo.tick slo ~now)
-    t.slos
-
+(* Observability is strictly read-only on the timeline: lazy series
+   rolls, SLO bucket arithmetic and recorder snapshots all happen at call
+   sites that already hold the clock — no engine events, no RNG draws. *)
 let record_failure_edge t ~node ~reason ~detail =
-  match t.recorder with
-  | None -> ()
-  | Some r ->
-      ignore
-        (Flight_recorder.snapshot r ~now:(Engine.now t.engine) ~node ~reason ~detail ())
+  Obs.failure_edge t.obs ~now:(Engine.now t.engine) ~node ~reason ~detail
 
 (* ---- request bookkeeping ---------------------------------------------- *)
 
@@ -199,7 +163,7 @@ let conclude ?(outcome = "done") t a =
     let m = t.members.(a.a_member) in
     m.inflight <- m.inflight - 1;
     Metrics.set m.g_inflight (float_of_int m.inflight);
-    match (t.spans, a.a_span) with
+    match (t.obs.Obs.spans, a.a_span) with
     | Some sp, Some rec_ ->
         Span.finish sp ~at:(Engine.now t.engine) ~attrs:[ ("outcome", outcome) ] rec_
     | _ -> ()
@@ -211,7 +175,7 @@ let conclude ?(outcome = "done") t a =
    the settle (hedge losers, late timeouts), so {!Span.check} holds. *)
 let maybe_forget t rs =
   if rs.r_settled && List.for_all (fun a -> a.a_done) rs.r_attempts then begin
-    (match (t.spans, rs.r_root) with
+    (match (t.obs.Obs.spans, rs.r_root) with
     | Some sp, Some _ ->
         Span.finish_root sp ~at:(Engine.now t.engine)
           ~attrs:[ ("outcome", rs.r_outcome) ]
@@ -226,7 +190,7 @@ let final_fail t rs reason =
     rs.r_outcome <- "failed:" ^ reason;
     Metrics.incr t.c_failed;
     trace_emitf t ~what:"fail" "req#%d abandoned (%s)" rs.r_req.Request.id reason;
-    observe_failed t ~now:(Engine.now t.engine);
+    Obs.failure t.obs ~now:(Engine.now t.engine);
     t.on_failed rs.r_req;
     maybe_forget t rs
   end
@@ -303,7 +267,7 @@ let rec dispatch ?(hedge = false) t rs m =
   rs.r_dispatches <- rs.r_dispatches + 1;
   (* The placement decision itself is an instant span under the root;
      the attempt span then covers the dispatch until it concludes. *)
-  (match (t.spans, rs.r_root) with
+  (match (t.obs.Obs.spans, rs.r_root) with
   | Some sp, Some root ->
       ignore
         (Span.complete sp ~start:now ~stop:now ~parent:root ~name:"place" ~cat:"cluster"
@@ -317,7 +281,7 @@ let rec dispatch ?(hedge = false) t rs m =
            ())
   | _ -> ());
   let a_span =
-    match (t.spans, rs.r_root) with
+    match (t.obs.Obs.spans, rs.r_root) with
     | Some sp, Some root ->
         Some
           (Span.start sp ~at:now ~parent:root
@@ -396,7 +360,9 @@ and on_node_response t rs a rq inv =
          (match rs.r_first_fail with
          | Some tf -> Metrics.observe t.h_failover_ms (Time_ns.to_ms (now - tf))
          | None -> ());
-         observe_served t ~now ~e2e_ms:(Time_ns.to_ms (now - rs.r_submit)) inv;
+         Obs.completion t.obs ~now "cluster.e2e_ms"
+           ~e2e_ms:(Time_ns.to_ms (now - rs.r_submit))
+           ~ok:true ~cold:(inv.Strategy_intf.cold_ns > 0);
          cancel_losers t rs;
          rs.r_respond rq inv
        end
@@ -494,12 +460,7 @@ and on_node_shed t m reason req =
 (* ---- fleet lifecycle -------------------------------------------------- *)
 
 and fresh_node t m =
-  let node =
-    Node.create ?trace:t.trace ~metrics:t.metrics
-      ~metrics_prefix:(Printf.sprintf "n%d." m.m_id)
-      ?rng:(node_rng t m.m_id) ?series:t.series ?recorder:t.recorder t.engine
-      t.config.node ~make_strategy:t.make_strategy
-  in
+  let node = t.new_node m.m_id in
   List.iter (fun (name, spec) -> Node.register node ~name spec) (List.rev t.fns);
   Node.set_on_shed node (fun reason req -> on_node_shed t m reason req);
   node
@@ -528,7 +489,7 @@ let restart t m =
   m.node <- fresh_node t m;
   Metrics.incr t.c_restarts;
   Metrics.set m.g_up 1.0;
-  (match t.spans with
+  (match t.obs.Obs.spans with
   | Some sp when m.down_since >= 0 ->
       ignore
         (Span.complete sp ~start:m.down_since ~stop:now
@@ -564,8 +525,7 @@ let rec tick t ~until () =
   let now = Engine.now t.engine in
   (* Roll the series window and re-evaluate burn rates every heartbeat,
      so alerts fire (and clear) even while no requests complete. *)
-  (match t.series with Some ts -> Timeseries.tick ts ~now | None -> ());
-  List.iter (fun slo -> Slo.tick slo ~now) t.slos;
+  Obs.heartbeat t.obs ~now;
   Array.iter
     (fun m ->
       (* Draw for every member, dead or alive (a draw on a dead member is
@@ -600,11 +560,21 @@ let rec tick t ~until () =
 
 (* ---- construction / API ---------------------------------------------- *)
 
-let create ?trace ?spans ?series ?(slos = []) ?recorder ?metrics ?rng
-    ?(fault = Fault.none) engine config ~make_strategy =
+let create ?(obs = Obs.none) ?rng ?(fault = Fault.none) engine config ~make_strategy =
   if config.n_nodes < 1 then invalid_arg "Cluster.create: n_nodes must be >= 1";
   if config.max_attempts < 1 then invalid_arg "Cluster.create: max_attempts must be >= 1";
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let metrics = match obs.Obs.metrics with Some m -> m | None -> Metrics.create () in
+  (* Members count into the shared registry and share the trace, series
+     and recorder. The front door alone owns the spans (hedged duplicates
+     would collide on per-request phase keys inside the nodes) and the
+     SLOs (a request is judged once, where the client sees it). *)
+  let node_obs = { obs with Obs.metrics = Some metrics; spans = None; slos = [] } in
+  let new_node i =
+    Node.create ~obs:node_obs
+      ~metrics_prefix:(Printf.sprintf "n%d." i)
+      ?rng:(Option.map (fun r -> Rng.named_split r (Printf.sprintf "cluster-node-%d" i)) rng)
+      engine config.node ~make_strategy
+  in
   let c name = Metrics.counter metrics ("cluster." ^ name) in
   let members =
     Array.init config.n_nodes (fun i ->
@@ -612,14 +582,7 @@ let create ?trace ?spans ?series ?(slos = []) ?recorder ?metrics ?rng
         let breaker_rng =
           Option.map (fun r -> Rng.named_split r (Printf.sprintf "breaker-%d" i)) rng
         in
-        let node =
-          Node.create ?trace ~metrics
-            ~metrics_prefix:(Printf.sprintf "n%d." i)
-            ?rng:(Option.map
-                    (fun r -> Rng.named_split r (Printf.sprintf "cluster-node-%d" i))
-                    rng)
-            ?series ?recorder engine config.node ~make_strategy
-        in
+        let node = new_node i in
         {
           m_id = i;
           node;
@@ -641,15 +604,10 @@ let create ?trace ?spans ?series ?(slos = []) ?recorder ?metrics ?rng
     {
       engine;
       config;
-      trace;
-      spans;
-      series;
-      slos;
-      recorder;
+      obs;
       metrics;
       fault;
-      rng;
-      make_strategy;
+      new_node;
       members;
       fns = [];
       requests = Hashtbl.create 256;
@@ -711,7 +669,7 @@ let submit t ~name req ~on_response =
   t.submitted <- t.submitted + 1;
   let now = Engine.now t.engine in
   let root =
-    match t.spans with
+    match t.obs.Obs.spans with
     | None -> None
     | Some sp ->
         Some

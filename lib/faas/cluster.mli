@@ -65,12 +65,7 @@ val default_config : config
 type t
 
 val create :
-  ?trace:Gh_sim.Trace.t ->
-  ?spans:Gh_sim.Span.t ->
-  ?series:Gh_sim.Timeseries.t ->
-  ?slos:Gh_sim.Slo.t list ->
-  ?recorder:Gh_sim.Flight_recorder.t ->
-  ?metrics:Gh_sim.Metrics.t ->
+  ?obs:Gh_sim.Obs.t ->
   ?rng:Gh_sim.Rng.t ->
   ?fault:Gh_sim.Fault.t ->
   Gh_sim.Engine.t ->
@@ -78,12 +73,16 @@ val create :
   make_strategy:(string -> Function_model.spec -> Strategy_intf.t) ->
   t
 (** Member node [i] registers its metrics under prefix ["n<i>."] in the
-    shared registry, and the cluster adds per-node [cluster.n<i>.health]
-    / [.breaker] / [.inflight] / [.up] gauges plus fleet-wide counters
-    under ["cluster."]. Counters survive restarts (find-or-create), so
-    per-node counts are cumulative across incarnations. [fault] defaults
-    to {!Gh_sim.Fault.none} — no draws, bit-identical to a fault-free
-    build.
+    shared registry ([obs.metrics], or a private one), and the cluster
+    adds per-node [cluster.n<i>.health] / [.breaker] / [.inflight] /
+    [.up] gauges plus fleet-wide counters under ["cluster."]. Counters
+    survive restarts (find-or-create), so per-node counts are cumulative
+    across incarnations. [fault] defaults to {!Gh_sim.Fault.none} — no
+    draws, bit-identical to a fault-free build.
+
+    [obs] (default {!Gh_sim.Obs.none}) supplies the collectors. Member
+    nodes get its registry, [trace], [series] and [recorder], but neither
+    [spans] nor [slos]: those belong to the front door.
 
     [spans] records cluster-level spans: one request root per submission,
     an instant ["place"] child per placement decision (attrs [placement],

@@ -1,6 +1,7 @@
 module Engine = Gh_sim.Engine
 module Trace = Gh_sim.Trace
 module Span = Gh_sim.Span
+module Obs = Gh_sim.Obs
 module Time_ns = Gh_sim.Time_ns
 module Rng = Gh_sim.Rng
 
@@ -28,6 +29,8 @@ let default_recovery =
     max_rebuild_attempts = 5;
   }
 
+let passive_recovery = { default_recovery with timeout_ns = None; quarantine_after = max_int }
+
 type scrub = {
   idle_delay : Time_ns.t;
   interval : Time_ns.t;
@@ -45,8 +48,7 @@ type t = {
   id : int;
   mutable strategy : Strategy_intf.t;
   engine : Engine.t;
-  trace : Trace.t option;
-  spans : Span.t option;
+  obs : Obs.t;
   recovery : recovery;
   rebuild : (unit -> (Strategy_intf.t, string) result) option;
   rng : Rng.t option;
@@ -68,14 +70,13 @@ type t = {
   mutable scrub_corruptions : int;
 }
 
-let create ?trace ?spans ?(recovery = default_recovery) ?rebuild ?rng ?scrub engine ~id
+let create ?(obs = Obs.none) ?(recovery = default_recovery) ?rebuild ?rng ?scrub engine ~id
     strategy =
   {
     id;
     strategy;
     engine;
-    trace;
-    spans;
+    obs;
     recovery;
     rebuild;
     rng;
@@ -98,8 +99,8 @@ let create ?trace ?spans ?(recovery = default_recovery) ?rebuild ?rng ?scrub eng
   }
 
 let trace_emit t ~what detail =
-  Trace.emitf_opt t.trace ~at:(Engine.now t.engine) ~category:"container" ~what "c%d %s" t.id
-    detail
+  Trace.emitf_opt t.obs.Obs.trace ~at:(Engine.now t.engine) ~category:"container" ~what
+    "c%d %s" t.id detail
 
 (* Span emission for one invocation. Every bound below is already decided
    when the strategy returns (the simulated work is pure), so the whole
@@ -108,7 +109,7 @@ let trace_emit t ~what detail =
    is recorded up front with exact timestamps. Reads [Engine.now] only:
    zero simulated cost. *)
 let span_emit t req (inv : Strategy_intf.invocation) ~dispatch_ns =
-  match t.spans with
+  match t.obs.Obs.spans with
   | None -> ()
   | Some sp ->
       let now = Engine.now t.engine in
@@ -303,7 +304,7 @@ let submit ?(dispatch_ns = 0) t req ~on_response =
               trace_emit t ~what:"timeout"
                 (Printf.sprintf "req#%d killed after %.0fms" req.Request.id
                    (Time_ns.to_ms timeout));
-              (match t.spans with
+              (match t.obs.Obs.spans with
               | Some sp ->
                   let now = Engine.now t.engine in
                   ignore

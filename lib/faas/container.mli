@@ -45,6 +45,11 @@ type recovery = {
 val default_recovery : recovery
 (** 1 s timeout, quarantine after 3, {!Backoff.default}, 5 rebuild tries. *)
 
+val passive_recovery : recovery
+(** {!default_recovery} with no hang timeout and no quarantine: a hang
+    wedges its container, and an owner that passes no rebuild path
+    retires a poisoned one — fail closed, no replacement. *)
+
 type scrub = {
   idle_delay : Gh_sim.Time_ns.t;
       (** Quiet time after going idle before the first slice (back-to-back
@@ -69,8 +74,7 @@ val default_scrub : scrub
 type t
 
 val create :
-  ?trace:Gh_sim.Trace.t ->
-  ?spans:Gh_sim.Span.t ->
+  ?obs:Gh_sim.Obs.t ->
   ?recovery:recovery ->
   ?rebuild:(unit -> (Strategy_intf.t, string) result) ->
   ?rng:Gh_sim.Rng.t ->
@@ -79,9 +83,10 @@ val create :
   id:int ->
   Strategy_intf.t ->
   t
-(** [trace] records serve/respond/restore/idle transitions (and the
-    recovery transitions). [spans] records the request-scoped span tree for
-    every invocation served here: an ["exec"] span (with cold-start,
+(** [obs] (default {!Gh_sim.Obs.none}) supplies the collectors: its
+    [trace] records serve/respond/restore/idle transitions (and the
+    recovery transitions); its [spans] record the request-scoped span tree
+    for every invocation served here: an ["exec"] span (with cold-start,
     on-path-restore and actionloop-I/O children where the strategy reports
     them) plus the deferred ["restore"] span with one child per
     {!Groundhog_core.Breakdown} step, marked [offpath]. Emission reads the

@@ -2,8 +2,7 @@ module Engine = Gh_sim.Engine
 module Rng = Gh_sim.Rng
 module Span = Gh_sim.Span
 module Time_ns = Gh_sim.Time_ns
-module Timeseries = Gh_sim.Timeseries
-module Slo = Gh_sim.Slo
+module Obs = Gh_sim.Obs
 
 type overhead_model = {
   base_ns : Time_ns.t;
@@ -27,9 +26,7 @@ type sink = Request.t -> on_response:(Request.t -> Strategy_intf.invocation -> u
 type t = {
   engine : Engine.t;
   rng : Rng.t;
-  spans : Span.t option;
-  series : Timeseries.t option;
-  slos : Slo.t list;
+  obs : Obs.t;
   sink : sink;
   overhead : overhead_model;
   ttl_ns : Time_ns.t option;
@@ -45,17 +42,14 @@ type completion = {
   invoker_ns : Time_ns.t;
 }
 
-let create_sink ?(overhead = default_overhead) ?ttl_ns ?spans ?series ?(slos = []) engine
-    ~rng sink =
+let create_sink ?(overhead = default_overhead) ?ttl_ns ?(obs = Obs.none) engine ~rng sink =
   (match ttl_ns with
   | Some ttl when ttl <= 0 -> invalid_arg "Controller.create: ttl_ns must be positive"
   | _ -> ());
   {
     engine;
     rng = Rng.split rng;
-    spans;
-    series;
-    slos;
+    obs;
     sink;
     overhead;
     ttl_ns;
@@ -64,8 +58,8 @@ let create_sink ?(overhead = default_overhead) ?ttl_ns ?spans ?series ?(slos = [
     on_shed = ignore;
   }
 
-let create ?overhead ?ttl_ns ?spans ?series ?slos engine ~rng invoker =
-  create_sink ?overhead ?ttl_ns ?spans ?series ?slos engine ~rng (fun req ~on_response ->
+let create ?overhead ?ttl_ns ?obs engine ~rng invoker =
+  create_sink ?overhead ?ttl_ns ?obs engine ~rng (fun req ~on_response ->
       Invoker.submit invoker req ~on_response)
 
 let submit t req ~on_complete =
@@ -80,7 +74,7 @@ let submit t req ~on_complete =
   (* Authentication, routing and the trip to the invoker VM. *)
   let front = sample_overhead t.overhead t.rng * 6 / 10 in
   let back = sample_overhead t.overhead t.rng * 4 / 10 in
-  (match t.spans with
+  (match t.obs.Obs.spans with
   | Some sp ->
       let root =
         Span.ensure_root sp ~at:t0 ~req_id:req.Request.id
@@ -97,14 +91,10 @@ let submit t req ~on_complete =
       if Request.expired req ~now:(Engine.now t.engine) then begin
         t.shed <- t.shed + 1;
         let now = Engine.now t.engine in
-        List.iter
-          (fun slo ->
-            Slo.record_completion slo ~now ~ok:false ~e2e_ms:Float.infinity ~cold:false;
-            Slo.tick slo ~now)
-          t.slos;
-        (match t.spans with
+        Obs.failure t.obs ~now;
+        (match t.obs.Obs.spans with
         | Some sp ->
-            Span.finish_root sp ~at:(Engine.now t.engine)
+            Span.finish_root sp ~at:now
               ~attrs:[ ("outcome", "shed"); ("reason", "expired") ]
               ~req_id:req.Request.id ()
         | None -> ());
@@ -113,7 +103,7 @@ let submit t req ~on_complete =
       else
         t.sink req ~on_response:(fun request invocation ->
           let respond_at = Engine.now t.engine in
-          (match t.spans with
+          (match t.obs.Obs.spans with
           | Some sp -> (
               match Span.find_root sp ~req_id:request.Request.id with
               | Some root ->
@@ -125,24 +115,15 @@ let submit t req ~on_complete =
           Engine.schedule t.engine ~after:back (fun () ->
               t.completions <- t.completions + 1;
               let now = Engine.now t.engine in
-              let e2e_ms = Time_ns.to_ms (now - t0) in
-              (match t.series with
-              | Some ts ->
-                  Timeseries.tick ts ~now;
-                  Timeseries.observe ts ~now "controller.e2e_ms" e2e_ms
-              | None -> ());
               let ok =
                 match invocation.Strategy_intf.outcome with
                 | Strategy_intf.Completed | Strategy_intf.Poisoned -> true
                 | Strategy_intf.Crashed | Strategy_intf.Hung -> false
               in
-              List.iter
-                (fun slo ->
-                  Slo.record_completion slo ~now ~ok ~e2e_ms
-                    ~cold:(invocation.Strategy_intf.cold_ns > 0);
-                  Slo.tick slo ~now)
-                t.slos;
-              (match t.spans with
+              Obs.completion t.obs ~now "controller.e2e_ms"
+                ~e2e_ms:(Time_ns.to_ms (now - t0))
+                ~ok ~cold:(invocation.Strategy_intf.cold_ns > 0);
+              (match t.obs.Obs.spans with
               | Some sp ->
                   Span.finish_root sp ~at:now
                     ~attrs:

@@ -31,9 +31,7 @@ type completion = {
 val create :
   ?overhead:overhead_model ->
   ?ttl_ns:Gh_sim.Time_ns.t ->
-  ?spans:Gh_sim.Span.t ->
-  ?series:Gh_sim.Timeseries.t ->
-  ?slos:Gh_sim.Slo.t list ->
+  ?obs:Gh_sim.Obs.t ->
   Gh_sim.Engine.t ->
   rng:Gh_sim.Rng.t ->
   Invoker.t ->
@@ -43,23 +41,22 @@ val create :
     then propagates through invoker and container dispatch, each of which
     sheds the request if it has already expired. Omitted (the default), no
     deadline is ever stamped — the pre-overload-protection behavior,
-    bit-identical. [spans] opens the request's root span at arrival, wraps
-    the front/return platform overheads in ["controller"] spans, and closes
-    the root at client response with ["outcome"] and ["e2e_ns"]
-    attributes — timestamp reads only, zero simulated cost.
+    bit-identical.
 
+    [obs] (default {!Gh_sim.Obs.none}) supplies the collectors. Its
+    [spans] open the request's root span at arrival, wrap the front/return
+    platform overheads in ["controller"] spans, and close the root at
+    client response with ["outcome"] and ["e2e_ns"] attributes. Its
     [series] samples client-observed latency into a [controller.e2e_ms]
-    window sketch on every completion; [slos] see every completion
-    ([ok] iff the outcome is [Completed] or [Poisoned], latency = e2e)
-    and every front-door shed (a bad event). Like [spans], both read the
-    clock only — no simulated time is charged. *)
+    window sketch on every completion; its [slos] see every completion
+    ([ok] iff the outcome is [Completed] or [Poisoned], latency = e2e) and
+    every front-door shed (a bad event). All of it reads the clock only —
+    no simulated time is charged. *)
 
 val create_sink :
   ?overhead:overhead_model ->
   ?ttl_ns:Gh_sim.Time_ns.t ->
-  ?spans:Gh_sim.Span.t ->
-  ?series:Gh_sim.Timeseries.t ->
-  ?slos:Gh_sim.Slo.t list ->
+  ?obs:Gh_sim.Obs.t ->
   Gh_sim.Engine.t ->
   rng:Gh_sim.Rng.t ->
   sink ->

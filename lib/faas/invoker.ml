@@ -1,6 +1,7 @@
 module Engine = Gh_sim.Engine
 module Rng = Gh_sim.Rng
 module Span = Gh_sim.Span
+module Obs = Gh_sim.Obs
 module Time_ns = Gh_sim.Time_ns
 
 type recovery = {
@@ -23,7 +24,7 @@ type recovery_stats = {
 
 type t = {
   engine : Engine.t;
-  spans : Span.t option;
+  obs : Obs.t;
   containers : Container.t array;
   (* Payload: the request's response callback. *)
   queue : (Request.t -> Strategy_intf.invocation -> unit) Admission.t;
@@ -63,22 +64,12 @@ let with_cold_start (s : Strategy_intf.t) =
         end);
   }
 
-(* Without recovery, containers get no rebuild path and no hang timeout:
-   a hang wedges its container (the pre-recovery behaviour) and a poisoned
-   restore retires it — fail closed either way. *)
-let passive_recovery =
-  {
-    Container.default_recovery with
-    Container.timeout_ns = None;
-    quarantine_after = max_int;
-  }
-
 let rec submit t req ~on_response =
   (match t.recovery with
   | Some _ -> Hashtbl.replace t.inflight req.Request.id on_response
   | None -> ());
   let now = Engine.now t.engine in
-  (match t.spans with
+  (match t.obs.Obs.spans with
   | Some sp ->
       ignore
         (Span.ensure_root sp ~at:now ~req_id:req.Request.id
@@ -94,7 +85,7 @@ let rec submit t req ~on_response =
     | Some c -> Container.submit ~dispatch_ns:t.dispatch_ns c req ~on_response
     | None ->
         let enqueued = Admission.admit t.queue ~now req on_response in
-        (match t.spans with
+        (match t.obs.Obs.spans with
         | Some sp when enqueued ->
             Span.phase_start sp ~at:now ~req_id:req.Request.id ~name:"invoker-queue"
               ~cat:"queue" ()
@@ -125,7 +116,7 @@ let handle_failure t r c failure =
         | Some _ -> Hashtbl.remove t.inflight req.Request.id
         | None -> ());
         t.failed_requests <- t.failed_requests + 1;
-        (match t.spans with
+        (match t.obs.Obs.spans with
         | Some sp ->
             Span.finish_root sp ~at:(Engine.now t.engine)
               ~attrs:[ ("outcome", "failed") ]
@@ -143,13 +134,16 @@ let handle_failure t r c failure =
             | None -> ())
       end
 
-let create ?(prestarted = true) ?trace ?spans ?recovery ?rng ?scrub
+let create ?(prestarted = true) ?(obs = Obs.none) ?recovery ?rng ?scrub
     ?(admission = Admission.unbounded) engine ~n_containers ~dispatch_ns ~make_strategy =
   if n_containers < 1 then invalid_arg "Invoker.create: need at least one container";
   let strategies = Array.init n_containers make_strategy in
   let strategies = if prestarted then strategies else Array.map with_cold_start strategies in
+  (* Without recovery, containers get no rebuild path and no hang timeout:
+     a hang wedges its container (the pre-recovery behaviour) and a
+     poisoned restore retires it — fail closed either way. *)
   let container_recovery =
-    match recovery with Some r -> r.container | None -> passive_recovery
+    match recovery with Some r -> r.container | None -> Container.passive_recovery
   in
   let rebuild_for i =
     match recovery with
@@ -164,7 +158,7 @@ let create ?(prestarted = true) ?trace ?spans ?recovery ?rng ?scrub
   let containers =
     Array.mapi
       (fun i strategy ->
-        Container.create ?trace ?spans ~recovery:container_recovery
+        Container.create ~obs ~recovery:container_recovery
           ?rebuild:(rebuild_for i) ?rng ?scrub engine ~id:i strategy)
       strategies
   in
@@ -177,10 +171,11 @@ let create ?(prestarted = true) ?trace ?spans ?recovery ?rng ?scrub
   let t =
     {
       engine;
-      spans;
+      obs;
       containers;
       queue =
-        Admission.create ?trace ~label:"invoker" ~on_shed:(fun r rq p -> !shed_hook r rq p)
+        Admission.create ?trace:obs.Obs.trace ~label:"invoker"
+          ~on_shed:(fun r rq p -> !shed_hook r rq p)
           admission;
       dispatch_ns;
       init_ns;
@@ -202,7 +197,7 @@ let create ?(prestarted = true) ?trace ?spans ?recovery ?rng ?scrub
           bookkeeping so the tables don't leak. *)
        Hashtbl.remove t.attempts req.Request.id;
        Hashtbl.remove t.inflight req.Request.id;
-       (match t.spans with
+       (match t.obs.Obs.spans with
        | Some sp ->
            let now = Engine.now t.engine in
            Span.phase_stop sp ~at:now ~req_id:req.Request.id ~name:"invoker-queue" ();
@@ -217,7 +212,7 @@ let create ?(prestarted = true) ?trace ?spans ?recovery ?rng ?scrub
           let now = Engine.now t.engine in
           match Admission.take t.queue ~now with
           | Some (req, on_response) ->
-              (match t.spans with
+              (match t.obs.Obs.spans with
               | Some sp ->
                   Span.phase_stop sp ~at:now ~req_id:req.Request.id ~name:"invoker-queue" ()
               | None -> ());

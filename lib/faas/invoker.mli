@@ -38,8 +38,7 @@ type t
 
 val create :
   ?prestarted:bool ->
-  ?trace:Gh_sim.Trace.t ->
-  ?spans:Gh_sim.Span.t ->
+  ?obs:Gh_sim.Obs.t ->
   ?recovery:recovery ->
   ?rng:Gh_sim.Rng.t ->
   ?scrub:Container.scrub ->
@@ -63,7 +62,9 @@ val create :
     through the same pipeline, before any request is served from the bad
     snapshot. [admission]
     (default {!Admission.unbounded}) bounds the wait queue and selects the
-    shedding policy. [spans] records request-scoped spans: a root per
+    shedding policy. [obs] (default {!Gh_sim.Obs.none}) is shared with
+    every container and the admission queue: its [trace] records their
+    transitions, and its [spans] record request-scoped spans — a root per
     request, an ["invoker-queue"] phase while queued, and the containers'
     exec/restore trees; shed and abandoned requests get their root closed
     here with an ["outcome"] attribute. *)

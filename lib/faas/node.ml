@@ -4,9 +4,7 @@ module Trace = Gh_sim.Trace
 module Span = Gh_sim.Span
 module Metrics = Gh_sim.Metrics
 module Rng = Gh_sim.Rng
-module Timeseries = Gh_sim.Timeseries
-module Slo = Gh_sim.Slo
-module Flight_recorder = Gh_sim.Flight_recorder
+module Obs = Gh_sim.Obs
 
 type config = {
   total_cores : int;
@@ -81,6 +79,7 @@ type pool = {
   completed : Metrics.counter;
   cold_starts : Metrics.counter;
   evictions : Metrics.counter;
+  e2e_name : string;  (* the histogram's name, also its series' *)
   e2e : Metrics.histogram;  (* milliseconds *)
   timeouts : Metrics.counter;
   failed_requests : Metrics.counter;
@@ -100,17 +99,13 @@ type pool = {
 type t = {
   engine : Engine.t;
   config : config;
-  trace : Trace.t option;
-  spans : Span.t option;
-  metrics : Metrics.t;
+  (* Clock-read-only: series roll on ticks the node already takes, SLOs
+     classify completions, the recorder freezes the pre-failure window on
+     failure edges. *)
+  obs : Obs.t;
+  metrics : Metrics.t;  (* [obs.metrics], or a private registry *)
   prefix : string;
   rng : Rng.t option;
-  (* Windowed observability, all clock-read-only: series roll on ticks
-     the node already takes, SLOs classify completions, the recorder
-     freezes the pre-failure window on failure edges. *)
-  series : Timeseries.t option;
-  slos : Slo.t list;
-  recorder : Flight_recorder.t option;
   make_strategy : string -> Function_model.spec -> Strategy_intf.t;
   pools : (string, pool) Hashtbl.t;
   brownout : Brownout.t option;
@@ -126,24 +121,19 @@ type t = {
   mutable on_shed : Admission.reason -> Request.t -> unit;
 }
 
-let create ?trace ?spans ?metrics ?(metrics_prefix = "") ?rng ?series ?(slos = []) ?recorder
-    engine config ~make_strategy =
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+let create ?(obs = Obs.none) ?(metrics_prefix = "") ?rng engine config ~make_strategy =
+  let metrics = match obs.Obs.metrics with Some m -> m | None -> Metrics.create () in
   let g name = Metrics.gauge metrics (metrics_prefix ^ "node." ^ name) in
   {
     engine;
     config;
-    trace;
-    spans;
+    obs;
     metrics;
     prefix = metrics_prefix;
     rng;
-    series;
-    slos;
-    recorder;
     make_strategy;
     pools = Hashtbl.create 16;
-    brownout = Option.map (fun cfg -> Brownout.create ?trace cfg) config.brownout;
+    brownout = Option.map (fun cfg -> Brownout.create ?trace:obs.Obs.trace cfg) config.brownout;
     g_used_mb = g "used_mb";
     g_high_water_mb = g "high_water_mb";
     g_busy = g "cores_busy";
@@ -157,7 +147,7 @@ let create ?trace ?spans ?metrics ?(metrics_prefix = "") ?rng ?series ?(slos = [
 let metrics t = t.metrics
 
 let trace_emitf t ~what fmt =
-  Trace.emitf_opt t.trace ~at:(Engine.now t.engine) ~category:"node" ~what fmt
+  Trace.emitf_opt t.obs.Obs.trace ~at:(Engine.now t.engine) ~category:"node" ~what fmt
 
 let sync_gauges t =
   Metrics.set t.g_used_mb (float_of_int t.used_mb);
@@ -166,74 +156,51 @@ let sync_gauges t =
 
 let fn_metric t name field = Printf.sprintf "%snode.%s.%s" t.prefix name field
 
-(* One completion into the windowed series and the SLOs. Reads the clock
-   it is handed, schedules nothing. The per-step restore series give
-   each restore phase its own quantile window, so a regression in (say)
-   page-copy alone is visible without un-averaging the total. *)
+(* One completion into the windowed series and the SLOs. The per-step
+   restore series give each restore phase its own quantile window, so a
+   regression in (say) page-copy alone is visible without un-averaging
+   the total; their names are built only when a series is attached. *)
 let observe_completion t pool ~now ~e2e_ms (inv : Strategy_intf.invocation) =
-  (match t.series with
-  | Some ts ->
-      Timeseries.tick ts ~now;
-      Timeseries.observe ts ~now (fn_metric t pool.fn_name "e2e_ms") e2e_ms;
-      (match inv.Strategy_intf.breakdown with
-      | Some b ->
-          List.iter
-            (fun (label, ms) ->
-              Timeseries.observe ts ~now
-                (fn_metric t pool.fn_name ("restore." ^ label ^ "_ms"))
-                ms)
-            (Groundhog_core.Breakdown.steps_ms b)
-      | None -> ())
-  | None -> ());
+  let steps =
+    match (t.obs.Obs.series, inv.Strategy_intf.breakdown) with
+    | Some _, Some b ->
+        Some
+          (List.map
+             (fun (label, ms) -> (fn_metric t pool.fn_name ("restore." ^ label ^ "_ms"), ms))
+             (Groundhog_core.Breakdown.steps_ms b))
+    | _ -> None
+  in
   let ok =
     match inv.Strategy_intf.outcome with
     | Strategy_intf.Completed | Strategy_intf.Poisoned -> true
     | Strategy_intf.Crashed | Strategy_intf.Hung -> false
   in
-  List.iter
-    (fun slo ->
-      Slo.record_completion slo ~now ~ok ~e2e_ms
-        ~cold:(inv.Strategy_intf.cold_ns > 0);
-      Slo.tick slo ~now)
-    t.slos
-
-(* A request the node gave up on (shed, brownout, retry budget): bad for
-   availability and latency alike — the caller never got an answer. *)
-let observe_failure t ~now =
-  List.iter
-    (fun slo ->
-      Slo.record_completion slo ~now ~ok:false ~e2e_ms:Float.infinity ~cold:false;
-      Slo.tick slo ~now)
-    t.slos
+  Obs.completion t.obs ~now ?steps pool.e2e_name ~e2e_ms ~ok
+    ~cold:(inv.Strategy_intf.cold_ns > 0)
 
 let record_failure_edge t ~reason ~detail =
-  match t.recorder with
-  | Some r ->
-      ignore
-        (Flight_recorder.snapshot r ~now:(Engine.now t.engine) ~node:t.prefix ~reason
-           ~detail ())
-  | None -> ()
+  Obs.failure_edge t.obs ~now:(Engine.now t.engine) ~node:t.prefix ~reason ~detail
 
 let register t ~name spec =
   if Hashtbl.mem t.pools name then invalid_arg "Node.register: duplicate function";
   let pool_on_shed = ref (fun (_ : Admission.reason) (_ : Request.t) (_ : pending) -> ()) in
   let c field = Metrics.counter t.metrics (fn_metric t name field) in
+  let e2e_name = fn_metric t name "e2e_ms" in
   let pool =
     {
       fn_name = name;
       spec;
       slots = [];
       queue =
-        Admission.create ?trace:t.trace ~label:name
+        Admission.create ?trace:t.obs.Obs.trace ~label:name
           ~on_shed:(fun r rq p -> !pool_on_shed r rq p)
           t.config.admission;
       completed = c "completed";
       cold_starts = c "cold_starts";
       evictions = c "evictions";
+      e2e_name;
       e2e =
-        Metrics.histogram t.metrics
-          (fn_metric t name "e2e_ms")
-          ~capacity:e2e_reservoir_capacity
+        Metrics.histogram t.metrics e2e_name ~capacity:e2e_reservoir_capacity
           ~seed:(Hashtbl.hash ("node-e2e", name))
           ~sampling:Metrics.All;
       timeouts = c "timeouts";
@@ -256,8 +223,8 @@ let register t ~name spec =
        Hashtbl.remove pool.attempts req.Request.id;
        trace_emitf t ~what:"shed" "%s req#%d (%s)" name req.Request.id
          (Admission.reason_name reason);
-       observe_failure t ~now:(Engine.now t.engine);
-       (match t.spans with
+       Obs.failure t.obs ~now:(Engine.now t.engine);
+       (match t.obs.Obs.spans with
        | Some sp ->
            let now = Engine.now t.engine in
            Span.phase_stop sp ~at:now ~req_id:req.Request.id ~name:"node-queue" ();
@@ -298,7 +265,7 @@ let rec dispatch t pool slot pending =
   slot.epoch <- slot.epoch + 1;
   t.busy <- t.busy + 1;
   sync_gauges t;
-  (match t.spans with
+  (match t.obs.Obs.spans with
   | Some sp ->
       Span.phase_stop sp ~at:(Engine.now t.engine) ~req_id:pending.req.Request.id
         ~name:"node-queue" ()
@@ -317,7 +284,7 @@ let rec dispatch t pool slot pending =
       | Strategy_intf.Unverified -> ()
       | Strategy_intf.Verified blocks -> Metrics.incr ~by:blocks pool.verified_blocks
       | Strategy_intf.Verify_failed _ -> Metrics.incr pool.verify_failures);
-      (match t.spans with
+      (match t.obs.Obs.spans with
       | Some sp ->
           Span.finish_root sp ~at:now
             ~attrs:
@@ -412,10 +379,10 @@ and on_slot_failure t recovery pool (_slot : slot) failure =
           if tries >= r.Invoker.max_attempts then begin
             Hashtbl.remove pool.attempts req.Request.id;
             Metrics.incr pool.failed_requests;
-            observe_failure t ~now:(Engine.now t.engine);
+            Obs.failure t.obs ~now:(Engine.now t.engine);
             trace_emitf t ~what:"give-up" "%s req#%d after %d tries" pool.fn_name
               req.Request.id tries;
-            match t.spans with
+            match t.obs.Obs.spans with
             | Some sp ->
                 Span.finish_root sp ~at:(Engine.now t.engine)
                   ~attrs:[ ("outcome", "failed") ]
@@ -431,7 +398,7 @@ and on_slot_failure t recovery pool (_slot : slot) failure =
                   Admission.admit pool.queue ~now req
                     { req; submitted = now; on_complete = None }
                 then
-                  match t.spans with
+                  match t.obs.Obs.spans with
                   | Some sp ->
                       Span.phase_start sp ~at:now ~req_id:req.Request.id ~name:"node-queue"
                         ~cat:"queue" ();
@@ -462,15 +429,9 @@ and try_cold_start t pool =
             (* Passive: hangs wedge their container, poisoned restores
                retire it — fail closed, no replacement (pre-recovery
                behaviour, and bit-identical in fault-free runs). *)
-            ( Some
-                {
-                  Container.default_recovery with
-                  Container.timeout_ns = None;
-                  quarantine_after = max_int;
-                },
-              None )
+            (Container.passive_recovery, None)
         | Some r ->
-            ( Some r.Invoker.container,
+            ( r.Invoker.container,
               (* The rebuild pays its init during [Replacing], so the raw
                  (not cold-start-wrapped) strategy is wanted here. *)
               Some
@@ -480,8 +441,8 @@ and try_cold_start t pool =
                   | exception Failure msg -> Error msg) )
       in
       let container =
-        Container.create ?trace:t.trace ?spans:t.spans ?recovery:container_recovery ?rebuild
-          ?rng:t.rng ?scrub:t.config.scrub t.engine ~id strategy
+        Container.create ~obs:t.obs ~recovery:container_recovery ?rebuild ?rng:t.rng
+          ?scrub:t.config.scrub t.engine ~id strategy
       in
       let slot = { container; memory_mb; epoch = 0; alive = true } in
       Container.set_on_idle container (fun _ -> on_slot_idle t pool slot);
@@ -552,8 +513,8 @@ let submit ?on_complete t ~name req =
     | None -> raise Not_found
   in
   let now = Engine.now t.engine in
-  (match t.series with Some ts -> Timeseries.tick ts ~now | None -> ());
-  (match t.spans with
+  Obs.tick t.obs ~now;
+  (match t.obs.Obs.spans with
   | Some sp ->
       ignore
         (Span.ensure_root sp ~at:now ~req_id:req.Request.id
@@ -564,10 +525,10 @@ let submit ?on_complete t ~name req =
   | Some b when Brownout.should_shed b req.Request.principal ->
       (* Priority shed happens before the queue ever sees the request. *)
       Metrics.incr pool.brownout_shed;
-      observe_failure t ~now;
+      Obs.failure t.obs ~now;
       trace_emitf t ~what:"shed" "%s req#%d (brownout, priority %d)" name req.Request.id
         (Principal.priority req.Request.principal);
-      (match t.spans with
+      (match t.obs.Obs.spans with
       | Some sp ->
           Span.finish_root sp ~at:now
             ~attrs:[ ("outcome", "shed"); ("reason", "brownout") ]
@@ -576,7 +537,7 @@ let submit ?on_complete t ~name req =
       t.on_shed Admission.Brownout req
   | _ ->
       if Admission.admit pool.queue ~now req { req; submitted = now; on_complete } then begin
-        (match t.spans with
+        (match t.obs.Obs.spans with
         | Some sp ->
             Span.phase_start sp ~at:now ~req_id:req.Request.id ~name:"node-queue" ~cat:"queue"
               ()
@@ -598,7 +559,7 @@ let cancel t ~name ~req_id =
           Hashtbl.remove pool.attempts req_id;
           Metrics.incr pool.cancelled;
           trace_emitf t ~what:"cancel" "%s req#%d (hedge loser)" name req_id;
-          (match t.spans with
+          (match t.obs.Obs.spans with
           | Some sp ->
               Span.phase_stop sp ~at:(Engine.now t.engine) ~req_id ~name:"node-queue" ()
           | None -> ());

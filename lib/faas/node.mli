@@ -83,14 +83,9 @@ type fn_stats = {
 }
 
 val create :
-  ?trace:Gh_sim.Trace.t ->
-  ?spans:Gh_sim.Span.t ->
-  ?metrics:Gh_sim.Metrics.t ->
+  ?obs:Gh_sim.Obs.t ->
   ?metrics_prefix:string ->
   ?rng:Gh_sim.Rng.t ->
-  ?series:Gh_sim.Timeseries.t ->
-  ?slos:Gh_sim.Slo.t list ->
-  ?recorder:Gh_sim.Flight_recorder.t ->
   Gh_sim.Engine.t ->
   config ->
   make_strategy:(string -> Function_model.spec -> Strategy_intf.t) ->
@@ -100,22 +95,25 @@ val create :
     cold-restart rebuild path (a [Failure] it raises becomes a failed
     rebuild attempt). [rng] jitters the recovery backoff delays.
 
-    [spans] records request-scoped spans: a root per request (attrs
-    [principal], [fn]), a ["node-queue"] phase while queued, the
-    containers' exec/restore trees, and root closure with [outcome] and
-    [e2e_ns] at response (or shed/give-up). [metrics] supplies the
-    registry holding every per-function counter and latency histogram
-    (names [<prefix>node.<fn>.<field>]) plus node-wide gauges; a private
-    registry is created when omitted, so counting behavior never changes —
-    {!stats} reads the same numbers either way.
-
-    [series] collects windowed samples — per-function end-to-end latency
-    and per-step restore costs feed its quantile sketches, and its lazy
-    window rolls capture the registry's counters and gauges. [slos] are
-    evaluated on every completion, shed and give-up; [recorder] snapshots
-    the pre-failure window on every failure edge (container poisoned,
-    slot quarantined, scrub corruption). All instrumentation reads the
-    engine clock only; simulated time and RNG draws are untouched. *)
+    [obs] (default {!Gh_sim.Obs.none}) supplies the collectors, shared
+    with every container:
+    - [metrics] is the registry holding every per-function counter and
+      latency histogram (names [<metrics_prefix>node.<fn>.<field>]) plus
+      node-wide gauges; a private registry is created when it is [None],
+      so counting behavior never changes — {!stats} reads the same
+      numbers either way;
+    - [spans] record request-scoped spans: a root per request (attrs
+      [principal], [fn]), a ["node-queue"] phase while queued, the
+      containers' exec/restore trees, and root closure with [outcome] and
+      [e2e_ns] at response (or shed/give-up);
+    - [series] collects windowed samples — per-function end-to-end
+      latency and per-step restore costs feed its quantile sketches, and
+      its lazy window rolls capture the registry's counters and gauges;
+    - [slos] are evaluated on every completion, shed and give-up;
+    - [recorder] snapshots the pre-failure window on every failure edge
+      (container poisoned, slot quarantined, scrub corruption).
+    All instrumentation reads the engine clock only; simulated time and
+    RNG draws are untouched. *)
 
 val metrics : t -> Gh_sim.Metrics.t
 (** The registry backing {!stats} — pass it to an exporter. *)

@@ -34,13 +34,16 @@ val deploy :
   t
 (** Build engine, invoker (with [n_cores] containers) and controller.
     [make_strategy i] supplies container [i]'s isolation strategy.
-    [trace] records container transitions for debugging; [spans] records
-    the request-scoped span tree across controller, invoker queue and
-    containers (see {!Controller.create}). [ttl_ns] makes the controller
-    stamp deadlines (see {!Controller.create}); [admission] bounds the
-    invoker queue; [scrub] enables idle-time snapshot scrubbing in every
-    container (reads memory and the clock only — timings are unchanged in
-    corruption-free runs). [series] / [slos] attach windowed time-series
-    collection and burn-rate objectives at the controller (see
-    {!Controller.create}). All default to off — the uninstrumented
-    deployment is bit-identical to earlier revisions. *)
+    [ttl_ns] makes the controller stamp deadlines (see
+    {!Controller.create}); [admission] bounds the invoker queue; [scrub]
+    enables idle-time snapshot scrubbing in every container (reads memory
+    and the clock only — timings are unchanged in corruption-free runs).
+
+    The four collectors become the one {!Gh_sim.Obs.t} that invoker,
+    containers and controller share: [trace] records container
+    transitions for debugging; [spans] records the request-scoped span
+    tree across controller, invoker queue and containers; [series] /
+    [slos] attach windowed time-series collection and burn-rate
+    objectives at the controller (see {!Controller.create}). All default
+    to off — the uninstrumented deployment is bit-identical to earlier
+    revisions. *)

@@ -87,7 +87,7 @@ type fleet = {
   ttl : Time_ns.t;
 }
 
-let fleet ?trace ?spans ?series ?slos ?recorder ~metrics cfg spec ~seed ~service ~label ~load
+let fleet ?obs cfg spec ~seed ~service ~label ~load
     ~min_span_s ~fault_per_min ~crashes ~placement ~failover ~requests =
   let root = Rng.create seed in
   let fleet_cores = n_nodes * cores_per_node in
@@ -173,8 +173,8 @@ let fleet ?trace ?spans ?series ?slos ?recorder ~metrics cfg spec ~seed ~service
     }
   in
   let cluster =
-    Cluster.create ?trace ?spans ?series ?slos ?recorder ~metrics
-      ~rng:(Rng.named_split root "cluster") ~fault engine cluster_config ~make_strategy
+    Cluster.create ?obs ~rng:(Rng.named_split root "cluster") ~fault engine cluster_config
+      ~make_strategy
   in
   Cluster.register cluster ~name:spec.Fm.name spec;
   let controller =
@@ -227,7 +227,7 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
      fleet, spread so the failover arm rarely loses the whole fleet at
      once. *)
   let f =
-    fleet ~metrics:(Gh_sim.Metrics.create ()) cfg spec ~seed ~service ~label:"cluster"
+    fleet cfg spec ~seed ~service ~label:"cluster"
       ~load:0.45 ~min_span_s:4.5 ~fault_per_min:rate_per_min
       ~crashes:[ (0, 0.05); (1, 0.35); (2, 0.65) ]
       ~placement ~failover ~requests

@@ -62,12 +62,7 @@ type fleet = {
 }
 
 val fleet :
-  ?trace:Gh_sim.Trace.t ->
-  ?spans:Gh_sim.Span.t ->
-  ?series:Gh_sim.Timeseries.t ->
-  ?slos:Gh_sim.Slo.t list ->
-  ?recorder:Gh_sim.Flight_recorder.t ->
-  metrics:Gh_sim.Metrics.t ->
+  ?obs:Gh_sim.Obs.t ->
   Config.t ->
   Gh_faas.Function_model.spec ->
   seed:int ->
@@ -92,8 +87,9 @@ val fleet :
       ([label ^ "-plan"]): background crashes/hangs at that per-node
       rate, message loss, heartbeat drops, plus one scheduled crash per
       [(node, fraction of the arrival span)] in [crashes];
-    - the cluster config, with the given collectors attached, and a
-      controller sink enforcing the deadline. *)
+    - the cluster config, with [obs]'s collectors attached (see
+      {!Gh_faas.Cluster.create}), and a controller sink enforcing the
+      deadline. *)
 
 val launch : fleet -> on_complete:(Gh_faas.Controller.completion -> unit) -> unit
 (** Submit one uncounted warm-up request per core at t=0, start the

@@ -66,6 +66,9 @@ let instrumented t =
 
 let effective_jobs t = if instrumented t then 1 else max 1 t.jobs
 
+let obs t =
+  { Gh_sim.Obs.none with spans = t.spans; metrics = t.metrics; series = t.series; slos = t.slos }
+
 (* The CLI flags responsible for the serial downgrade, for the warning
    the driver prints when [jobs > 1] is being overridden. *)
 let downgrade_reasons t =

@@ -49,6 +49,10 @@ val effective_jobs : t -> int
     state, so instrumented runs serialize rather than lock every record
     call. *)
 
+val obs : t -> Gh_sim.Obs.t
+(** The collectors above as one {!Gh_sim.Obs.t}, for the experiments that
+    build a node themselves. *)
+
 val downgrade_reasons : t -> string list
 (** The CLI flags whose collectors force {!effective_jobs} to 1 —
     empty when no collector is attached. The driver names them in the

@@ -164,9 +164,7 @@ let measure cfg strategy spec ~util ~requests ~protected =
       util
   in
   let node =
-    Node.create ?spans:cfg.Config.spans ?metrics:cfg.Config.metrics
-      ?series:cfg.Config.series ~slos:cfg.Config.slos ~metrics_prefix engine node_config
-      ~make_strategy
+    Node.create ~obs:(Config.obs cfg) ~metrics_prefix engine node_config ~make_strategy
   in
   let fn = "overload-fn" in
   Node.register node ~name:fn spec;

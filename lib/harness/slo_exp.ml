@@ -155,7 +155,17 @@ let measure cfg spec ~fault_per_min ~load_factor ~failover ~requests =
      background rate: every faulty cell contains real episodes at any
      seed. *)
   let f =
-    Cluster_exp.fleet ~trace ~spans ~series ~slos ~recorder ~metrics:registry cfg spec ~seed
+    Cluster_exp.fleet
+      ~obs:
+        {
+          Gh_sim.Obs.trace = Some trace;
+          spans = Some spans;
+          metrics = Some registry;
+          series = Some series;
+          slos;
+          recorder = Some recorder;
+        }
+      cfg spec ~seed
       ~service ~label:"slo" ~load:load_factor ~min_span_s:2.0 ~fault_per_min
       ~crashes:[ (0, 0.15); (1, 0.55) ]
       ~placement:Cluster.Least_loaded ~failover ~requests

@@ -63,8 +63,7 @@ let run_mode cfg ~memory_mb ~duration_s ~rate_rps entries mode =
      registry finds counters by name, so cells sharing one would count
      into each other's rows. *)
   let node =
-    Node.create ?spans:cfg.Config.spans ?metrics:cfg.Config.metrics
-      ?series:cfg.Config.series ~slos:cfg.Config.slos
+    Node.create ~obs:(Config.obs cfg)
       ~metrics_prefix:(Printf.sprintf "tenant.%dmb.%s." memory_mb (mode_to_string mode))
       engine
       {

@@ -335,7 +335,7 @@ let test_cluster_spans_close_and_annotate () =
   Fault.set plan Fault.Node_crash ~nth:[ 1 ] ();
   let spans = Span.create () in
   let cluster =
-    Cluster.create ~spans ~fault:plan engine
+    Cluster.create ~obs:{ Gh_sim.Obs.none with spans = Some spans } ~fault:plan engine
       (cluster_config ~n_nodes:2 ~failover:true ~hedge_after:(Some (Time_ns.of_ms 20.0))
          ~max_attempts:3 ~admission:Admission.unbounded ())
       ~make_strategy:(fun name _ -> scripted ~service_ns:(Time_ns.of_ms 30.0) name)
@@ -390,7 +390,9 @@ let exactly_once_run (seed, prob) =
   Fault.set plan Fault.Heartbeat_drop ~prob:0.05 ();
   let metrics = Metrics.create () in
   let cluster =
-    Cluster.create ~metrics ~fault:plan ~rng:(Rng.create seed) engine
+    Cluster.create
+      ~obs:{ Gh_sim.Obs.none with metrics = Some metrics }
+      ~fault:plan ~rng:(Rng.create seed) engine
       (cluster_config ~n_nodes:3 ~failover:true ~hedge_after:(Some (Time_ns.of_ms 30.0))
          ~max_attempts:3
          ~admission:(Admission.bounded ~policy:Admission.Edf_drop 4) ())

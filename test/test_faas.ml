@@ -357,7 +357,9 @@ let test_container_tracing () =
   let engine = Engine.create () in
   let trace = Gh_sim.Trace.create () in
   let c =
-    Container.create ~trace engine ~id:0 (strategy_of_constant ~exec_ns:100 ~post_ns:50)
+    Container.create
+      ~obs:{ Gh_sim.Obs.none with trace = Some trace }
+      engine ~id:0 (strategy_of_constant ~exec_ns:100 ~post_ns:50)
   in
   Container.submit c (Request.make ~id:1 ~principal:alice ()) ~on_response:(fun _ _ -> ());
   Engine.run_all engine;

@@ -38,8 +38,8 @@ let strategy ~exec_ms ~init_ms ~buffer_pages =
 let spec ~mapped_mb =
   { Fm.default_spec with Fm.name = "node-fn"; mapped_pages = mapped_mb * 256 }
 
-let make_node ?(cores = 2) ?(memory_mb = 64) ?(idle_timeout_s = 5.0) ?(admission = Gh_faas.Admission.unbounded) ?brownout ?trace engine ~strategy_of =
-  Node.create ?trace engine
+let make_node ?(cores = 2) ?(memory_mb = 64) ?(idle_timeout_s = 5.0) ?(admission = Gh_faas.Admission.unbounded) ?brownout engine ~strategy_of =
+  Node.create engine
     {
       Node.total_cores = cores;
       memory_mb;

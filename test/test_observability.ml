@@ -244,7 +244,7 @@ let run_node ?spans ?metrics seed =
   let root = Rng.create seed in
   let engine = Engine.create () in
   let node =
-    Gh_faas.Node.create ?spans ?metrics engine
+    Gh_faas.Node.create ~obs:{ Gh_sim.Obs.none with spans; metrics } engine
       { Gh_faas.Node.default_config with Gh_faas.Node.total_cores = 1 }
       ~make_strategy:(fun _name sp ->
         match

@@ -220,7 +220,8 @@ let run_cmd =
     in
     (* An instrumented run is forced serial (the collectors are shared
        mutable state): say so, naming the flags responsible, whenever
-       that overrides an explicit -j request. *)
+       that overrides an explicit -j request. The flags, not the
+       collectors: --series-out and --slo attach the registry too. *)
     (if
        cfg.Gh_harness.Config.jobs > 1
        && Gh_harness.Config.effective_jobs cfg < cfg.Gh_harness.Config.jobs

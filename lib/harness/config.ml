@@ -69,18 +69,6 @@ let effective_jobs t = if instrumented t then 1 else max 1 t.jobs
 let obs t =
   { Gh_sim.Obs.none with spans = t.spans; metrics = t.metrics; series = t.series; slos = t.slos }
 
-(* The CLI flags responsible for the serial downgrade, for the warning
-   the driver prints when [jobs > 1] is being overridden. *)
-let downgrade_reasons t =
-  List.filter_map
-    (fun (cond, flag) -> if cond then Some flag else None)
-    [
-      (t.spans <> None, "--trace-out");
-      (t.metrics <> None, "--metrics-out");
-      (t.series <> None, "--series-out");
-      (t.slos <> [], "--slo");
-    ]
-
 let sec = 1_000_000_000
 
 let latency_requests_for t (spec : Gh_faas.Function_model.spec) =

@@ -53,11 +53,6 @@ val obs : t -> Gh_sim.Obs.t
 (** The collectors above as one {!Gh_sim.Obs.t}, for the experiments that
     build a node themselves. *)
 
-val downgrade_reasons : t -> string list
-(** The CLI flags whose collectors force {!effective_jobs} to 1 —
-    empty when no collector is attached. The driver names them in the
-    warning it prints when a [-j] > 1 request is being overridden. *)
-
 val latency_requests_for : t -> Gh_faas.Function_model.spec -> int
 (** Adaptive request count by benchmark duration. *)
 

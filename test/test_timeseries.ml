@@ -338,18 +338,13 @@ let test_flight_recorder_dumps_and_validate () =
 let test_collectors_force_serial () =
   let base = { Config.default with Config.jobs = 4 } in
   check_int "bare sweep keeps its jobs" 4 (Config.effective_jobs base);
-  check_bool "no reasons without collectors" true (Config.downgrade_reasons base = []);
   let m = Metrics.create () in
   let with_series = { base with Config.series = Some (Timeseries.create m) } in
   check_int "series collector forces serial" 1 (Config.effective_jobs with_series);
-  check_bool "the causing flag is named" true
-    (Config.downgrade_reasons with_series = [ "--series-out" ]);
   let with_many =
     { base with Config.spans = Some (Span.create ()); slos = Slo.standard () }
   in
-  check_int "any collector forces serial" 1 (Config.effective_jobs with_many);
-  check_bool "every causing flag is named" true
-    (Config.downgrade_reasons with_many = [ "--trace-out"; "--slo" ])
+  check_int "any collector forces serial" 1 (Config.effective_jobs with_many)
 
 let () =
   Alcotest.run "timeseries"

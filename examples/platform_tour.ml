@@ -79,10 +79,8 @@ let () =
   Format.printf "(now restoration costs container cycles: GH < GH_NOP ~= BASE)@.";
   (match !gh_saturated with
   | Some r when Array.length r.Client.e2e_ms > 0 ->
-      Format.printf "@.GH end-to-end latency distribution under saturation (ms):@.";
-      let h = Gh_sim.Histogram.create ~min_value:1.0 ~max_value:100_000.0 () in
-      Gh_sim.Histogram.add_all h r.Client.e2e_ms;
-      Gh_sim.Histogram.render ~width:36 Format.std_formatter h
+      Format.printf "@.GH end-to-end latency under saturation (ms):@.%a@." Stats.pp_summary
+        (Stats.summarize r.Client.e2e_ms)
   | _ -> ());
 
   (* 3. Scaling: each core hosts an independent container + manager. *)

@@ -431,92 +431,6 @@ let test_engine_matches_reference_heap () =
   Alcotest.(check (list (pair int int))) "engine replays the reference order"
     (List.rev !expected) (List.rev !fired)
 
-(* -- Histogram -- *)
-
-let test_histogram_bucketing () =
-  let h = Histogram.create ~buckets_per_decade:1 ~min_value:1.0 ~max_value:1000.0 () in
-  Histogram.add_all h [| 0.5; 2.0; 20.0; 200.0; 5000.0 |];
-  check_int "all counted" 5 (Histogram.count h);
-  let nonempty = List.filter (fun (_, _, n) -> n > 0) (Histogram.buckets h) in
-  (* 0.5 clamps into the first decade bucket; 5000 is above the covered
-     range and lands in the explicit overflow bucket, not the last one. *)
-  check_int "three occupied buckets (decades)" 3 (List.length nonempty);
-  check_int "overflow tallied" 1 (Histogram.overflow h);
-  check_float "max seen" 5000.0 (Histogram.max_seen h);
-  List.iter
-    (fun (lo, hi, _) -> check_bool "bounds ordered" true (lo < hi))
-    (Histogram.buckets h)
-
-let test_histogram_overflow_quantile () =
-  let h = Histogram.create ~buckets_per_decade:5 ~min_value:1.0 ~max_value:100.0 () in
-  for _ = 1 to 99 do
-    Histogram.add h 10.0
-  done;
-  Histogram.add h 1.0e6;
-  (* The p100 sample is out of range; it used to be reported as the last
-     bucket's upper bound (~100), under-reporting the tail by 4 decades. *)
-  check_float "tail quantile reports the observed maximum" 1.0e6 (Histogram.quantile h 1.0);
-  check_bool "p50 still in range" true (Histogram.quantile h 0.5 < 20.0);
-  (* Rendering shows the overflow row's observed maximum. *)
-  let out = Format.asprintf "%a" (Histogram.render ~width:10) h in
-  let contains s sub =
-    let n = String.length sub in
-    let ok = ref false in
-    for i = 0 to String.length s - n do
-      if String.sub s i n = sub then ok := true
-    done;
-    !ok
-  in
-  check_bool "overflow rendered" true (contains out "1000000.00")
-
-let test_histogram_quantile () =
-  let h = Histogram.create ~buckets_per_decade:5 ~min_value:1.0 ~max_value:10_000.0 () in
-  for _ = 1 to 90 do
-    Histogram.add h 10.0
-  done;
-  for _ = 1 to 10 do
-    Histogram.add h 1000.0
-  done;
-  check_bool "p50 near the mode" true (Histogram.quantile h 0.5 < 20.0);
-  check_bool "p95 reaches the tail" true (Histogram.quantile h 0.95 >= 1000.0 *. 0.9);
-  Alcotest.check_raises "empty" (Invalid_argument "Histogram.quantile: empty") (fun () ->
-      ignore
-        (Histogram.quantile
-           (Histogram.create ~min_value:1.0 ~max_value:10.0 ())
-           0.5))
-
-let test_histogram_boundary_exact () =
-  (* A sample sitting exactly on a bucket's lower bound must land in that
-     bucket: the log-quotient seed index alone can be one off from float
-     round-off, which the nudge against the exact bound grid corrects. *)
-  List.iter
-    (fun bpd ->
-      let fresh () = Histogram.create ~buckets_per_decade:bpd ~min_value:1.0 ~max_value:1000.0 () in
-      let layout = Histogram.buckets (fresh ()) in
-      List.iteri
-        (fun k (lo, hi, _) ->
-          let h = fresh () in
-          Histogram.add h lo;
-          (* and an interior point for good measure *)
-          Histogram.add h (sqrt (lo *. hi));
-          check_int (Printf.sprintf "bpd=%d no overflow at bucket %d" bpd k) 0
-            (Histogram.overflow h);
-          List.iteri
-            (fun j (_, _, n) ->
-              check_int
-                (Printf.sprintf "bpd=%d boundary of bucket %d counted in bucket %d" bpd k j)
-                (if j = k then 2 else 0)
-                n)
-            (Histogram.buckets h))
-        layout)
-    [ 1; 2; 3; 5; 7; 10 ]
-
-let test_histogram_render () =
-  let h = Histogram.create ~min_value:1.0 ~max_value:100.0 () in
-  Histogram.add_all h [| 2.0; 2.5; 50.0 |];
-  let out = Format.asprintf "%a" (Histogram.render ~width:10) h in
-  check_bool "renders bars" true (String.contains out '#')
-
 (* -- Trace -- *)
 
 let test_trace_ring () =
@@ -627,14 +541,6 @@ let () =
           Alcotest.test_case "batch admission" `Quick test_engine_at_batch;
           Alcotest.test_case "replays the reference heap" `Quick
             test_engine_matches_reference_heap;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "bucketing" `Quick test_histogram_bucketing;
-          Alcotest.test_case "quantile" `Quick test_histogram_quantile;
-          Alcotest.test_case "overflow quantile" `Quick test_histogram_overflow_quantile;
-          Alcotest.test_case "boundary-exact bucketing" `Quick test_histogram_boundary_exact;
-          Alcotest.test_case "render" `Quick test_histogram_render;
         ] );
       ( "trace",
         [

@@ -360,9 +360,8 @@ and on_node_response t rs a rq inv =
          (match rs.r_first_fail with
          | Some tf -> Metrics.observe t.h_failover_ms (Time_ns.to_ms (now - tf))
          | None -> ());
-         Obs.completion t.obs ~now "cluster.e2e_ms"
-           ~e2e_ms:(Time_ns.to_ms (now - rs.r_submit))
-           ~ok:true ~cold:(inv.Strategy_intf.cold_ns > 0);
+         Obs.completion t.obs ~now "cluster.e2e_ms" ~e2e_ns:(now - rs.r_submit) ~ok:true
+           ~cold:(inv.Strategy_intf.cold_ns > 0);
          cancel_losers t rs;
          rs.r_respond rq inv
        end

@@ -120,9 +120,8 @@ let submit t req ~on_complete =
                 | Strategy_intf.Completed | Strategy_intf.Poisoned -> true
                 | Strategy_intf.Crashed | Strategy_intf.Hung -> false
               in
-              Obs.completion t.obs ~now "controller.e2e_ms"
-                ~e2e_ms:(Time_ns.to_ms (now - t0))
-                ~ok ~cold:(invocation.Strategy_intf.cold_ns > 0);
+              Obs.completion t.obs ~now "controller.e2e_ms" ~e2e_ns:(now - t0) ~ok
+                ~cold:(invocation.Strategy_intf.cold_ns > 0);
               (match t.obs.Obs.spans with
               | Some sp ->
                   Span.finish_root sp ~at:now

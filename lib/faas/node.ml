@@ -160,7 +160,7 @@ let fn_metric t name field = Printf.sprintf "%snode.%s.%s" t.prefix name field
    restore series give each restore phase its own quantile window, so a
    regression in (say) page-copy alone is visible without un-averaging
    the total; their names are built only when a series is attached. *)
-let observe_completion t pool ~now ~e2e_ms (inv : Strategy_intf.invocation) =
+let observe_completion t pool ~now ~e2e_ns (inv : Strategy_intf.invocation) =
   let steps =
     match (t.obs.Obs.series, inv.Strategy_intf.breakdown) with
     | Some _, Some b ->
@@ -175,7 +175,7 @@ let observe_completion t pool ~now ~e2e_ms (inv : Strategy_intf.invocation) =
     | Strategy_intf.Completed | Strategy_intf.Poisoned -> true
     | Strategy_intf.Crashed | Strategy_intf.Hung -> false
   in
-  Obs.completion t.obs ~now ?steps pool.e2e_name ~e2e_ms ~ok
+  Obs.completion t.obs ~now ?steps pool.e2e_name ~e2e_ns ~ok
     ~cold:(inv.Strategy_intf.cold_ns > 0)
 
 let record_failure_edge t ~reason ~detail =
@@ -273,10 +273,10 @@ let rec dispatch t pool slot pending =
   Container.submit ~dispatch_ns:t.config.dispatch_ns slot.container pending.req
     ~on_response:(fun rq inv ->
       let now = Engine.now t.engine in
-      let e2e_ms = Time_ns.to_ms (now - pending.submitted) in
+      let e2e_ns = now - pending.submitted in
       Metrics.incr pool.completed;
-      Metrics.observe pool.e2e e2e_ms;
-      observe_completion t pool ~now ~e2e_ms inv;
+      Metrics.observe pool.e2e (Time_ns.to_ms e2e_ns);
+      observe_completion t pool ~now ~e2e_ns inv;
       (match rq.Request.deadline with
       | Some d when now > d -> Metrics.incr pool.deadline_misses
       | _ -> ());
@@ -290,7 +290,7 @@ let rec dispatch t pool slot pending =
             ~attrs:
               [
                 ("outcome", Strategy_intf.outcome_name inv.Strategy_intf.outcome);
-                ("e2e_ns", string_of_int (now - pending.submitted));
+                ("e2e_ns", string_of_int e2e_ns);
               ]
             ~req_id:rq.Request.id ()
       | None -> ());

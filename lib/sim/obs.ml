@@ -26,14 +26,18 @@ let rec record_slos slos ~now ~ok ~e2e_ms ~cold =
       Slo.tick slo ~now;
       record_slos rest ~now ~ok ~e2e_ms ~cold
 
-let completion t ~now ?(steps = []) name ~e2e_ms ~ok ~cold =
+(* The latency arrives in ns and becomes a float only where a collector
+   takes it, so nothing is boxed when none is attached. *)
+let completion t ~now ?(steps = []) name ~e2e_ns ~ok ~cold =
   (match t.series with
   | Some ts ->
       Timeseries.tick ts ~now;
-      Timeseries.observe ts ~now name e2e_ms;
+      Timeseries.observe ts ~now name (Time_ns.to_ms e2e_ns);
       List.iter (fun (step, ms) -> Timeseries.observe ts ~now step ms) steps
   | None -> ());
-  record_slos t.slos ~now ~ok ~e2e_ms ~cold
+  match t.slos with
+  | [] -> ()
+  | slos -> record_slos slos ~now ~ok ~e2e_ms:(Time_ns.to_ms e2e_ns) ~cold
 
 let failure t ~now = record_slos t.slos ~now ~ok:false ~e2e_ms:Float.infinity ~cold:false
 

@@ -37,13 +37,14 @@ val completion :
   now:Time_ns.t ->
   ?steps:(string * float) list ->
   string ->
-  e2e_ms:float ->
+  e2e_ns:Time_ns.t ->
   ok:bool ->
   cold:bool ->
   unit
-(** One answered request. {!tick}, sample [e2e_ms] under the given series
-    name, then sample each [(name, value)] of [steps] (default none); then
-    record the completion in every SLO and re-evaluate it. *)
+(** One answered request, [e2e_ns] after it arrived. {!tick}, sample the
+    latency in ms under the given series name, then sample each
+    [(name, value)] of [steps] (default none); then record the completion
+    in every SLO and re-evaluate it. *)
 
 val failure : t -> now:Time_ns.t -> unit
 (** A request that got no answer (shed, expired or abandoned): a bad

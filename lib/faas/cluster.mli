@@ -80,9 +80,8 @@ val create :
     across incarnations. [fault] defaults to {!Gh_sim.Fault.none} — no
     draws, bit-identical to a fault-free build.
 
-    [obs] (default {!Gh_sim.Obs.none}) supplies the collectors. Member
-    nodes get its registry, [trace], [series] and [recorder], but neither
-    [spans] nor [slos]: those belong to the front door.
+    [obs] (default {!Gh_sim.Obs.none}) supplies the collectors; member
+    nodes get all of them but [spans] and [slos].
 
     [spans] records cluster-level spans: one request root per submission,
     an instant ["place"] child per placement decision (attrs [placement],

@@ -99,7 +99,7 @@ run_exported extras | md5sum | awk '{print $1}' | diff - ci/runextras_quick.md5
 # byte-identical to the committed digests, so a change to how collectors
 # are passed through the stack cannot move what they record. Regenerate
 # ci/exports_quick.md5 only with an intentional change to what is
-# recorded, by running this block against a scratch directory.
+# recorded, by running this block against a temporary directory.
 (cd "$tmp/exports" && md5sum all.trace.json all.metrics.txt all.series.txt all.slo.json \
   extras.trace.json extras.metrics.txt extras.series.txt extras.slo.json) \
   | diff - ci/exports_quick.md5

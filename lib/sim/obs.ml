@@ -14,7 +14,7 @@ let tick t ~now = match t.series with Some ts -> Timeseries.tick ts ~now | None 
 
 let heartbeat t ~now =
   tick t ~now;
-  List.iter (fun slo -> Slo.tick slo ~now) t.slos
+  match t.slos with [] -> () | slos -> List.iter (fun slo -> Slo.tick slo ~now) slos
 
 (* A loop rather than [List.iter]: no closure to allocate per request
    when no SLO is attached. *)

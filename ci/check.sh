@@ -122,9 +122,11 @@ GH_JOBS=8 dune exec test/test_parallel.exe >/dev/null
 # run, validate the Chrome trace JSON against our own parser/schema check,
 # and diff the metrics snapshot against the committed baseline — any
 # counting drift (or nondeterminism) in the instrumented stack fails CI.
+# The printed container timeline is pinned too (ci/trace_quick.md5), so a
+# change to how the container formats its trace events cannot move a byte.
 dune exec bin/gh_bench.exe -- trace "json (n)" --seed 42 \
   --trace-out "$tmp/trace.json" --metrics-out "$tmp/metrics.txt" \
-  >/dev/null
+  | md5sum | awk '{print $1}' | diff - ci/trace_quick.md5
 dune exec bin/gh_bench.exe -- trace-validate "$tmp/trace.json" >/dev/null
 diff -u ci/metrics_baseline.txt "$tmp/metrics.txt"
 

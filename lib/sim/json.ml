@@ -14,20 +14,40 @@ type t =
 
 (* -- printing -- *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Most strings (span names, categories, metric names) need no escaping:
+   copy those in one blit instead of a character at a time. *)
 let escape_to b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  if not (String.exists needs_escape s) then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
   Buffer.add_char b '"'
+
+(* The text of [string_of_int], digit by digit, without building the
+   string. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+let add_int b i =
+  if i >= 0 then add_digits b i
+  else if i = min_int then Buffer.add_string b (string_of_int i)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-i)
+  end
 
 (* Floats that hold an integral value print without a fractional part —
    most trace timestamps are whole microseconds, and Perfetto accepts
@@ -40,7 +60,7 @@ let float_repr f =
 let rec to_buffer b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Int i -> Buffer.add_string b (string_of_int i)
+  | Int i -> add_int b i
   | Float f -> Buffer.add_string b (float_repr f)
   | String s -> escape_to b s
   | List items ->

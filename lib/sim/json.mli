@@ -19,6 +19,9 @@ val to_string : t -> string
 
 val to_buffer : Buffer.t -> t -> unit
 
+val add_int : Buffer.t -> int -> unit
+(** Append [string_of_int i] without building the string. *)
+
 val of_string : string -> (t, string) result
 (** Strict parse of a complete document; [Error] carries the offset. *)
 

@@ -197,61 +197,99 @@ let check t =
 
 (* -- Chrome trace-event export -- *)
 
-let us_of_ns ns = float_of_int ns /. 1000.0
+(* The document is appended straight into one buffer; no [Json.t] tree is
+   built for it. Layout: the process row; one thread row per distinct
+   track, over every record (open ones included); one "X" event per
+   closed span, oldest first, with args in the order attrs, parent_span,
+   span_id. Strings and the out-of-range timestamps go through
+   [Json.to_buffer], so escaping and float formatting are the ones every
+   other export uses. *)
 
-let chrome_event r =
-  let args =
-    List.map (fun (k, v) -> (k, Json.String v)) r.attrs
-    @ (match r.parent with Some p -> [ ("parent_span", Json.Int p) ] | None -> [])
-    @ [ ("span_id", Json.Int r.id) ]
-  in
-  Json.Assoc
-    [
-      ("name", Json.String r.name);
-      ("cat", Json.String r.cat);
-      ("ph", Json.String "X");
-      ("ts", Json.Float (us_of_ns r.start_ns));
-      ("dur", Json.Float (us_of_ns (r.stop_ns - r.start_ns)));
-      ("pid", Json.Int 1);
-      ("tid", Json.Int r.track);
-      ("args", Json.Assoc args);
-    ]
+let add_string b s = Json.to_buffer b (Json.String s)
+let add_digit b d = Buffer.add_char b (Char.unsafe_chr (Char.code '0' + d))
 
-let metadata_events t =
-  let tracks = Hashtbl.create 16 in
-  List.iter
-    (fun r -> if not (Hashtbl.mem tracks r.track) then Hashtbl.replace tracks r.track ())
-    (records t);
-  let sorted = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tracks []) in
-  Json.Assoc
-    [
-      ("name", Json.String "process_name");
-      ("ph", Json.String "M");
-      ("pid", Json.Int 1);
-      ("tid", Json.Int 0);
-      ("args", Json.Assoc [ ("name", Json.String "groundhog-sim") ]);
-    ]
-  :: List.map
-       (fun track ->
-         Json.Assoc
-           [
-             ("name", Json.String "thread_name");
-             ("ph", Json.String "M");
-             ("pid", Json.Int 1);
-             ("tid", Json.Int track);
-             ("args", Json.Assoc [ ("name", Json.String (Printf.sprintf "request %d" track)) ]);
-           ])
-       sorted
+(* Microseconds from nanoseconds, exactly as [Json.Float (ns /. 1000.)]
+   prints, without the float. For 0 <= ns < 10^12 the quotient has at
+   most nine integer digits and three decimals, which "%.12g" renders
+   exactly, and a nonzero remainder can never round to an integer: so the
+   text is [ns / 1000], then, if [ns mod 1000 <> 0], a point and the
+   remainder's three digits with trailing zeros dropped. Beyond 10^12 the
+   float rounds to 12 significant digits, so other values take the float
+   path itself. *)
+let add_us b ns =
+  if ns >= 0 && ns < 1_000_000_000_000 then begin
+    Json.add_int b (ns / 1000);
+    let frac = ns mod 1000 in
+    if frac <> 0 then begin
+      Buffer.add_char b '.';
+      add_digit b (frac / 100);
+      if frac mod 100 <> 0 then begin
+        add_digit b (frac / 10 mod 10);
+        if frac mod 10 <> 0 then add_digit b (frac mod 10)
+      end
+    end
+  end
+  else Json.to_buffer b (Json.Float (float_of_int ns /. 1000.0))
 
-let to_chrome t =
-  let spans = List.filter (fun r -> not (is_open r)) (records t) in
-  Json.Assoc
-    [
-      ("traceEvents", Json.List (metadata_events t @ List.map chrome_event spans));
-      ("displayTimeUnit", Json.String "ms");
-    ]
+let rec add_attrs b = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      add_string b k;
+      Buffer.add_char b ':';
+      add_string b v;
+      Buffer.add_char b ',';
+      add_attrs b rest
 
-let chrome_json t = Json.to_string (to_chrome t)
+let add_thread_row b track =
+  Buffer.add_string b {|,{"name":"thread_name","ph":"M","pid":1,"tid":|};
+  Json.add_int b track;
+  Buffer.add_string b {|,"args":{"name":"request |};
+  Json.add_int b track;
+  Buffer.add_string b {|"}}|}
+
+let add_event b r =
+  Buffer.add_string b {|,{"name":|};
+  add_string b r.name;
+  Buffer.add_string b {|,"cat":|};
+  add_string b r.cat;
+  Buffer.add_string b {|,"ph":"X","ts":|};
+  add_us b r.start_ns;
+  Buffer.add_string b {|,"dur":|};
+  add_us b (r.stop_ns - r.start_ns);
+  Buffer.add_string b {|,"pid":1,"tid":|};
+  Json.add_int b r.track;
+  Buffer.add_string b {|,"args":{|};
+  add_attrs b r.attrs;
+  (match r.parent with
+  | Some p ->
+      Buffer.add_string b {|"parent_span":|};
+      Json.add_int b p;
+      Buffer.add_char b ','
+  | None -> ());
+  Buffer.add_string b {|"span_id":|};
+  Json.add_int b r.id;
+  Buffer.add_string b "}}"
+
+(* Bytes reserved per record. The stack's events average about 155 bytes
+   and the longest is about 220, so 256 a record also covers the thread
+   rows and the buffer never regrows on a stack trace; only unusually
+   long names or attributes make it grow. Capacity never written is never
+   touched, so it costs no resident memory. *)
+let bytes_per_record = 256
+
+let chrome_json t =
+  let recs = Array.of_list t.rev_records (* newest first *) in
+  let tracks = Array.map (fun r -> r.track) recs in
+  Array.sort Int.compare tracks;
+  let b = Buffer.create (bytes_per_record * (Array.length recs + 1)) in
+  Buffer.add_string b
+    {|{"traceEvents":[{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"groundhog-sim"}}|};
+  Array.iteri (fun i track -> if i = 0 || track <> tracks.(i - 1) then add_thread_row b track) tracks;
+  for i = Array.length recs - 1 downto 0 do
+    if not (is_open recs.(i)) then add_event b recs.(i)
+  done;
+  Buffer.add_string b {|],"displayTimeUnit":"ms"}|};
+  Buffer.contents b
 
 (* Schema check used by CI and the [trace-validate] subcommand: the
    document must be a Chrome trace-event container whose events Perfetto

@@ -102,12 +102,11 @@ val check : t -> (unit, string) result
 (** Structural invariants: every span closed, every child within its
     parent's bounds. *)
 
-val to_chrome : t -> Json.t
+val chrome_json : t -> string
 (** Chrome trace-event document (Perfetto-loadable): one ["X"] complete
     event per closed span ([ts]/[dur] in microseconds, [tid] = request id)
-    plus ["M"] thread-name metadata. Open spans are skipped. *)
-
-val chrome_json : t -> string
+    plus ["M"] thread-name metadata for every track. Open spans are
+    skipped. Written straight into one buffer, without a [Json.t] tree. *)
 
 val validate_chrome : Json.t -> (int, string) result
 (** Check a parsed document against the Chrome trace-event schema;

@@ -449,6 +449,59 @@ let test_golden_chrome_trace () =
   let expected = In_channel.with_open_text golden_path In_channel.input_all in
   check_string "golden trace file" (String.trim expected) (String.trim produced)
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec from i = i + n <= String.length s && (String.sub s i n = sub || from (i + 1)) in
+  from 0
+
+(* The writer prints microseconds from integer nanoseconds; these are the
+   edges of that path (carries, trailing zeros, the 10^12 ns limit of its
+   exactness, negatives), checked against the literal text and against
+   the tree exporter it replaced. *)
+let test_chrome_us_edges () =
+  let tera = 1_000_000_000_000 in
+  List.iter
+    (fun (ns, text) ->
+      let t = Span.create () in
+      ignore (Span.complete t ~start:ns ~stop:ns ~name:"at" ());
+      if ns >= 0 then ignore (Span.complete t ~start:0 ~stop:ns ~track:1 ~name:"for" ());
+      let doc = Span.chrome_json t in
+      check_string (Printf.sprintf "ns=%d matches the tree export" ns)
+        (Json.to_string (Chrome_oracle.to_chrome t)) doc;
+      check_bool (Printf.sprintf "ts of %d ns is %s" ns text) true
+        (contains ~sub:(Printf.sprintf {|"ts":%s,"dur":0,|} text) doc);
+      if ns >= 0 then
+        check_bool (Printf.sprintf "dur of %d ns is %s" ns text) true
+          (contains ~sub:(Printf.sprintf {|"ts":0,"dur":%s,|} text) doc))
+    [
+      (0, "0");
+      (1, "0.001");
+      (10, "0.01");
+      (999, "0.999");
+      (1000, "1");
+      (1001, "1.001");
+      (tera - 1, "999999999.999");
+      (tera, "1000000000");
+      (-1, "-0.001");
+    ];
+  (* A track whose only span is still open gets its thread row, not an
+     event. *)
+  let t = Span.create () in
+  ignore (Span.start t ~at:5 ~track:9 ~name:"open" ());
+  let doc = Span.chrome_json t in
+  check_string "open-only track matches the tree export"
+    (Json.to_string (Chrome_oracle.to_chrome t)) doc;
+  check_bool "thread row for the open track" true (contains ~sub:{|"name":"request 9"|} doc);
+  check_bool "no event for the open span" false (contains ~sub:{|"ph":"X"|} doc)
+
+let test_json_add_int () =
+  List.iter
+    (fun i ->
+      let b = Buffer.create 24 in
+      Json.add_int b i;
+      check_string (string_of_int i) (string_of_int i) (Buffer.contents b))
+    [ 0; 1; 9; 10; 99; 100; -1; -9; -10; 1_000_000_000_000; max_int; min_int; min_int + 1 ]
+
 (* -- critical path -- *)
 
 let test_critical_path_attribution () =
@@ -567,6 +620,123 @@ let prop_json_round_trip =
       | Ok parsed -> parsed = doc
       | Error msg -> QCheck2.Test.fail_reportf "parse failed: %s" msg)
 
+(* Strings with the bytes JSON must escape (quote, backslash, every
+   control character) mixed with plain ASCII and bytes >= 0x80. *)
+let gen_awkward_string =
+  let open QCheck2.Gen in
+  string_size (int_range 0 8)
+    ~gen:
+      (frequency
+         [
+           (3, printable);
+           (1, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127'; '\128'; '\255' ]);
+           (1, char_range '\000' '\031');
+         ])
+
+let prop_json_escapes_control_bytes =
+  QCheck2.Test.make ~name:"JSON strings escape every control byte and round-trip" ~count:300
+    ~print:(Printf.sprintf "%S") gen_awkward_string (fun s ->
+      (* The parser takes raw control bytes, so the round trip alone would
+         not see one left unescaped; an unescaped quote or backslash it
+         does see. *)
+      let text = Json.to_string (Json.String s) in
+      if String.exists (fun c -> Char.code c < 0x20) text then
+        QCheck2.Test.fail_reportf "raw control byte in %S" text
+      else Json.of_string text = Ok (Json.String s))
+
+(* Span sets for the writer/oracle property: awkward strings, timestamps
+   on both sides of every edge of the integer microsecond path, parents
+   present and absent, spans left open, and tracks holding only open
+   spans. Each element is (name, cat, attrs, track, start, duration or
+   None to leave the span open, index of an earlier span as parent). *)
+let gen_span_specs =
+  let open QCheck2.Gen in
+  let tera = 1_000_000_000_000 in
+  let dur_ns =
+    oneof
+      [
+        map (fun us -> us * 1000) (int_range 0 1_000_000_000);
+        int_range 0 2_000;
+        int_range 0 (tera - 1);
+        int_range tera (1000 * tera);
+      ]
+  in
+  let start_ns = oneof [ dur_ns; int_range (-1000 * tera) (-1) ] in
+  let spec =
+    tup7 gen_awkward_string gen_awkward_string
+      (list_size (int_range 0 3) (pair gen_awkward_string gen_awkward_string))
+      (int_range (-2) 6) start_ns (opt ~ratio:0.7 dur_ns) (opt (int_range 0 100))
+  in
+  list_size (int_range 0 12) spec
+
+let print_span_specs specs =
+  String.concat "; "
+    (List.map
+       (fun (name, cat, attrs, track, start, dur, parent) ->
+         Printf.sprintf "%S/%S [%s] track %d start %d %s parent %s" name cat
+           (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S=%S" k v) attrs))
+           track start
+           (match dur with Some d -> Printf.sprintf "dur %d" d | None -> "open")
+           (match parent with Some j -> string_of_int j | None -> "-"))
+       specs)
+
+let spans_of_specs specs =
+  let t = Span.create () in
+  let made = Array.make (List.length specs) None in
+  List.iteri
+    (fun i (name, cat, attrs, track, start, dur, parent) ->
+      let parent = match parent with Some j when i > 0 -> made.(j mod i) | _ -> None in
+      let r =
+        match dur with
+        | Some d -> Span.complete t ~start ~stop:(start + d) ?parent ~track ~name ~cat ~attrs ()
+        | None -> Span.start t ~at:start ?parent ~track ~name ~cat ~attrs ()
+      in
+      made.(i) <- Some r)
+    specs;
+  t
+
+let prop_chrome_writer_matches_tree =
+  QCheck2.Test.make ~name:"direct Chrome writer prints exactly what the Json.t tree printed"
+    ~count:500 ~print:print_span_specs gen_span_specs (fun specs ->
+      let t = spans_of_specs specs in
+      let direct = Span.chrome_json t and tree = Json.to_string (Chrome_oracle.to_chrome t) in
+      direct = tree
+      || QCheck2.Test.fail_reportf "direct writer:\n%s\ntree exporter:\n%s" direct tree)
+
+(* [Json.of_string] reads outside files ([gh-bench trace-validate]): on
+   any input it answers [Ok] or [Error] and never raises. Inputs: strings
+   over a JSON-ish alphabet, and truncations and byte flips of a real
+   Chrome document. *)
+let prop_json_parse_total =
+  let doc = Span.chrome_json (golden_spans ()) in
+  let open QCheck2.Gen in
+  let jsonish =
+    string_size (int_range 0 40)
+      ~gen:
+        (frequency
+           [
+             (4, oneofl [ '{'; '}'; '['; ']'; '"'; ','; ':'; '\\'; ' ' ]);
+             (3, oneofl [ '0'; '1'; '9'; '-'; '+'; '.'; 'e'; 'E' ]);
+             (2, oneofl [ 't'; 'r'; 'u'; 'e'; 'f'; 'a'; 'l'; 's'; 'n'; 'b'; 'x'; '/' ]);
+             (1, char);
+           ])
+  in
+  let damaged =
+    map2
+      (fun pos (byte, truncate) ->
+        if truncate then String.sub doc 0 pos
+        else String.mapi (fun i c -> if i = pos then byte else c) doc)
+      (int_range 0 (String.length doc - 1))
+      (pair char bool)
+  in
+  QCheck2.Test.make ~name:"Json.of_string returns Ok or Error on any input, never raises"
+    ~count:1000 ~print:(Printf.sprintf "%S")
+    (frequency [ (1, jsonish); (1, damaged) ])
+    (fun s ->
+      match Json.of_string s with
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let () =
   Alcotest.run "observability"
     [
@@ -604,6 +774,8 @@ let () =
         [
           Alcotest.test_case "chrome round-trip" `Quick test_chrome_round_trip;
           Alcotest.test_case "golden chrome trace" `Quick test_golden_chrome_trace;
+          Alcotest.test_case "chrome microsecond edges" `Quick test_chrome_us_edges;
+          Alcotest.test_case "json add_int" `Quick test_json_add_int;
         ] );
       ( "critical-path",
         [
@@ -619,5 +791,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_random_trees_nest;
           QCheck_alcotest.to_alcotest prop_json_round_trip;
+          QCheck_alcotest.to_alcotest prop_json_escapes_control_bytes;
+          QCheck_alcotest.to_alcotest prop_chrome_writer_matches_tree;
+          QCheck_alcotest.to_alcotest prop_json_parse_total;
         ] );
     ]

@@ -98,9 +98,15 @@ let create ?(obs = Obs.none) ?(recovery = default_recovery) ?rebuild ?rng ?scrub
     scrub_corruptions = 0;
   }
 
-let trace_emit t ~what detail =
-  Trace.emitf_opt t.obs.Obs.trace ~at:(Engine.now t.engine) ~category:"container" ~what
-    "c%d %s" t.id detail
+(* Takes a format, as [Node.trace_emitf] does: with no trace attached the
+   arguments are consumed by [ikfprintf] and no detail string is built.
+   The container prefix is joined to the format only when a trace is
+   attached, because [^^] allocates a new format on every call. *)
+let trace_emitf t ~what fmt =
+  match t.obs.Obs.trace with
+  | Some tr ->
+      Trace.emitf tr ~at:(Engine.now t.engine) ~category:"container" ~what ("c%d " ^^ fmt) t.id
+  | None -> Printf.ikfprintf ignore () fmt
 
 (* Span emission for one invocation. Every bound below is already decided
    when the strategy returns (the simulated work is pure), so the whole
@@ -204,7 +210,7 @@ let scrub_corruptions t = t.scrub_corruptions
 let rec become_idle t =
   t.state <- Idle;
   t.scrub_epoch <- t.scrub_epoch + 1;
-  trace_emit t ~what:"idle" "";
+  trace_emitf t ~what:"idle" "";
   t.on_idle t;
   (* [on_idle] may have dispatched the next request already; a slice is
      only worth scheduling when the container actually stayed idle. The
@@ -233,7 +239,7 @@ and scrub_slice t cfg epoch =
           Engine.schedule t.engine ~after:cfg.interval (fun () -> scrub_slice t cfg epoch)
     | Strategy_intf.Scrub_corrupt why ->
         t.scrub_corruptions <- t.scrub_corruptions + 1;
-        trace_emit t ~what:"scrub-corrupt" why;
+        trace_emitf t ~what:"scrub-corrupt" "%s" why;
         fail t (Corrupt_snapshot why)
 
 (* Quarantine: k consecutive recovery failures (or no way to rebuild) mean
@@ -241,8 +247,7 @@ and scrub_slice t cfg epoch =
    The owner (invoker / node) frees the core and memory in [on_retired]. *)
 and retire t =
   t.state <- Quarantined;
-  trace_emit t ~what:"quarantine"
-    (Printf.sprintf "after %d consecutive failures" t.consecutive_failures);
+  trace_emitf t ~what:"quarantine" "after %d consecutive failures" t.consecutive_failures;
   t.on_retired t
 
 (* Cold restart: re-exec the function process, warm it up, re-snapshot —
@@ -251,18 +256,18 @@ and retire t =
    during the re-snapshot) retries under capped exponential backoff. *)
 and replace t rebuild ~started ~attempt =
   t.state <- Replacing;
-  trace_emit t ~what:"replace" (Printf.sprintf "cold-restart attempt %d" attempt);
+  trace_emitf t ~what:"replace" "cold-restart attempt %d" attempt;
   match rebuild () with
   | Ok (s : Strategy_intf.t) ->
       Engine.schedule t.engine ~after:s.Strategy_intf.init_ns (fun () ->
           t.strategy <- s;
           t.replacements <- t.replacements + 1;
           t.recovery_ns <- (Engine.now t.engine - started) :: t.recovery_ns;
-          trace_emit t ~what:"replaced"
-            (Printf.sprintf "recovered in %.2fms" (Time_ns.to_ms (Engine.now t.engine - started)));
+          trace_emitf t ~what:"replaced" "recovered in %.2fms"
+            (Time_ns.to_ms (Engine.now t.engine - started));
           become_idle t)
   | Error msg ->
-      trace_emit t ~what:"rebuild-failed" msg;
+      trace_emitf t ~what:"rebuild-failed" "%s" msg;
       if attempt >= t.recovery.max_rebuild_attempts then retire t
       else
         let delay = Backoff.delay t.recovery.rebuild_backoff ?rng:t.rng ~attempt in
@@ -287,7 +292,8 @@ and fail t failure =
 let submit ?(dispatch_ns = 0) t req ~on_response =
   if t.state <> Idle then invalid_arg "Container.submit: container busy";
   t.state <- Busy;
-  trace_emit t ~what:"serve" (Format.asprintf "%a" Request.pp req);
+  trace_emitf t ~what:"serve" "req#%d from %s#%d" req.Request.id
+    req.Request.principal.Principal.name req.Request.principal.Principal.id;
   (* The strategy computes costs immediately (the simulated work is pure);
      the engine realizes them as elapsed simulated time. *)
   let inv = t.strategy.Strategy_intf.invoke req in
@@ -301,9 +307,8 @@ let submit ?(dispatch_ns = 0) t req ~on_response =
       | Some timeout ->
           Engine.schedule t.engine ~after:(dispatch_ns + timeout) (fun () ->
               t.timeouts <- t.timeouts + 1;
-              trace_emit t ~what:"timeout"
-                (Printf.sprintf "req#%d killed after %.0fms" req.Request.id
-                   (Time_ns.to_ms timeout));
+              trace_emitf t ~what:"timeout" "req#%d killed after %.0fms" req.Request.id
+                (Time_ns.to_ms timeout);
               (match t.obs.Obs.spans with
               | Some sp ->
                   let now = Engine.now t.engine in
@@ -315,12 +320,12 @@ let submit ?(dispatch_ns = 0) t req ~on_response =
               fail t (Timed_out req))
       | None ->
           (* No timeout configured: the container is stuck for good. *)
-          trace_emit t ~what:"hang" (Printf.sprintf "req#%d (no timeout)" req.Request.id))
+          trace_emitf t ~what:"hang" "req#%d (no timeout)" req.Request.id)
   | outcome ->
       Engine.schedule t.engine ~after:(dispatch_ns + inv.Strategy_intf.on_path_ns) (fun () ->
           t.completed <- t.completed + 1;
-          trace_emit t ~what:"respond"
-            (Printf.sprintf "req#%d isolated=%b" req.Request.id inv.Strategy_intf.isolated);
+          trace_emitf t ~what:"respond" "req#%d isolated=%b" req.Request.id
+            inv.Strategy_intf.isolated;
           on_response req inv;
           match outcome with
           | Strategy_intf.Poisoned ->
@@ -328,8 +333,8 @@ let submit ?(dispatch_ns = 0) t req ~on_response =
                  the core, then the recovery pipeline takes over. *)
               if inv.Strategy_intf.post_ns > 0 then begin
                 t.state <- Restoring;
-                trace_emit t ~what:"restore-failed"
-                  (Printf.sprintf "%.2fms burned" (Time_ns.to_ms inv.Strategy_intf.post_ns));
+                trace_emitf t ~what:"restore-failed" "%.2fms burned"
+                  (Time_ns.to_ms inv.Strategy_intf.post_ns);
                 Engine.schedule t.engine ~after:inv.Strategy_intf.post_ns (fun () ->
                     fail t (Poisoned_restore req))
               end
@@ -340,8 +345,8 @@ let submit ?(dispatch_ns = 0) t req ~on_response =
               t.consecutive_failures <- 0;
               if inv.Strategy_intf.post_ns > 0 then begin
                 t.state <- Restoring;
-                trace_emit t ~what:"restore"
-                  (Printf.sprintf "%.2fms deferred" (Time_ns.to_ms inv.Strategy_intf.post_ns));
+                trace_emitf t ~what:"restore" "%.2fms deferred"
+                  (Time_ns.to_ms inv.Strategy_intf.post_ns);
                 Engine.schedule t.engine ~after:inv.Strategy_intf.post_ns (fun () ->
                     become_idle t)
               end

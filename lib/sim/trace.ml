@@ -25,9 +25,9 @@ let emitf t ~at ~category ~what fmt =
   Printf.ksprintf (fun detail -> emit t ~at ~category ~what detail) fmt
 
 (* The common call-site shape is "emit if a trace is attached". Routing
-   the format through [ikfprintf] when none is makes the disabled path
-   allocation-free: the format arguments are consumed without building
-   the string. *)
+   the format through [ikfprintf] when none is means the detail string is
+   never built: the format arguments are consumed, at the cost of one
+   small closure per conversion. *)
 let emitf_opt t ~at ~category ~what fmt =
   match t with
   | Some tr -> Printf.ksprintf (fun detail -> emit tr ~at ~category ~what detail) fmt

@@ -32,7 +32,8 @@ val emitf_opt :
   ('a, unit, string, unit) format4 ->
   'a
 (** Like {!emitf} on [Some tr]; on [None] the format arguments are
-    consumed without ever building the detail string (allocation-free). *)
+    consumed without ever building the detail string (the format walk
+    allocates one small closure per conversion). *)
 
 val events : t -> event list
 (** Oldest first. At most [capacity] events (older ones were dropped). *)

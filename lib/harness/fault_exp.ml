@@ -95,11 +95,8 @@ let measure cfg strategy spec ~fault_rate ~n_containers ~n_requests =
         match attempt 0 with Ok s -> guard unsafe s | Error msg -> failwith msg
     in
     let invoker =
-      Invoker.create
-        ~obs:{ Gh_sim.Obs.none with trace = Some (Gh_sim.Trace.create ()) }
-        ~recovery:(Sweep.recovery spec)
-        ~rng:(Rng.split root) engine
-        ~n_containers ~dispatch_ns:cfg.Config.dispatch_ns ~make_strategy
+      Invoker.create ~recovery:(Sweep.recovery spec) ~rng:(Rng.split root) engine ~n_containers
+        ~dispatch_ns:cfg.Config.dispatch_ns ~make_strategy
     in
     let delivered = ref 0 and crashed = ref 0 in
     let e2e_ms = ref [] in

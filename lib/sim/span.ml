@@ -198,10 +198,7 @@ let check t =
 (* -- Chrome trace-event export -- *)
 
 (* The document is appended straight into one buffer; no [Json.t] tree is
-   built for it. Layout: the process row; one thread row per distinct
-   track, over every record (open ones included); one "X" event per
-   closed span, oldest first, with args in the order attrs, parent_span,
-   span_id. Strings and the out-of-range timestamps go through
+   built for it. Strings and the out-of-range timestamps go through
    [Json.to_buffer], so escaping and float formatting are the ones every
    other export uses. *)
 

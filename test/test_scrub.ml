@@ -264,6 +264,155 @@ let test_dedup_twins_restore_identically () =
     | _ -> ()
   done
 
+(* A GH sharer and a GH-NOP sharer of one index: both managers take part
+   in the same blast radius. *)
+let make_mixed_pair () =
+  let dedup = Dedup.create () in
+  let root = Rng.create 42 in
+  let make id name =
+    match
+      Registry.make id ~verify:Manager.Verify_full ~dedup ~rng:(Rng.named_split root name)
+        spec
+    with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  let gh = make Registry.Gh "gh" in
+  let gh_nop = make Registry.Gh_nop "gh-nop" in
+  (dedup, gh, gh_nop)
+
+let status_name (s : Intf.t) =
+  match s.Intf.status () with
+  | Some `Clean -> "clean"
+  | Some `Dirty -> "dirty"
+  | Some `Restoring -> "restoring"
+  | Some `Poisoned -> "poisoned"
+  | None -> "none"
+
+(* Corrupt shared canonical copies one at a time (flipping each miss back)
+   until [detector]'s post-request restore copies the damaged block into
+   its process and the restore audit catches it. Only copies whose holders
+   satisfy [wanted] are tried. Returns the caught copy's holders. *)
+let corrupt_until_audit_fails dedup (detector : Intf.t) ~wanted =
+  let rec go n req =
+    match Dedup.corrupt_shared dedup n with
+    | None -> Alcotest.fail "no corrupted shared block was ever restored and audited"
+    | Some holders when not (wanted holders) ->
+        ignore (Dedup.corrupt_shared dedup n);
+        go (n + 1) req
+    | Some holders -> (
+        match (detector.Intf.invoke (request req)).Intf.verify with
+        | Intf.Verify_failed _ -> holders
+        | Intf.Verified _ | Intf.Unverified ->
+            ignore (Dedup.corrupt_shared dedup n);
+            go (n + 1) (req + 1))
+  in
+  go 0 1
+
+let test_audit_blast_poisons_sharer () =
+  let dedup, a, b = make_dedup_pair () in
+  let holders = corrupt_until_audit_fails dedup a ~wanted:(fun h -> List.length h >= 2) in
+  check_bool "the caught block is shared" true (List.length holders >= 2);
+  Alcotest.(check string) "the detector poisoned itself" "poisoned" (status_name a);
+  (* B never restored: the audit's blast is what reached it. *)
+  Alcotest.(check string) "the restore audit blasted the other sharer" "poisoned"
+    (status_name b)
+
+let test_audit_blast_crosses_strategies () =
+  let dedup, gh, gh_nop = make_mixed_pair () in
+  check_bool "GH and GH-NOP share blocks" true (Dedup.shared_blocks dedup > 0);
+  let holders =
+    corrupt_until_audit_fails dedup gh ~wanted:(fun h ->
+        List.exists (fun (o, _, _) -> o = "gh") h
+        && List.exists (fun (o, _, _) -> o = "gh-nop") h)
+  in
+  check_bool "both strategies hold the caught block" true (List.length holders >= 2);
+  Alcotest.(check string) "GH poisoned by its audit" "poisoned" (status_name gh);
+  Alcotest.(check string) "GH's audit blasted the GH-NOP sharer" "poisoned"
+    (status_name gh_nop);
+  match gh_nop.Intf.scrub max_int with
+  | Intf.Scrub_skip -> ()
+  | _ -> Alcotest.fail "blasted GH-NOP kept scrubbing"
+
+(* A restore-skip damages the restored process, not the stored block: the
+   audit poisons the detector alone and the other sharer keeps serving. *)
+let test_restore_skip_blasts_nothing () =
+  let dedup = Dedup.create () in
+  let root = Rng.create 42 in
+  let make ?fault name =
+    match
+      Registry.make Registry.Gh ?fault ~verify:Manager.Verify_full ~dedup
+        ~rng:(Rng.named_split root name) spec
+    with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  let fault = Fault.create ~seed:11 in
+  Fault.set fault Fault.Restore_skip ~prob:1.0 ();
+  let a = make ~fault "a" in
+  let b = make "b" in
+  check_bool "the pair shares blocks" true (Dedup.shared_blocks dedup > 0);
+  let rec go i =
+    if i > 6 then Alcotest.fail "full verification never caught the skipped writes"
+    else
+      match (a.Intf.invoke (request i)).Intf.verify with
+      | Intf.Verify_failed _ -> ()
+      | _ -> go (i + 1)
+  in
+  go 1;
+  Alcotest.(check string) "the audit poisoned the skipping sharer" "poisoned" (status_name a);
+  Alcotest.(check string) "the intact store blasted nobody" "clean" (status_name b);
+  match (b.Intf.invoke (request 1)).Intf.verify with
+  | Intf.Verified n -> check_bool "the other sharer still restores and audits" true (n > 0)
+  | Intf.Verify_failed why -> Alcotest.failf "the other sharer's audit failed: %s" why
+  | Intf.Unverified -> Alcotest.fail "the other sharer's restore went unaudited"
+
+(* [kill] poisons the manager and takes its snapshot out of the index. *)
+let test_kill_leaves_index () =
+  let dedup, gh, gh_nop = make_mixed_pair () in
+  check_bool "the pair shares blocks" true (Dedup.shared_blocks dedup > 0);
+  gh_nop.Intf.kill ();
+  Alcotest.(check string) "killed GH-NOP is poisoned" "poisoned" (status_name gh_nop);
+  Alcotest.(check string) "the survivor is untouched" "clean" (status_name gh);
+  (* Content GH stores twice stays shared with itself; no shared copy may
+     still list the killed GH-NOP (each probe flip is flipped back). *)
+  let rec owners n acc =
+    match Dedup.corrupt_shared dedup n with
+    | None -> acc
+    | Some holders ->
+        ignore (Dedup.corrupt_shared dedup n);
+        owners (n + 1) (List.map (fun (o, _, _) -> o) holders @ acc)
+  in
+  check_bool "no shared block lists the killed sharer" false
+    (List.mem "gh-nop" (owners 0 []));
+  gh.Intf.kill ();
+  Alcotest.(check string) "killed GH is poisoned" "poisoned" (status_name gh);
+  check_int "no shared blocks remain" 0 (Dedup.shared_blocks dedup);
+  check_int "no blocks remain" 0 (Dedup.unique_blocks dedup);
+  check_bool "corrupt_shared finds none" true (Dedup.corrupt_shared dedup 0 = None);
+  (* Idempotent: a second kill changes nothing. *)
+  gh.Intf.kill ();
+  Alcotest.(check string) "still poisoned" "poisoned" (status_name gh)
+
+(* CRIU's ground-truth oracle judges only an image its restore produced,
+   and its restore audit reports the blocks it checked. *)
+let test_criu_oracle_and_audit () =
+  let criu =
+    match
+      Registry.make Registry.Criu ~verify:Manager.Verify_full ~rng:(Rng.create 42) spec
+    with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  check_bool "no oracle before the first restore" true (criu.Intf.audit () = None);
+  let inv = criu.Intf.invoke (request 1) in
+  check_bool "the request completed" true (inv.Intf.outcome = Intf.Completed);
+  (match inv.Intf.verify with
+  | Intf.Verified n -> check_bool "full audit checked blocks" true (n > 0)
+  | Intf.Verify_failed why -> Alcotest.failf "clean CRIU restore failed its audit: %s" why
+  | Intf.Unverified -> Alcotest.fail "CRIU restore went unaudited under Verify_full");
+  check_bool "oracle sees an intact restored image" true (criu.Intf.audit () = Some `Intact)
+
 (* -- qcheck: scrubber completeness and soundness -- *)
 
 (* Build a seed-determined snapshot; return it with its manager. *)
@@ -396,6 +545,15 @@ let () =
             test_dedup_blast_radius;
           Alcotest.test_case "twins restore byte-identically" `Quick
             test_dedup_twins_restore_identically;
+          Alcotest.test_case "restore audit of a corrupt shared block poisons the sharer"
+            `Quick test_audit_blast_poisons_sharer;
+          Alcotest.test_case "GH audit blast reaches a GH-NOP sharer" `Quick
+            test_audit_blast_crosses_strategies;
+          Alcotest.test_case "restore-skip caught by the audit blasts nothing" `Quick
+            test_restore_skip_blasts_nothing;
+          Alcotest.test_case "killed sharers leave the index" `Quick test_kill_leaves_index;
+          Alcotest.test_case "CRIU oracle and restore audit" `Quick
+            test_criu_oracle_and_audit;
         ] );
       ( "properties",
         qcheck

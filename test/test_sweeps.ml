@@ -143,6 +143,18 @@ let test_scrub_seed3_defect () =
     (Failure "Groundhog actionloop: input held back from a dirty process") (fun () ->
       ignore (Gh_harness.Scrub_exp.run cfg ~requests:60 entry))
 
+(* GH-NOP's half of the same defect: a dedup blast poisons an idle
+   sharer's manager without telling its container, and the next dispatch
+   reaches [Manager.skip_restore] on the poisoned manager. *)
+let test_scrub_gh_nop_defect seed policy () =
+  let cfg = { Config.default with Config.seed } in
+  Alcotest.check_raises "skip_restore refuses the blasted manager"
+    (Invalid_argument "Manager.skip_restore: container is poisoned (fail closed)")
+    (fun () ->
+      ignore
+        (Gh_harness.Scrub_exp.measure cfg Gh_isolation.Registry.Gh_nop
+           entry.Catalog.spec ~rate:0.1 ~policy ~n_containers:2 ~n_requests:400))
+
 let () =
   Alcotest.run "sweeps"
     [
@@ -153,5 +165,11 @@ let () =
             test_cluster_acceptance;
         ] );
       ( "known-defects",
-        [ Alcotest.test_case "scrub seed 3 raises (pinned)" `Quick test_scrub_seed3_defect ] );
+        [
+          Alcotest.test_case "scrub seed 3 raises (pinned)" `Quick test_scrub_seed3_defect;
+          Alcotest.test_case "gh-nop full seed 28 raises (pinned)" `Quick
+            (test_scrub_gh_nop_defect 28 Gh_harness.Scrub_exp.Full);
+          Alcotest.test_case "gh-nop sampled-4 seed 1337 raises (pinned)" `Quick
+            (test_scrub_gh_nop_defect 1337 (Gh_harness.Scrub_exp.Sampled 4));
+        ] );
     ]

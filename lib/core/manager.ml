@@ -36,7 +36,9 @@ type t = {
   mutable scrub_ns : int;
   mutable scrub_cursor : int;
   mutable clean_via_restore : bool;
-  mutable last_corruption : Snapshot.corruption option;
+  (* Dedup membership: the index the eager snapshot joined, and this
+     manager's handle in it. *)
+  mutable sharer : (Dedup.t * Dedup.sharer) option;
 }
 
 let create ?(paranoid = false) ?(verify = Verify_off) ?(mode = Eager) proc =
@@ -68,11 +70,12 @@ let create ?(paranoid = false) ?(verify = Verify_off) ?(mode = Eager) proc =
     scrub_ns = 0;
     scrub_cursor = 0;
     clean_via_restore = false;
-    last_corruption = None;
+    sharer = None;
   }
 
 let process t = t.proc
 let account t = t.acct
+let verify t = t.verify
 let status t = t.status
 
 let status_name = function
@@ -151,8 +154,25 @@ let run_audit t snap =
     | Error c ->
         t.verify_failures <- t.verify_failures + 1;
         t.last_verify_blocks <- 0;
-        t.last_corruption <- Some c;
-        Error (Format.asprintf "hash audit failed: %a" Snapshot.pp_corruption c)
+        Error c
+
+(* Corruption was just detected at [c]. If the *stored* block itself fails
+   verification, the canonical copy is damaged and every dedup sharer of
+   it restores from the same bytes — blast them all (fail closed). A
+   restore-skip leaves the store intact, so it blasts nothing. *)
+let blast t snap (c : Snapshot.corruption) =
+  match t.sharer with
+  | None -> ()
+  | Some (d, sh) ->
+      let stored_bad =
+        match Snapshot.find_region snap ~start_addr:c.Snapshot.region_addr with
+        | None -> false
+        | Some r -> not (Snapshot.verify_block r c.Snapshot.block)
+      in
+      if stored_bad then
+        ignore
+          (Dedup.blast d sh ~region_addr:c.Snapshot.region_addr ~block:c.Snapshot.block
+             ~what:c.Snapshot.what)
 
 let restore t =
   if t.status = Poisoned then
@@ -184,7 +204,14 @@ let restore t =
             | Ok () -> (
                 match run_audit t snap with
                 | Ok () -> Ok ()
-                | Error what -> fail t what start)
+                | Error c ->
+                    let e =
+                      fail t
+                        (Format.asprintf "hash audit failed: %a" Snapshot.pp_corruption c)
+                        start
+                    in
+                    blast t snap c;
+                    e)
           in
           (match verified with
           | Ok () ->
@@ -216,6 +243,30 @@ let poison t what =
   t.failures <- t.failures + 1;
   t.last_failure <- Some { what; spent_ns = 0 }
 
+(* Fold the eager snapshot into [dedup]. Incremental shells materialize
+   lazily, so their content is not stable at registration time and they
+   stay out. [on_corrupt] is the receiving end of another sharer's blast:
+   our stored copy of that block is the same physical bytes, so we are
+   poisoned too. *)
+let join_dedup t dedup ~owner =
+  if t.sharer <> None then invalid_arg "Manager.join_dedup: already a dedup member";
+  match (t.mode, t.snap) with
+  | Eager, Some snap ->
+      let on_corrupt c =
+        if t.status <> Poisoned then
+          poison t (Format.asprintf "dedup blast: %a" Snapshot.pp_corruption c)
+      in
+      t.sharer <- Some (dedup, Dedup.register dedup ~owner ~on_corrupt snap)
+  | _ -> ()
+
+let kill t =
+  if t.status <> Poisoned then poison t "killed";
+  match t.sharer with
+  | Some (d, sh) ->
+      Dedup.unregister d sh;
+      t.sharer <- None
+  | None -> ()
+
 (* One bounded slice of stored-side integrity scrubbing: re-hash up to
    [blocks] snapshot blocks from the cursor. Detects buffer corruption
    (bitflips, torn captures) while the container idles — before a restore
@@ -234,15 +285,8 @@ let scrub t ~blocks =
         t.scrub_cursor <- r.Snapshot.next_cursor;
         match r.Snapshot.corrupt with
         | Some c ->
-            t.last_corruption <- Some c;
-            t.status <- Poisoned;
-            t.failures <- t.failures + 1;
-            t.last_failure <-
-              Some
-                {
-                  what = Format.asprintf "scrub: %a" Snapshot.pp_corruption c;
-                  spent_ns = 0;
-                };
+            poison t (Format.asprintf "scrub: %a" Snapshot.pp_corruption c);
+            blast t snap c;
             `Corrupt c
         | None -> `Checked (r.Snapshot.checked_blocks, r.Snapshot.next_cursor = 0))
 
@@ -272,10 +316,10 @@ let verify_ns t = t.verify_ns
 let verify_failures t = t.verify_failures
 let scrubbed_blocks t = t.scrubbed_blocks
 let scrub_ns t = t.scrub_ns
-let last_corruption t = t.last_corruption
 
 let buffer_pages t =
-  match (t.mode, t.incr, t.snap) with
-  | Incremental, Some incr, _ -> Incremental.saved_pages incr
-  | _, _, Some snap -> snap.Snapshot.present_pages
+  match (t.sharer, t.mode, t.incr, t.snap) with
+  | Some (_, sh), _, _, _ -> Dedup.charged_pages sh
+  | None, Incremental, Some incr, _ -> Incremental.saved_pages incr
+  | None, _, _, Some snap -> snap.Snapshot.present_pages
   | _ -> 0

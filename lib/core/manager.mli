@@ -82,6 +82,9 @@ val create : ?paranoid:bool -> ?verify:verify -> ?mode:mode -> Gh_proc.Process.t
 val process : t -> Gh_proc.Process.t
 val account : t -> Gh_sim.Account.t
 
+val verify : t -> verify
+(** The restore-time audit policy given to {!create}. *)
+
 val status : t -> status
 val status_name : status -> string
 
@@ -108,7 +111,10 @@ val is_clean : t -> bool
 val restore : t -> (Breakdown.t, failure) result
 (** Revert to the snapshot (§4.4). [Ok] transitions to [Clean]; any fault
     or (paranoid) verification mismatch transitions to [Poisoned] and
-    reports how much manager time the failed attempt burned.
+    reports how much manager time the failed attempt burned. When the
+    hash audit fails because the {e stored} block is corrupt, every other
+    dedup sharer of that block is poisoned too (see {!join_dedup}); a
+    restore-skip leaves the store intact and poisons this manager alone.
     @raise Failure if no snapshot exists. *)
 
 val restore_exn : t -> Breakdown.t
@@ -124,6 +130,22 @@ val skip_restore : t -> unit
 
 val poison : t -> string -> unit
 (** External failure (kill after a hang, timeout): force [Poisoned]. *)
+
+(** {1 Dedup membership} *)
+
+val join_dedup : t -> Dedup.t -> owner:string -> unit
+(** Register the eager snapshot in a cross-container {!Dedup} index under
+    [owner]. A no-op in [Incremental] mode (a shell's content is not
+    stable at registration time) and before the snapshot. From then on a
+    stored-block corruption that this manager's audit or scrub finds
+    blasts every other sharer of the block, another sharer's blast
+    poisons this manager, and {!buffer_pages} reports only the pages this
+    manager stores itself.
+    @raise Invalid_argument if the manager already joined an index. *)
+
+val kill : t -> unit
+(** SIGKILL the function process: poison the manager (["killed"], unless
+    already poisoned) and leave the dedup index. Idempotent. *)
 
 val restores_performed : t -> int
 
@@ -144,7 +166,8 @@ val scrub :
     verified [n] clean blocks, [finished] meaning the pass reached the
     snapshot's end (the caller should stop rescheduling until the next
     idle period). [`Corrupt] poisons the manager — the stored buffer can
-    no longer be trusted to restore from. [`Skip] when poisoned or not
+    no longer be trusted to restore from — and every other dedup sharer
+    of the corrupt block. [`Skip] when poisoned or not
     yet snapshotted. Detects bitflips and torn captures in the buffer;
     restore-skips live in the restore path and are the audit's job. *)
 
@@ -172,11 +195,9 @@ val scrubbed_blocks : t -> int
 val scrub_ns : t -> int
 (** Modeled scrub cost, same tally-only discipline as {!verify_ns}. *)
 
-val last_corruption : t -> Snapshot.corruption option
-(** Location of the most recent corruption found by the audit or the
-    scrubber — the dedup layer uses it to poison every sharer of the
-    block. *)
-
 val buffer_pages : t -> int
 (** Pages of function memory held in the manager: the whole present
-    footprint for [Eager], only the salvaged pages for [Incremental]. *)
+    footprint for [Eager], only the salvaged pages for [Incremental].
+    While the manager is a dedup member, only the pages it stores itself
+    ({!Dedup.charged_pages}: shared blocks are charged to their first
+    holder). *)

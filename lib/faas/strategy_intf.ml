@@ -131,9 +131,35 @@ let outcome_of_response (r : Function_model.response) =
   else if r.Function_model.crashed then Crashed
   else Completed
 
+module Manager = Groundhog_core.Manager
+
 let manager_status mgr : status =
-  match Groundhog_core.Manager.status mgr with
-  | Groundhog_core.Manager.Clean -> `Clean
-  | Groundhog_core.Manager.Dirty -> `Dirty
-  | Groundhog_core.Manager.Restoring -> `Restoring
-  | Groundhog_core.Manager.Poisoned -> `Poisoned
+  match Manager.status mgr with
+  | Manager.Clean -> `Clean
+  | Manager.Dirty -> `Dirty
+  | Manager.Restoring -> `Restoring
+  | Manager.Poisoned -> `Poisoned
+
+(* The audit ran iff the policy is on; it is what failed the restore iff
+   the manager's audit-failure count moved. *)
+let manager_restore mgr =
+  let failed0 = Manager.verify_failures mgr in
+  match Manager.restore mgr with
+  | Ok b ->
+      let v =
+        if Manager.verify mgr = Manager.Verify_off then Unverified
+        else Verified (Manager.last_verify_blocks mgr)
+      in
+      Ok (b, v)
+  | Error f ->
+      let v =
+        if Manager.verify_failures mgr > failed0 then Verify_failed f.Manager.what
+        else Unverified
+      in
+      Error (f, v)
+
+let manager_scrub mgr blocks =
+  match Manager.scrub mgr ~blocks with
+  | `Skip -> Scrub_skip
+  | `Checked (n, finished) -> Scrubbed (n, finished)
+  | `Corrupt c -> Scrub_corrupt (Format.asprintf "%a" Groundhog_core.Snapshot.pp_corruption c)

@@ -160,3 +160,16 @@ val outcome_of_response : Function_model.response -> outcome
 
 val manager_status : Groundhog_core.Manager.t -> status
 (** Lift a manager's lifecycle state into the polymorphic status. *)
+
+val manager_restore :
+  Groundhog_core.Manager.t ->
+  ( Groundhog_core.Breakdown.t * verify_outcome,
+    Groundhog_core.Manager.failure * verify_outcome )
+  result
+(** {!Groundhog_core.Manager.restore} plus the invocation's verify
+    outcome: [Verified n] when the manager's policy audited the restore,
+    [Verify_failed] when the audit is what poisoned it, [Unverified]
+    otherwise. *)
+
+val manager_scrub : Groundhog_core.Manager.t -> int -> scrub_result
+(** {!Groundhog_core.Manager.scrub} as a {!scrub_result}. *)

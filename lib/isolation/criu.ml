@@ -3,9 +3,6 @@ module Rng = Gh_sim.Rng
 module Fm = Gh_faas.Function_model
 module Intf = Gh_faas.Strategy_intf
 module Manager = Groundhog_core.Manager
-module Snapshot = Groundhog_core.Snapshot
-module Restore = Groundhog_core.Restore
-module Verify = Groundhog_core.Verify
 module Breakdown = Groundhog_core.Breakdown
 
 (* VAS-CRIU-like in-memory restore: rebuild the address space from the
@@ -24,108 +21,59 @@ let make ?(verify = Manager.Verify_off) ?(fault = Gh_sim.Fault.none) ~rng spec =
   let init_acct = Account.create () in
   let _warm = Fm.warmup inst init_acct rng in
   Fm.mark_clean inst;
-  (* Checkpoint: serialize the full image (charged per present page). *)
-  let snap = Snapshot.capture_exn init_acct (Fm.proc inst) in
-  Account.charge init_acct (restore_per_page_ns * snap.Snapshot.present_pages);
+  (* Checkpoint: serialize the full image (charged per present page). The
+     manager holds the image and its integrity state: restore audit,
+     scrub cursor, poisoning and the ground-truth oracle. *)
+  let mgr = Manager.create ~verify (Fm.proc inst) in
+  let capture_ns = Manager.take_snapshot_exn mgr in
+  let present_pages = Manager.buffer_pages mgr in
+  Account.charge init_acct (restore_per_page_ns * present_pages);
   let rt = Fm.runtime inst in
-  let init_ns = rt.Gh_faas.Runtime.init_ns + Account.total init_acct in
-  let scratch = Account.create () in
-  (* No manager here; the integrity state is the strategy's own. *)
-  let poisoned = ref false in
-  let dirty = ref false in
-  let restores = ref 0 in
-  let scrub_cursor = ref 0 in
-  (* Restore-time hash audit, same policy semantics as the manager's:
-     reads restored memory only, never the simulated clock. *)
-  let run_audit () =
-    let stride, offset =
-      match verify with
-      | Manager.Verify_off -> (0, 0)
-      | Manager.Verify_full -> (1, 0)
-      | Manager.Verify_sampled k -> (max 1 k, !restores mod max 1 k)
-    in
-    if stride = 0 then Ok (-1)
-    else Verify.audit_hashes ~stride ~offset snap (Fm.proc inst)
-  in
+  let init_ns = rt.Gh_faas.Runtime.init_ns + Account.total init_acct + capture_ns in
   let invoke req =
     let acct = Account.create () in
-    dirty := true;
+    Manager.mark_dirty mgr;
     let response = Fm.invoke inst acct rng ~post_restore:true req in
     if response.Fm.hung then
       Intf.invocation ~on_path_ns:(Account.total acct) ~outcome:Intf.Hung response
-    else begin
+    else
       (* The mechanism really reverts the state; the charge is the image
-         deserialization model, not a dirty-proportional restore. *)
-      let reset_ns = restore_cost_ns ~present_pages:snap.Snapshot.present_pages in
-      match Restore.run scratch snap (Fm.proc inst) with
-      | Error _ ->
-          (* The image restore failed mid-way: the attempt's cost is spent
-             and the process state is unknown. *)
-          poisoned := true;
-          Intf.invocation ~on_path_ns:(Account.total acct) ~post_ns:reset_ns
+         deserialization model, not a dirty-proportional restore. A failed
+         restore or audit spends the same and leaves the manager poisoned:
+         serve nothing further from this image. *)
+      let reset_ns = restore_cost_ns ~present_pages in
+      match Intf.manager_restore mgr with
+      | Error (_, verify) ->
+          Intf.invocation ~on_path_ns:(Account.total acct) ~post_ns:reset_ns ~verify
             ~restore_label:"criu-restore" ~outcome:Intf.Poisoned response
-      | Ok mechanics -> (
-          let audit = run_audit () in
-          incr restores;
-          match audit with
-          | Error c ->
-              (* The restore "completed" but the restored image does not
-                 match the checkpoint: serve nothing further from it. *)
-              poisoned := true;
-              Intf.invocation ~on_path_ns:(Account.total acct) ~post_ns:reset_ns
-                ~verify:
-                  (Intf.Verify_failed
-                     (Format.asprintf "%a" Snapshot.pp_corruption c))
-                ~restore_label:"criu-restore" ~outcome:Intf.Poisoned response
-          | Ok audited ->
-              dirty := false;
-              let breakdown =
-                {
-                  Breakdown.zero with
-                  Breakdown.copy_ns = reset_ns;
-                  total_ns = reset_ns;
-                  pages_restored = snap.Snapshot.present_pages;
-                  pages_madvised = mechanics.Breakdown.pages_madvised;
-                }
-              in
-              Intf.invocation ~on_path_ns:(Account.total acct) ~post_ns:reset_ns
-                ~breakdown ~isolated:true
-                ~verify:(if audited < 0 then Intf.Unverified else Intf.Verified audited)
-                ~restore_label:"criu-restore"
-                ~outcome:(Intf.outcome_of_response response) response)
-    end
+      | Ok (mechanics, verify) ->
+          let breakdown =
+            {
+              Breakdown.zero with
+              Breakdown.copy_ns = reset_ns;
+              total_ns = reset_ns;
+              pages_restored = present_pages;
+              pages_madvised = mechanics.Breakdown.pages_madvised;
+            }
+          in
+          Intf.invocation ~on_path_ns:(Account.total acct) ~post_ns:reset_ns ~breakdown
+            ~isolated:true ~verify ~restore_label:"criu-restore"
+            ~outcome:(Intf.outcome_of_response response) response
   in
   {
     Intf.name = "criu";
     init_ns;
     invoke;
-    snapshot_pages = (fun () -> snap.Snapshot.present_pages);
+    snapshot_pages = (fun () -> present_pages);
     describe =
       (fun () -> "CRIU-style full-image checkpoint/restore per request (related work)");
     status = Intf.no_status;
     kill = Intf.no_kill;
     degrade = Intf.no_degrade;
-    scrub =
-      (fun blocks ->
-        if !poisoned then Intf.Scrub_skip
-        else
-          let r = Snapshot.scrub snap ~cursor:!scrub_cursor ~blocks in
-          scrub_cursor := r.Snapshot.next_cursor;
-          match r.Snapshot.corrupt with
-          | Some c ->
-              poisoned := true;
-              Intf.Scrub_corrupt (Format.asprintf "%a" Snapshot.pp_corruption c)
-          | None -> Intf.Scrubbed (r.Snapshot.checked_blocks, r.Snapshot.next_cursor = 0));
-    audit =
-      (fun () ->
-        (* Every completed CRIU invocation ends in a full-image restore, so
-           between requests the image is the reference — except right after
-           boot (the warm process itself is the reference, even if the
-           stored image is corrupt) or mid-hang. *)
-        if !poisoned || !dirty || !restores = 0 then None
-        else
-          Some
-            (match Verify.audit_hashes snap (Fm.proc inst) with
-            | Ok _ -> `Intact
-            | Error c -> `Corrupt (Format.asprintf "%a" Snapshot.pp_corruption c)));
+    scrub = Intf.manager_scrub mgr;
+    (* Every completed CRIU invocation ends in a full-image restore, so
+       between requests the image is the reference — except right after
+       boot (the warm process itself is the reference, even if the stored
+       image is corrupt) or mid-hang. *)
+    audit = (fun () -> Manager.audit_oracle mgr);
   }

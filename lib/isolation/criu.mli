@@ -19,9 +19,12 @@ val make :
   rng:Gh_sim.Rng.t ->
   Gh_faas.Function_model.spec ->
   Gh_faas.Strategy_intf.t
-(** [verify] (default off) hash-audits each image restore; an audit
-    failure surfaces as a [Poisoned] invocation with [Verify_failed] and
-    the strategy never serves again (its scrub/audit hooks go silent). *)
+(** The image lives in a {!Groundhog_core.Manager}, which also keeps its
+    integrity state. [verify] (default off) hash-audits each image
+    restore; an audit failure surfaces as a [Poisoned] invocation with
+    [Verify_failed] and the strategy never serves again (its scrub/audit
+    hooks go silent). Unlike GH, CRIU reports no manager [status] and its
+    [kill] is a no-op. *)
 
 val restore_cost_ns : present_pages:int -> int
 (** The modelled image-restore cost (exposed for tests and tables). *)

@@ -3,8 +3,6 @@ module Rng = Gh_sim.Rng
 module Fm = Gh_faas.Function_model
 module Intf = Gh_faas.Strategy_intf
 module Manager = Groundhog_core.Manager
-module Snapshot = Groundhog_core.Snapshot
-module Dedup = Groundhog_core.Dedup
 module Actionloop = Gh_faas.Actionloop
 
 type interposition = Intercept | Platform_signal
@@ -16,9 +14,6 @@ type state = {
   interposition : interposition;
   rng : Rng.t;
   policy : Policy.t;
-  verify_on : bool;
-  mutable sharer : (Dedup.t * Dedup.sharer) option;
-  mutable last_req : Gh_faas.Request.t option;
   mutable restored_since_last : bool;
   (* Brownout: while [degraded], the post-completion restore is deferred —
      the rollback debt is remembered in [deferred_from] and settled at the
@@ -33,49 +28,6 @@ let manager s = s.mgr
 let instance s = s.inst
 let actionloop s = s.loop
 let deferred_restores s = s.deferred_restores
-
-(* Corruption was just detected. If the *stored* block itself fails
-   verification, the canonical copy is damaged and every dedup sharer of
-   it restores from the same bytes — blast them all (fail closed). A
-   restore-skip leaves the store intact, so it blasts nothing. *)
-let blast_if_stored_corrupt s =
-  match (s.sharer, Manager.last_corruption s.mgr) with
-  | Some (d, sh), Some c ->
-      let stored_bad =
-        match Manager.snapshot s.mgr with
-        | None -> false
-        | Some snap -> (
-            match Snapshot.find_region snap ~start_addr:c.Snapshot.region_addr with
-            | None -> false
-            | Some r -> not (Snapshot.verify_block r c.Snapshot.block))
-      in
-      if stored_bad then
-        ignore
-          (Dedup.blast d sh ~region_addr:c.Snapshot.region_addr ~block:c.Snapshot.block
-             ~what:c.Snapshot.what)
-  | _ -> ()
-
-(* [Manager.restore] plus the per-invocation verify outcome: [Verified n]
-   when the policy audited this restore, [Verify_failed] when the audit is
-   what killed it (also the dedup blast trigger). *)
-let restore_verified s =
-  let vf0 = Manager.verify_failures s.mgr in
-  match Manager.restore s.mgr with
-  | Ok b ->
-      let v =
-        if s.verify_on then Intf.Verified (Manager.last_verify_blocks s.mgr)
-        else Intf.Unverified
-      in
-      Ok (b, v)
-  | Error f ->
-      let v =
-        if Manager.verify_failures s.mgr > vf0 then begin
-          blast_if_stored_corrupt s;
-          Intf.Verify_failed f.Manager.what
-        end
-        else Intf.Unverified
-      in
-      Error (f, v)
 
 let run_function s req =
   let acct = Account.create () in
@@ -128,7 +80,7 @@ let settle_deferred s req =
         Ok (0, Intf.Unverified)
       else begin
         Manager.mark_dirty s.mgr;
-        match restore_verified s with
+        match Intf.manager_restore s.mgr with
         | Ok (breakdown, v) ->
             s.restored_since_last <- true;
             Ok (breakdown.Groundhog_core.Breakdown.total_ns, v)
@@ -147,7 +99,6 @@ let invoke_with_lookahead s req ~next =
   | Ok (settle_ns, settle_verify) ->
   let on_path_ns, io_ns, response = run_function s req in
   let on_path_ns = settle_ns + on_path_ns in
-  s.last_req <- Some req;
   if response.Fm.hung then
     (* No output, no restore: the process is wedged mid-request and the
        manager stays [Dirty] — only a platform timeout (kill + cold
@@ -183,7 +134,7 @@ let invoke_with_lookahead s req ~next =
         ~verify:settle_verify ~outcome:(Intf.outcome_of_response response) response
     end
     else begin
-      match restore_verified s with
+      match Intf.manager_restore s.mgr with
       | Ok (breakdown, verify) ->
           s.restored_since_last <- true;
           Intf.invocation ~on_path_ns ~io_ns ~restore_on_path_ns:settle_ns
@@ -221,72 +172,31 @@ let make_with_state ?(policy = Policy.Always_isolate) ?(paranoid = false)
       interposition;
       rng;
       policy;
-      verify_on = verify <> Manager.Verify_off;
-      sharer = None;
-      last_req = None;
       restored_since_last = false;
       degraded = false;
       deferred_from = None;
       deferred_restores = 0;
     }
   in
-  (* Fold the fresh snapshot into the function's dedup index (eager mode
-     only — incremental shells materialize lazily, so their content is not
-     stable at registration time). [on_corrupt] is the receiving end of
-     another sharer's blast: our stored copy of that block is the same
-     physical bytes, so we are poisoned too. *)
-  (match (dedup, mode, Manager.snapshot mgr) with
-  | Some d, Manager.Eager, Some snap ->
-      let sharer =
-        Dedup.register d ~owner:"gh"
-          ~on_corrupt:(fun c ->
-            if Manager.status mgr <> Manager.Poisoned then
-              Manager.poison mgr
-                (Format.asprintf "dedup blast: %a" Snapshot.pp_corruption c))
-          snap
-      in
-      s.sharer <- Some (d, sharer)
-  | _ -> ());
+  Option.iter (fun d -> Manager.join_dedup mgr d ~owner:"gh") dedup;
   let strategy =
     {
       Intf.name = "gh";
       init_ns;
       invoke = (fun req -> invoke_with_lookahead s req ~next:None);
-      snapshot_pages =
-        (fun () ->
-          (* With dedup, report only the pages this container actually
-             stores (shared blocks are charged to their first holder). *)
-          match s.sharer with
-          | Some (_, sharer) -> Dedup.charged_pages sharer
-          | None -> Manager.buffer_pages mgr);
+      snapshot_pages = (fun () -> Manager.buffer_pages mgr);
       describe =
         (fun () ->
           Printf.sprintf "Groundhog: snapshot/restore isolation (policy %s)"
             (Policy.to_string policy));
       status = (fun () -> Some (Intf.manager_status mgr));
-      kill =
-        (fun () ->
-          if Manager.status mgr <> Manager.Poisoned then Manager.poison mgr "killed";
-          match s.sharer with
-          | Some (d, sharer) ->
-              Dedup.unregister d sharer;
-              s.sharer <- None
-          | None -> ());
+      kill = (fun () -> Manager.kill mgr);
       degrade = (fun d -> s.degraded <- d);
       scrub =
         (fun blocks ->
           (* Brownout-aware: scrubbing is the definition of deferrable
              work, so a degraded container skips its slices entirely. *)
-          if s.degraded then Intf.Scrub_skip
-          else
-            match Manager.scrub mgr ~blocks with
-            | `Skip -> Intf.Scrub_skip
-            | `Checked (n, finished) -> Intf.Scrubbed (n, finished)
-            | `Corrupt c ->
-                (* Stored-side corruption is definitely in the buffer:
-                   blast every sharer of the block's canonical copy. *)
-                blast_if_stored_corrupt s;
-                Intf.Scrub_corrupt (Format.asprintf "%a" Snapshot.pp_corruption c));
+          if s.degraded then Intf.Scrub_skip else Intf.manager_scrub mgr blocks);
       audit = (fun () -> Manager.audit_oracle mgr);
     }
   in

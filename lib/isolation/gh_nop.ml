@@ -3,8 +3,6 @@ module Rng = Gh_sim.Rng
 module Fm = Gh_faas.Function_model
 module Intf = Gh_faas.Strategy_intf
 module Manager = Groundhog_core.Manager
-module Snapshot = Groundhog_core.Snapshot
-module Dedup = Groundhog_core.Dedup
 
 let make ?(verify = Manager.Verify_off) ?dedup ?(fault = Gh_sim.Fault.none) ~rng spec =
   let inst = Fm.build spec in
@@ -18,40 +16,7 @@ let make ?(verify = Manager.Verify_off) ?dedup ?(fault = Gh_sim.Fault.none) ~rng
   let rt = Fm.runtime inst in
   let init_ns = rt.Gh_faas.Runtime.init_ns + Account.total init_acct + snap_ns in
   let loop = Gh_faas.Actionloop.create rt in
-  let sharer = ref None in
-  (match (dedup, Manager.snapshot mgr) with
-  | Some d, Some snap ->
-      sharer :=
-        Some
-          ( d,
-            Dedup.register d ~owner:"gh-nop"
-              ~on_corrupt:(fun c ->
-                if Manager.status mgr <> Manager.Poisoned then
-                  Manager.poison mgr
-                    (Format.asprintf "dedup blast: %a" Snapshot.pp_corruption c))
-              snap )
-  | _ -> ());
-  (* Corruption was detected; if the *stored* block itself is damaged the
-     canonical copy is shared, so blast every other holder (fail closed).
-     A restore-skip leaves the store intact and blasts nothing. *)
-  let blast_stored () =
-    match (!sharer, Manager.last_corruption mgr) with
-    | Some (d, sh), Some c ->
-        let stored_bad =
-          match Manager.snapshot mgr with
-          | None -> false
-          | Some snap -> (
-              match Snapshot.find_region snap ~start_addr:c.Snapshot.region_addr with
-              | None -> false
-              | Some r -> not (Snapshot.verify_block r c.Snapshot.block))
-        in
-        if stored_bad then
-          ignore
-            (Dedup.blast d sh ~region_addr:c.Snapshot.region_addr
-               ~block:c.Snapshot.block ~what:c.Snapshot.what)
-    | _ -> ()
-  in
-  let verify_on = verify <> Manager.Verify_off in
+  Option.iter (fun d -> Manager.join_dedup mgr d ~owner:"gh-nop") dedup;
   let invoke req =
     let acct = Account.create () in
     let io0 = Gh_faas.Actionloop.io_total_ns loop in
@@ -69,26 +34,14 @@ let make ?(verify = Manager.Verify_off) ?dedup ?(fault = Gh_sim.Fault.none) ~rng
       (* Restoration is skipped between same-domain requests — but a crashed
          process is rolled back: the snapshot doubles as crash recovery. *)
       if response.Fm.crashed then begin
-        let vf0 = Manager.verify_failures mgr in
-        match Manager.restore mgr with
-        | Ok b ->
-            let v =
-              if verify_on then Intf.Verified (Manager.last_verify_blocks mgr)
-              else Intf.Unverified
-            in
+        match Intf.manager_restore mgr with
+        | Ok (b, verify) ->
             Intf.invocation ~on_path_ns:(Account.total acct) ~io_ns:(io_ns ())
-              ~post_ns:b.Groundhog_core.Breakdown.total_ns ~breakdown:b ~verify:v
+              ~post_ns:b.Groundhog_core.Breakdown.total_ns ~breakdown:b ~verify
               ~restore_label:"crash-restore" ~outcome:Intf.Crashed response
-        | Error f ->
-            let v =
-              if Manager.verify_failures mgr > vf0 then begin
-                blast_stored ();
-                Intf.Verify_failed f.Manager.what
-              end
-              else Intf.Unverified
-            in
+        | Error (f, verify) ->
             Intf.invocation ~on_path_ns:(Account.total acct) ~io_ns:(io_ns ())
-              ~post_ns:f.Manager.spent_ns ~verify:v ~restore_label:"crash-restore"
+              ~post_ns:f.Manager.spent_ns ~verify ~restore_label:"crash-restore"
               ~outcome:Intf.Poisoned response
       end
       else begin
@@ -109,23 +62,9 @@ let make ?(verify = Manager.Verify_off) ?dedup ?(fault = Gh_sim.Fault.none) ~rng
         | None -> 0);
     describe = (fun () -> "Groundhog without restoration (single security domain)");
     status = (fun () -> Some (Intf.manager_status mgr));
-    kill =
-      (fun () ->
-        if Manager.status mgr <> Manager.Poisoned then Manager.poison mgr "killed";
-        match !sharer with
-        | Some (d, sh) ->
-            Dedup.unregister d sh;
-            sharer := None
-        | None -> ());
+    kill = (fun () -> Manager.kill mgr);
     (* GH-NOP never restores, so there is nothing to defer. *)
     degrade = Intf.no_degrade;
-    scrub =
-      (fun blocks ->
-        match Manager.scrub mgr ~blocks with
-        | `Skip -> Intf.Scrub_skip
-        | `Checked (n, finished) -> Intf.Scrubbed (n, finished)
-        | `Corrupt c ->
-            blast_stored ();
-            Intf.Scrub_corrupt (Format.asprintf "%a" Snapshot.pp_corruption c));
+    scrub = Intf.manager_scrub mgr;
     audit = (fun () -> Manager.audit_oracle mgr);
   }

@@ -569,10 +569,8 @@ let create ?(obs = Obs.none) ?rng ?(fault = Fault.none) engine config ~make_stra
      SLOs (a request is judged once, where the client sees it). *)
   let node_obs = { obs with Obs.metrics = Some metrics; spans = None; slos = [] } in
   let new_node i =
-    Node.create ~obs:node_obs
-      ~metrics_prefix:(Printf.sprintf "n%d." i)
-      ?rng:(Option.map (fun r -> Rng.named_split r (Printf.sprintf "cluster-node-%d" i)) rng)
-      engine config.node ~make_strategy
+    Node.create ~obs:node_obs ~metrics_prefix:(Printf.sprintf "n%d." i) engine config.node
+      ~make_strategy
   in
   let c name = Metrics.counter metrics ("cluster." ^ name) in
   let members =

@@ -3,7 +3,6 @@ module Time_ns = Gh_sim.Time_ns
 module Trace = Gh_sim.Trace
 module Span = Gh_sim.Span
 module Metrics = Gh_sim.Metrics
-module Rng = Gh_sim.Rng
 module Obs = Gh_sim.Obs
 
 type config = {
@@ -11,7 +10,6 @@ type config = {
   memory_mb : int;
   idle_timeout : Time_ns.t;
   dispatch_ns : Time_ns.t;
-  recovery : Invoker.recovery option;
   admission : Admission.config;
   brownout : Brownout.config option;
   scrub : Container.scrub option;
@@ -23,7 +21,6 @@ let default_config =
     memory_mb = 8_192;
     idle_timeout = Time_ns.of_sec 60.0;
     dispatch_ns = Time_ns.of_us 800.0;
-    recovery = None;
     admission = Admission.unbounded;
     brownout = None;
     scrub = None;
@@ -93,7 +90,6 @@ type pool = {
   scrub_slices : Metrics.counter;  (* clean idle-scrub slices executed *)
   scrubbed_blocks : Metrics.counter;  (* blocks the idle scrubber checked *)
   scrub_corruptions : Metrics.counter;  (* corruptions the scrubber caught *)
-  attempts : (int, int) Hashtbl.t;  (* req id -> tries, recovery only *)
 }
 
 type t = {
@@ -105,7 +101,6 @@ type t = {
   obs : Obs.t;
   metrics : Metrics.t;  (* [obs.metrics], or a private registry *)
   prefix : string;
-  rng : Rng.t option;
   make_strategy : string -> Function_model.spec -> Strategy_intf.t;
   pools : (string, pool) Hashtbl.t;
   brownout : Brownout.t option;
@@ -121,7 +116,7 @@ type t = {
   mutable on_shed : Admission.reason -> Request.t -> unit;
 }
 
-let create ?(obs = Obs.none) ?(metrics_prefix = "") ?rng engine config ~make_strategy =
+let create ?(obs = Obs.none) ?(metrics_prefix = "") engine config ~make_strategy =
   let metrics = match obs.Obs.metrics with Some m -> m | None -> Metrics.create () in
   let g name = Metrics.gauge metrics (metrics_prefix ^ "node." ^ name) in
   {
@@ -130,7 +125,6 @@ let create ?(obs = Obs.none) ?(metrics_prefix = "") ?rng engine config ~make_str
     obs;
     metrics;
     prefix = metrics_prefix;
-    rng;
     make_strategy;
     pools = Hashtbl.create 16;
     brownout = Option.map (fun cfg -> Brownout.create ?trace:obs.Obs.trace cfg) config.brownout;
@@ -215,12 +209,10 @@ let register t ~name spec =
       scrub_slices = c "scrub_slices";
       scrubbed_blocks = c "scrubbed_blocks";
       scrub_corruptions = c "scrub_corruptions";
-      attempts = Hashtbl.create 16;
     }
   in
   (pool_on_shed :=
      fun reason req _pending ->
-       Hashtbl.remove pool.attempts req.Request.id;
        trace_emitf t ~what:"shed" "%s req#%d (%s)" name req.Request.id
          (Admission.reason_name reason);
        Obs.failure t.obs ~now:(Engine.now t.engine);
@@ -347,65 +339,24 @@ and on_slot_retired t pool slot =
   pump_pool t pool;
   pump_other_pools t
 
-(* A hung request was killed: the container replaces itself (still holding
-   its core); the request retries from the queue under backoff, up to the
-   configured attempt budget. *)
-and on_slot_failure t recovery pool (_slot : slot) failure =
+(* Node containers run passive recovery: a hang wedges its container (no
+   timeout fires) and a poisoned one retires itself, which
+   [on_slot_retired] accounts for. The [timeouts], [failed_requests] and
+   [poisonings] counters stay registered, at zero. *)
+and on_slot_failure t pool failure =
   match failure with
   | Container.Poisoned_restore _ ->
-      (* Response already delivered; the container cold-restarts itself.
-         (Counted only under a recovery config, matching the era when the
-         handler was not installed without one.) *)
-      record_failure_edge t ~reason:"poisoned" ~detail:pool.fn_name;
-      if recovery <> None then Metrics.incr pool.poisonings
+      record_failure_edge t ~reason:"poisoned" ~detail:pool.fn_name
   | Container.Corrupt_snapshot msg ->
       (* The idle scrubber caught a bad snapshot block before any request
          was served from it. The failing container was idle — its core was
-         already handed back — but its rebuild (or retirement) runs on a
-         core, so claim one; the recovery's terminal idle/retire transition
-         releases it again. *)
+         already handed back — but its retirement runs on a core, so claim
+         one; [on_slot_retired] releases it again. *)
       record_failure_edge t ~reason:"scrub-corruption" ~detail:msg;
       Metrics.incr pool.scrub_corruptions;
       t.busy <- t.busy + 1;
       sync_gauges t
-  | Container.Timed_out req -> (
-      match recovery with
-      | None -> ()
-      | Some r ->
-          Metrics.incr pool.timeouts;
-          let tries =
-            match Hashtbl.find_opt pool.attempts req.Request.id with Some n -> n | None -> 1
-          in
-          if tries >= r.Invoker.max_attempts then begin
-            Hashtbl.remove pool.attempts req.Request.id;
-            Metrics.incr pool.failed_requests;
-            Obs.failure t.obs ~now:(Engine.now t.engine);
-            trace_emitf t ~what:"give-up" "%s req#%d after %d tries" pool.fn_name
-              req.Request.id tries;
-            match t.obs.Obs.spans with
-            | Some sp ->
-                Span.finish_root sp ~at:(Engine.now t.engine)
-                  ~attrs:[ ("outcome", "failed") ]
-                  ~req_id:req.Request.id ()
-            | None -> ()
-          end
-          else begin
-            Hashtbl.replace pool.attempts req.Request.id (tries + 1);
-            let delay = Backoff.delay r.Invoker.retry_backoff ?rng:t.rng ~attempt:tries in
-            Engine.schedule t.engine ~after:delay (fun () ->
-                let now = Engine.now t.engine in
-                if
-                  Admission.admit pool.queue ~now req
-                    { req; submitted = now; on_complete = None }
-                then
-                  match t.obs.Obs.spans with
-                  | Some sp ->
-                      Span.phase_start sp ~at:now ~req_id:req.Request.id ~name:"node-queue"
-                        ~cat:"queue" ();
-                      pump_pool t pool
-                  | None -> pump_pool t pool
-                else pump_pool t pool)
-          end)
+  | Container.Timed_out _ -> ()
 
 (* Create a new container for [pool] if a core and memory allow; the new
    container pays its initialization on its first request. *)
@@ -423,31 +374,15 @@ and try_cold_start t pool =
       | _ -> ());
       let id = t.next_container_id in
       t.next_container_id <- id + 1;
-      let container_recovery, rebuild =
-        match t.config.recovery with
-        | None ->
-            (* Passive: hangs wedge their container, poisoned restores
-               retire it — fail closed, no replacement (pre-recovery
-               behaviour, and bit-identical in fault-free runs). *)
-            (Container.passive_recovery, None)
-        | Some r ->
-            ( r.Invoker.container,
-              (* The rebuild pays its init during [Replacing], so the raw
-                 (not cold-start-wrapped) strategy is wanted here. *)
-              Some
-                (fun () ->
-                  match t.make_strategy pool.fn_name pool.spec with
-                  | s -> Ok s
-                  | exception Failure msg -> Error msg) )
-      in
+      (* Passive: hangs wedge their container, poisoned restores retire
+         it — fail closed, no replacement. *)
       let container =
-        Container.create ~obs:t.obs ~recovery:container_recovery ?rebuild ?rng:t.rng
+        Container.create ~obs:t.obs ~recovery:Container.passive_recovery
           ?scrub:t.config.scrub t.engine ~id strategy
       in
       let slot = { container; memory_mb; epoch = 0; alive = true } in
       Container.set_on_idle container (fun _ -> on_slot_idle t pool slot);
-      Container.set_on_failure container (fun _ failure ->
-          on_slot_failure t t.config.recovery pool slot failure);
+      Container.set_on_failure container (fun _ failure -> on_slot_failure t pool failure);
       Container.set_on_scrub container (fun _ blocks ->
           Metrics.incr pool.scrub_slices;
           Metrics.incr ~by:blocks pool.scrubbed_blocks);
@@ -556,7 +491,6 @@ let cancel t ~name ~req_id =
       match Admission.cancel pool.queue ~req_id with
       | None -> false
       | Some (_ : pending) ->
-          Hashtbl.remove pool.attempts req_id;
           Metrics.incr pool.cancelled;
           trace_emitf t ~what:"cancel" "%s req#%d (hedge loser)" name req_id;
           (match t.obs.Obs.spans with

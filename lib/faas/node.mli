@@ -20,6 +20,10 @@
     container is busy or restoring; memory is held for a container's whole
     lifetime.
 
+    Containers run {!Container.passive_recovery}: a hang wedges its
+    container, and a poisoned or scrub-corrupt one is retired (core and
+    memory freed) — fail closed, no replacement.
+
     Overload protection: requests whose deadline has passed are shed at
     admission and purged before every dispatch (never occupying a core or
     restore); an optional {!Brownout} controller watches queueing delay
@@ -32,13 +36,6 @@ type config = {
   memory_mb : int;  (** Budget for containers + manager buffers. *)
   idle_timeout : Gh_sim.Time_ns.t;  (** Idle containers are shut down. *)
   dispatch_ns : Gh_sim.Time_ns.t;
-  recovery : Invoker.recovery option;
-      (** [Some r]: hung requests are killed at [r]'s container timeout and
-          retried under backoff (at most [r.max_attempts] tries), poisoned
-          containers are cold-restarted holding their core, and repeat
-          offenders are quarantined (core + memory freed). [None]: hangs
-          wedge their container and poisoned containers are retired — fail
-          closed, no replacement. *)
   admission : Admission.config;
       (** Per-function queue bound + shedding policy; default
           {!Admission.unbounded}. *)
@@ -56,8 +53,8 @@ type config = {
 }
 
 val default_config : config
-(** 4 cores, 8 GiB, 60 s idle timeout, no recovery, unbounded admission,
-    no brownout, no scrubbing. *)
+(** 4 cores, 8 GiB, 60 s idle timeout, unbounded admission, no brownout,
+    no scrubbing. *)
 
 type t
 
@@ -71,10 +68,10 @@ type fn_stats = {
   e2e_ms : float list;
       (** Per-request latency incl. queueing, newest first. Bounded: a
           uniform reservoir sample past 8192 requests. *)
-  timeouts : int;  (** Hang timeouts fired for this function. *)
-  failed_requests : int;  (** Abandoned after the retry budget. *)
+  timeouts : int;  (** Always 0: no hang timeout fires under passive recovery. *)
+  failed_requests : int;  (** Always 0: no request is retried, so none is abandoned. *)
   quarantined : int;  (** Containers permanently retired. *)
-  poisonings : int;  (** Failed restores that triggered a cold restart. *)
+  poisonings : int;  (** Always 0: a poisoned container is retired, not restarted. *)
   shed : int;  (** Dropped: queue overflow + brownout priority shed. *)
   expired : int;  (** Dropped: deadline passed (on arrival or queued). *)
   deadline_misses : int;  (** Completions delivered after their deadline. *)
@@ -85,15 +82,12 @@ type fn_stats = {
 val create :
   ?obs:Gh_sim.Obs.t ->
   ?metrics_prefix:string ->
-  ?rng:Gh_sim.Rng.t ->
   Gh_sim.Engine.t ->
   config ->
   make_strategy:(string -> Function_model.spec -> Strategy_intf.t) ->
   t
 (** [make_strategy name spec] builds a fresh strategy instance for one new
-    container of function [name] — with recovery enabled it is also the
-    cold-restart rebuild path (a [Failure] it raises becomes a failed
-    rebuild attempt). [rng] jitters the recovery backoff delays.
+    container of function [name].
 
     [obs] (default {!Gh_sim.Obs.none}) supplies the collectors, shared
     with every container:
@@ -125,8 +119,8 @@ val submit :
   ?on_complete:(Request.t -> Strategy_intf.invocation -> unit) -> t -> name:string -> Request.t -> unit
 (** Accept a request for a deployed function now (simulated time); it is
     dispatched, cold-started, queued, or shed according to the policy
-    above. [on_complete] fires when a response is delivered (not for shed,
-    expired, or abandoned requests; recovery retries complete without it).
+    above. [on_complete] fires when a response is delivered (not for shed
+    or expired requests).
     @raise Not_found for unknown functions. *)
 
 val cancel : t -> name:string -> req_id:int -> bool

@@ -152,7 +152,6 @@ let fleet ?obs cfg spec ~seed ~service ~label ~load
           memory_mb = 65_536;
           idle_timeout = Time_ns.of_sec 600.0;
           dispatch_ns = cfg.Config.dispatch_ns;
-          recovery = None;
           admission = Admission.bounded ~policy:Admission.Edf_drop (10 * cores_per_node);
           brownout = None;
           scrub = None;

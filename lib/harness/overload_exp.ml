@@ -138,7 +138,6 @@ let measure cfg strategy spec ~util ~requests ~protected =
       memory_mb = 65_536;
       idle_timeout = Time_ns.of_sec 600.0;
       dispatch_ns = cfg.Config.dispatch_ns;
-      recovery = None;
       admission =
         (if protected then Admission.bounded ~policy:Admission.Edf_drop (6 * cores)
          else Admission.unbounded);

@@ -149,7 +149,6 @@ let node_config ~cores ~admission =
     memory_mb = 4096;
     idle_timeout = Time_ns.of_sec 10.0;
     dispatch_ns = 0;
-    recovery = None;
     admission;
     brownout = None;
     scrub = None;

@@ -45,7 +45,6 @@ let make_node ?(cores = 2) ?(memory_mb = 64) ?(idle_timeout_s = 5.0) ?(admission
       memory_mb;
       idle_timeout = Time_ns.of_sec idle_timeout_s;
       dispatch_ns = 0;
-      recovery = None;
       admission;
       brownout;
       scrub = None;

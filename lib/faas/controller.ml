@@ -58,8 +58,8 @@ let create_sink ?(overhead = default_overhead) ?ttl_ns ?(obs = Obs.none) engine 
     on_shed = ignore;
   }
 
-let create ?overhead ?ttl_ns ?obs engine ~rng invoker =
-  create_sink ?overhead ?ttl_ns ?obs engine ~rng (fun req ~on_response ->
+let create ?overhead ?obs engine ~rng invoker =
+  create_sink ?overhead ?obs engine ~rng (fun req ~on_response ->
       Invoker.submit invoker req ~on_response)
 
 let submit t req ~on_complete =

@@ -30,20 +30,12 @@ type completion = {
 
 val create :
   ?overhead:overhead_model ->
-  ?ttl_ns:Gh_sim.Time_ns.t ->
   ?obs:Gh_sim.Obs.t ->
   Gh_sim.Engine.t ->
   rng:Gh_sim.Rng.t ->
   Invoker.t ->
   t
-(** [ttl_ns] enables deadlines: each accepted request without one is
-    stamped [now + ttl_ns], exactly once, at the front door; the deadline
-    then propagates through invoker and container dispatch, each of which
-    sheds the request if it has already expired. Omitted (the default), no
-    deadline is ever stamped — the pre-overload-protection behavior,
-    bit-identical.
-
-    [obs] (default {!Gh_sim.Obs.none}) supplies the collectors. Its
+(** [obs] (default {!Gh_sim.Obs.none}) supplies the collectors. Its
     [spans] open the request's root span at arrival, wrap the front/return
     platform overheads in ["controller"] spans, and close the root at
     client response with ["outcome"] and ["e2e_ns"] attributes. Its
@@ -64,7 +56,13 @@ val create_sink :
 (** Same front door over an arbitrary backend — how a {!Cluster} sits
     behind the controller. {!create} is [create_sink] over
     [Invoker.submit]; RNG splitting and overhead sampling are identical,
-    so swapping one for the other never perturbs the random stream. *)
+    so swapping one for the other never perturbs the random stream.
+
+    [ttl_ns] enables deadlines: each accepted request without one is
+    stamped [now + ttl_ns], exactly once, at the front door; the deadline
+    then propagates to the backend, which sheds the request if it has
+    already expired. Omitted (the default), no deadline is ever stamped —
+    the pre-overload-protection behavior, bit-identical. *)
 
 val submit : t -> Request.t -> on_complete:(completion -> unit) -> unit
 (** Accept a request at the endpoint now; the completion callback fires when

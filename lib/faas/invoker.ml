@@ -29,7 +29,6 @@ type t = {
   (* Payload: the request's response callback. *)
   queue : (Request.t -> Strategy_intf.invocation -> unit) Admission.t;
   dispatch_ns : Gh_sim.Time_ns.t;
-  init_ns : Gh_sim.Time_ns.t;
   recovery : recovery option;
   rng : Rng.t option;
   (* Request-retry bookkeeping, only populated when recovery is on. *)
@@ -40,7 +39,6 @@ type t = {
   mutable failed_requests : int;
   mutable quarantined : int;
   mutable on_failed : Request.t -> unit;
-  mutable on_shed : Admission.reason -> Request.t -> unit;
 }
 
 (* A cold container pays its one-time initialization (runtime boot,
@@ -134,8 +132,8 @@ let handle_failure t r c failure =
             | None -> ())
       end
 
-let create ?(prestarted = true) ?(obs = Obs.none) ?recovery ?rng ?scrub
-    ?(admission = Admission.unbounded) engine ~n_containers ~dispatch_ns ~make_strategy =
+let create ?(prestarted = true) ?(obs = Obs.none) ?recovery ?rng ?scrub engine ~n_containers
+    ~dispatch_ns ~make_strategy =
   if n_containers < 1 then invalid_arg "Invoker.create: need at least one container";
   let strategies = Array.init n_containers make_strategy in
   let strategies = if prestarted then strategies else Array.map with_cold_start strategies in
@@ -162,9 +160,6 @@ let create ?(prestarted = true) ?(obs = Obs.none) ?recovery ?rng ?scrub
           ?rebuild:(rebuild_for i) ?rng ?scrub engine ~id:i strategy)
       strategies
   in
-  let init_ns =
-    Array.fold_left (fun n (s : Strategy_intf.t) -> n + s.Strategy_intf.init_ns) 0 strategies
-  in
   (* The shed hook needs [t], which needs the queue: tie the knot via a
      forward reference. *)
   let shed_hook = ref (fun (_ : Admission.reason) (_ : Request.t) _ -> ()) in
@@ -176,9 +171,8 @@ let create ?(prestarted = true) ?(obs = Obs.none) ?recovery ?rng ?scrub
       queue =
         Admission.create ?trace:obs.Obs.trace ~label:"invoker"
           ~on_shed:(fun r rq p -> !shed_hook r rq p)
-          admission;
+          Admission.unbounded;
       dispatch_ns;
-      init_ns;
       recovery;
       rng;
       attempts = Hashtbl.create 64;
@@ -188,7 +182,6 @@ let create ?(prestarted = true) ?(obs = Obs.none) ?recovery ?rng ?scrub
       failed_requests = 0;
       quarantined = 0;
       on_failed = ignore;
-      on_shed = (fun _ _ -> ());
     }
   in
   (shed_hook :=
@@ -204,8 +197,7 @@ let create ?(prestarted = true) ?(obs = Obs.none) ?recovery ?rng ?scrub
            Span.finish_root sp ~at:now
              ~attrs:[ ("outcome", "shed"); ("reason", Admission.reason_name reason) ]
              ~req_id:req.Request.id ()
-       | None -> ());
-       t.on_shed reason req);
+       | None -> ()));
   Array.iter
     (fun c ->
       Container.set_on_idle c (fun c ->
@@ -226,14 +218,9 @@ let create ?(prestarted = true) ?(obs = Obs.none) ?recovery ?rng ?scrub
   t
 
 let set_on_failed t f = t.on_failed <- f
-let set_on_shed t f = t.on_shed <- f
 let queue_length t = Admission.length t.queue
-let queue_high_water t = Admission.high_water t.queue
-let shed_count t = Admission.shed_count t.queue
-let expired_count t = Admission.expired_count t.queue
 let completed t = Array.fold_left (fun n c -> n + Container.completed c) 0 t.containers
 let containers t = t.containers
-let init_ns t = t.init_ns
 
 let recovery_stats t =
   {

@@ -3,11 +3,9 @@
     VM; Groundhog lives inside its containers).
 
     One container per core, as in the paper's throughput setup. Requests
-    queue through an {!Admission} buffer when every container is busy or
-    restoring — unbounded FIFO by default (the pre-overload-protection
-    behavior, bit-identical), bounded with a shedding policy when the
-    deployment opts in. Requests whose deadline has already passed are
-    rejected at submit and purged at every dequeue.
+    queue through an unbounded FIFO {!Admission} buffer when every
+    container is busy or restoring. Requests whose deadline has already
+    passed are rejected at submit and purged at every dequeue.
 
     With [recovery] enabled the invoker drives the fail-closed pipeline:
     hung requests are killed at the container timeout and retried under
@@ -42,7 +40,6 @@ val create :
   ?recovery:recovery ->
   ?rng:Gh_sim.Rng.t ->
   ?scrub:Container.scrub ->
-  ?admission:Admission.config ->
   Gh_sim.Engine.t ->
   n_containers:int ->
   dispatch_ns:Gh_sim.Time_ns.t ->
@@ -60,9 +57,7 @@ val create :
     idle-time snapshot scrubbing in every container (see
     {!Container.scrub}); a corruption it finds recovers the container
     through the same pipeline, before any request is served from the bad
-    snapshot. [admission]
-    (default {!Admission.unbounded}) bounds the wait queue and selects the
-    shedding policy. [obs] (default {!Gh_sim.Obs.none}) is shared with
+    snapshot. [obs] (default {!Gh_sim.Obs.none}) is shared with
     every container and the admission queue: its [trace] records their
     transitions, and its [spans] record request-scoped spans — a root per
     request, an ["invoker-queue"] phase while queued, and the containers'
@@ -80,25 +75,8 @@ val with_cold_start : Strategy_intf.t -> Strategy_intf.t
 val set_on_failed : t -> (Request.t -> unit) -> unit
 (** Called when a request is abandoned after its last retry. *)
 
-val set_on_shed : t -> (Admission.reason -> Request.t -> unit) -> unit
-(** Called once per shed request (queue overflow, expiry, or dead on
-    arrival); the request will never produce a response. *)
-
 val queue_length : t -> int
-
-val queue_high_water : t -> int
-(** Largest backlog the admission queue ever held. *)
-
-val shed_count : t -> int
-(** Requests dropped for capacity. *)
-
-val expired_count : t -> int
-(** Requests dropped because their deadline passed (in queue or on
-    arrival). *)
-
 val completed : t -> int
 val containers : t -> Container.t array
-val init_ns : t -> Gh_sim.Time_ns.t
-(** Total one-time initialization cost across containers. *)
 
 val recovery_stats : t -> recovery_stats

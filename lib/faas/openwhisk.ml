@@ -21,16 +21,13 @@ type t = {
   rng : Gh_sim.Rng.t;
 }
 
-let deploy ?trace ?spans ?series ?(slos = []) ?ttl_ns ?admission ?scrub config
-    ~make_strategy =
+let deploy ?trace ?spans ?series ?(slos = []) ?scrub config ~make_strategy =
   let obs = { Gh_sim.Obs.none with trace; spans; series; slos } in
   let engine = Gh_sim.Engine.create () in
   let rng = Gh_sim.Rng.create config.seed in
   let invoker =
-    Invoker.create ~obs ?admission ?scrub engine ~n_containers:config.n_cores
+    Invoker.create ~obs ?scrub engine ~n_containers:config.n_cores
       ~dispatch_ns:config.dispatch_ns ~make_strategy
   in
-  let controller =
-    Controller.create ~overhead:config.overhead ?ttl_ns ~obs engine ~rng invoker
-  in
+  let controller = Controller.create ~overhead:config.overhead ~obs engine ~rng invoker in
   { engine; controller; invoker; services = Services.create (); rng }

@@ -26,18 +26,15 @@ val deploy :
   ?spans:Gh_sim.Span.t ->
   ?series:Gh_sim.Timeseries.t ->
   ?slos:Gh_sim.Slo.t list ->
-  ?ttl_ns:Gh_sim.Time_ns.t ->
-  ?admission:Admission.config ->
   ?scrub:Container.scrub ->
   config ->
   make_strategy:(int -> Strategy_intf.t) ->
   t
 (** Build engine, invoker (with [n_cores] containers) and controller.
     [make_strategy i] supplies container [i]'s isolation strategy.
-    [ttl_ns] makes the controller stamp deadlines (see
-    {!Controller.create}); [admission] bounds the invoker queue; [scrub]
-    enables idle-time snapshot scrubbing in every container (reads memory
-    and the clock only — timings are unchanged in corruption-free runs).
+    [scrub] enables idle-time snapshot scrubbing in every container (reads
+    memory and the clock only — timings are unchanged in corruption-free
+    runs).
 
     The four collectors become the one {!Gh_sim.Obs.t} that invoker,
     containers and controller share: [trace] records container

@@ -3,7 +3,9 @@ module Rng = Gh_sim.Rng
 module Fm = Gh_faas.Function_model
 module Intf = Gh_faas.Strategy_intf
 
-let make_on ~rng inst =
+let make ?(fault = Gh_sim.Fault.none) ~rng spec =
+  let inst = Fm.build spec in
+  Gh_proc.Process.set_fault (Fm.proc inst) fault;
   let rt = Fm.runtime inst in
   let init_acct = Account.create () in
   let _warm = Fm.warmup inst init_acct rng in
@@ -45,8 +47,3 @@ let make_on ~rng inst =
     scrub = Intf.no_scrub;
     audit = Intf.no_audit;
   }
-
-let make ?(fault = Gh_sim.Fault.none) ~rng spec =
-  let inst = Fm.build spec in
-  Gh_proc.Process.set_fault (Fm.proc inst) fault;
-  make_on ~rng inst

@@ -12,6 +12,3 @@ val make :
   rng:Gh_sim.Rng.t ->
   Gh_faas.Function_model.spec ->
   Gh_faas.Strategy_intf.t
-
-val make_on : rng:Gh_sim.Rng.t -> Gh_faas.Function_model.instance -> Gh_faas.Strategy_intf.t
-(** Wrap an instance the caller already built (shared-instance tests). *)

@@ -138,6 +138,24 @@ dune exec bin/gh_bench.exe -- run all --seed 42 --profile quick -j 4 \
 grep -q -- '--series-out' "$tmp/downgrade_warn.txt"
 grep -q 'ignoring -j 4' "$tmp/downgrade_warn.txt"
 
+# Host-cost benchmark correctness: every operation of the figures and
+# fleet workloads must reproduce the reference digests in perfbench/refs/
+# for its seed, failures included. Seed 1 reproduces the pinned GH scrub
+# failure and seed 28 the GH-NOP one (perfbench/NOTES.md), so a change
+# that moves the integrity code's output fails here. Scratch output goes
+# to .perfbench/ (gitignored).
+for workload in figures-serial fleet-faults; do
+  for seed in 1 28; do
+    python3 perfbench/run.py --workload $workload --seed $seed --seconds 1 \
+      > "$tmp/perfbench.out"
+    if ! tail -n 1 "$tmp/perfbench.out" | grep -qF '"correct": true'; then
+      cat "$tmp/perfbench.out" >&2
+      echo "ci/check.sh: perfbench $workload seed $seed is not correct" >&2
+      exit 1
+    fi
+  done
+done
+
 # Bad input is rejected before any work runs: nonzero exit, nothing on
 # stdout, and an error on stderr that names the offending value.
 reject_by() {

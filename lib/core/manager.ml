@@ -205,13 +205,10 @@ let restore t =
                 match run_audit t snap with
                 | Ok () -> Ok ()
                 | Error c ->
-                    let e =
-                      fail t
-                        (Format.asprintf "hash audit failed: %a" Snapshot.pp_corruption c)
-                        start
-                    in
                     blast t snap c;
-                    e)
+                    fail t
+                      (Format.asprintf "hash audit failed: %a" Snapshot.pp_corruption c)
+                      start)
           in
           (match verified with
           | Ok () ->

@@ -324,9 +324,10 @@ and evict t pool slot =
   (* Freed memory may unblock a queued cold start elsewhere. *)
   pump_other_pools t
 
-(* Quarantine: the container retired itself after repeated recovery
-   failures. Its in-flight episode started with a dispatch, so the core is
-   handed back here (the counterpart of [on_slot_idle]); memory too. *)
+(* Quarantine: the container retired itself after a failure (passive
+   recovery replaces nothing). Its in-flight episode started with a
+   dispatch, so the core is handed back here (the counterpart of
+   [on_slot_idle]); memory too. *)
 and on_slot_retired t pool slot =
   slot.alive <- false;
   pool.slots <- List.filter (fun s -> s != slot) pool.slots;

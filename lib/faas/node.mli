@@ -45,8 +45,8 @@ type config = {
   scrub : Container.scrub option;
       (** [Some cfg] enables idle-time snapshot scrubbing in every
           container (see {!Container.scrub}). A corruption the scrubber
-          finds fails the container through the recovery pipeline before
-          any request is served from the bad snapshot; the per-function
+          finds retires the container before any request is served from
+          the bad snapshot; the per-function
           counters [scrub_slices], [scrubbed_blocks] and
           [scrub_corruptions] land in the metrics registry. [None]
           (default) disables scrubbing. *)

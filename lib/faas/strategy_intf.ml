@@ -162,4 +162,5 @@ let manager_scrub mgr blocks =
   match Manager.scrub mgr ~blocks with
   | `Skip -> Scrub_skip
   | `Checked (n, finished) -> Scrubbed (n, finished)
-  | `Corrupt c -> Scrub_corrupt (Format.asprintf "%a" Groundhog_core.Snapshot.pp_corruption c)
+  | `Corrupt c ->
+      Scrub_corrupt (Format.asprintf "%a" Groundhog_core.Snapshot.pp_corruption c)

@@ -20,4 +20,5 @@ val make :
   Gh_faas.Strategy_intf.t
 (** [verify] (default off) hash-audits the crash-restore path — the only
     restore GH_NOP ever performs. [dedup] registers the snapshot in a
-    cross-container index, like {!Gh.make}. *)
+    cross-container index, like {!Gh.make}; unlike GH, [snapshot_pages]
+    still reports every present page. *)

@@ -25,5 +25,5 @@ val make :
     the container's initial snapshot (a failed build, retryable).
     [verify] (restore-time hash audit) applies to the strategies that
     restore from a snapshot (GH, GH_NOP's crash path, CRIU); [dedup]
-    (cross-container snapshot sharing) to the manager-based ones (GH,
-    GH_NOP). Both are silently ignored elsewhere. *)
+    (cross-container snapshot sharing) to GH and GH_NOP. Both are
+    silently ignored elsewhere. *)

@@ -203,19 +203,20 @@ let test_zero_reference_audit () =
 
 (* -- Cross-container dedup: savings and blast radius -- *)
 
-let make_dedup_pair () =
+(* A registry strategy with full restore audits; a failed build fails the
+   test. *)
+let build ?fault ?dedup ~rng id =
+  match Registry.make id ?fault ~verify:Manager.Verify_full ?dedup ~rng spec with
+  | Ok s -> s
+  | Error msg -> Alcotest.fail msg
+
+(* Two sharers of one dedup index: [a] is GH (with [fault] attached), [b]
+   is [b_id]. *)
+let make_dedup_pair ?fault ?(b_id = Registry.Gh) () =
   let dedup = Dedup.create () in
   let root = Rng.create 42 in
-  let make name =
-    match
-      Registry.make Registry.Gh ~verify:Manager.Verify_full ~dedup
-        ~rng:(Rng.named_split root name) spec
-    with
-    | Ok s -> s
-    | Error msg -> Alcotest.fail msg
-  in
-  let a = make "a" in
-  let b = make "b" in
+  let a = build ?fault ~dedup ~rng:(Rng.named_split root "a") Registry.Gh in
+  let b = build ~dedup ~rng:(Rng.named_split root "b") b_id in
   (dedup, a, b)
 
 let test_dedup_savings () =
@@ -264,23 +265,6 @@ let test_dedup_twins_restore_identically () =
     | _ -> ()
   done
 
-(* A GH sharer and a GH-NOP sharer of one index: both managers take part
-   in the same blast radius. *)
-let make_mixed_pair () =
-  let dedup = Dedup.create () in
-  let root = Rng.create 42 in
-  let make id name =
-    match
-      Registry.make id ~verify:Manager.Verify_full ~dedup ~rng:(Rng.named_split root name)
-        spec
-    with
-    | Ok s -> s
-    | Error msg -> Alcotest.fail msg
-  in
-  let gh = make Registry.Gh "gh" in
-  let gh_nop = make Registry.Gh_nop "gh-nop" in
-  (dedup, gh, gh_nop)
-
 let status_name (s : Intf.t) =
   match s.Intf.status () with
   | Some `Clean -> "clean"
@@ -319,7 +303,7 @@ let test_audit_blast_poisons_sharer () =
     (status_name b)
 
 let test_audit_blast_crosses_strategies () =
-  let dedup, gh, gh_nop = make_mixed_pair () in
+  let dedup, gh, gh_nop = make_dedup_pair ~b_id:Registry.Gh_nop () in
   check_bool "GH and GH-NOP share blocks" true (Dedup.shared_blocks dedup > 0);
   let holders =
     corrupt_until_audit_fails dedup gh ~wanted:(fun h ->
@@ -337,20 +321,9 @@ let test_audit_blast_crosses_strategies () =
 (* A restore-skip damages the restored process, not the stored block: the
    audit poisons the detector alone and the other sharer keeps serving. *)
 let test_restore_skip_blasts_nothing () =
-  let dedup = Dedup.create () in
-  let root = Rng.create 42 in
-  let make ?fault name =
-    match
-      Registry.make Registry.Gh ?fault ~verify:Manager.Verify_full ~dedup
-        ~rng:(Rng.named_split root name) spec
-    with
-    | Ok s -> s
-    | Error msg -> Alcotest.fail msg
-  in
   let fault = Fault.create ~seed:11 in
   Fault.set fault Fault.Restore_skip ~prob:1.0 ();
-  let a = make ~fault "a" in
-  let b = make "b" in
+  let dedup, a, b = make_dedup_pair ~fault () in
   check_bool "the pair shares blocks" true (Dedup.shared_blocks dedup > 0);
   let rec go i =
     if i > 6 then Alcotest.fail "full verification never caught the skipped writes"
@@ -369,7 +342,7 @@ let test_restore_skip_blasts_nothing () =
 
 (* [kill] poisons the manager and takes its snapshot out of the index. *)
 let test_kill_leaves_index () =
-  let dedup, gh, gh_nop = make_mixed_pair () in
+  let dedup, gh, gh_nop = make_dedup_pair ~b_id:Registry.Gh_nop () in
   check_bool "the pair shares blocks" true (Dedup.shared_blocks dedup > 0);
   gh_nop.Intf.kill ();
   Alcotest.(check string) "killed GH-NOP is poisoned" "poisoned" (status_name gh_nop);
@@ -397,13 +370,7 @@ let test_kill_leaves_index () =
 (* CRIU's ground-truth oracle judges only an image its restore produced,
    and its restore audit reports the blocks it checked. *)
 let test_criu_oracle_and_audit () =
-  let criu =
-    match
-      Registry.make Registry.Criu ~verify:Manager.Verify_full ~rng:(Rng.create 42) spec
-    with
-    | Ok s -> s
-    | Error msg -> Alcotest.fail msg
-  in
+  let criu = build ~rng:(Rng.create 42) Registry.Criu in
   check_bool "no oracle before the first restore" true (criu.Intf.audit () = None);
   let inv = criu.Intf.invoke (request 1) in
   check_bool "the request completed" true (inv.Intf.outcome = Intf.Completed);

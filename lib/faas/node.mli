@@ -46,10 +46,9 @@ type config = {
       (** [Some cfg] enables idle-time snapshot scrubbing in every
           container (see {!Container.scrub}). A corruption the scrubber
           finds retires the container before any request is served from
-          the bad snapshot; the per-function
-          counters [scrub_slices], [scrubbed_blocks] and
-          [scrub_corruptions] land in the metrics registry. [None]
-          (default) disables scrubbing. *)
+          the bad snapshot; the per-function counters [scrub_slices],
+          [scrubbed_blocks] and [scrub_corruptions] land in the metrics
+          registry. [None] (default) disables scrubbing. *)
 }
 
 val default_config : config

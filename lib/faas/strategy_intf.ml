@@ -147,8 +147,10 @@ let manager_restore mgr =
   match Manager.restore mgr with
   | Ok b ->
       let v =
-        if Manager.verify mgr = Manager.Verify_off then Unverified
-        else Verified (Manager.last_verify_blocks mgr)
+        match Manager.verify mgr with
+        | Manager.Verify_off -> Unverified
+        | Manager.Verify_sampled _ | Manager.Verify_full ->
+            Verified (Manager.last_verify_blocks mgr)
       in
       Ok (b, v)
   | Error f ->

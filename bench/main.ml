@@ -493,7 +493,6 @@ let run_mem_bench out_dir =
 (* == Engine hot loop: calendar queue vs reference binary heap == *)
 
 module Engine = Gh_sim.Engine
-module Heap = Gh_sim.Heap
 module Event_queue = Gh_sim.Event_queue
 
 let churn_sizes = [ (256, "256"); (16_384, "16k"); (262_144, "256k") ]

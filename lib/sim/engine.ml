@@ -1,7 +1,7 @@
-(* The hot loop runs on the calendar queue; the binary [Heap] survives as
-   the ordering oracle for the differential property tests. Both order
-   events by (time, insertion seq), so swapping queues is invisible to every
-   experiment: `run all` replays event-for-event. *)
+(* The hot loop runs on the calendar queue; the binary [Heap] in
+   test/support/ is the ordering oracle for the differential property
+   tests. Both order events by (time, insertion seq), so swapping queues is
+   invisible to every experiment: `run all` replays event-for-event. *)
 
 let nop () = ()
 

@@ -4,7 +4,7 @@
     instant fire FIFO — a property the discrete-event engine relies on for
     determinism.
 
-    The engine itself now runs on {!Event_queue}; this heap is the simple
+    The engine itself runs on [Gh_sim.Event_queue]; this heap is the simple
     reference implementation the differential property tests compare it
     against, so the two must keep identical observable ordering. Popped
     slots are overwritten and the array shrinks on large drains, so a

@@ -12,7 +12,6 @@ module Thread = Gh_proc.Thread
 module Account = Gh_sim.Account
 module Rng = Gh_sim.Rng
 module Stats = Gh_sim.Stats
-module Heap = Gh_sim.Heap
 open Groundhog_core
 
 let cost = Gh_kernel.Cost.default

@@ -116,7 +116,6 @@ let unregister t sharer =
   end
 
 let charged_pages sharer = sharer.charged
-let owner sharer = sharer.owner
 
 let fold_entries t ~init ~f =
   Hashtbl.fold (fun _ bucket acc -> List.fold_left f acc bucket) t.index init

@@ -42,8 +42,6 @@ val charged_pages : sharer -> int
     [present_pages] minus the present pages of every block that joined a
     pre-existing canonical copy. Fixed at registration time. *)
 
-val owner : sharer -> string
-
 val saved_pages : t -> int
 (** Present pages the index currently avoids storing:
     Σ over entries of (holders − 1) × block's present pages. *)

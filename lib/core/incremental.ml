@@ -110,13 +110,5 @@ let capture acct (p : Process.t) =
         Ptrace.detach session acct;
         Error site)
 
-let capture_exn acct p =
-  match capture acct p with
-  | Ok t -> t
-  | Error site -> failwith ("Incremental.capture: fault at " ^ Gh_sim.Fault.site_name site)
-
 let snapshot t = t.snap
-let restore acct t p = Restore.run acct t.snap p
 let saved_pages t = t.saved
-let capture_ns t = t.snap.Snapshot.capture_ns
-let detach_hook t = As.set_cow_hook t.proc.Process.mem None

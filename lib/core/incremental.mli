@@ -24,27 +24,15 @@ val capture : Gh_sim.Account.t -> Gh_proc.Process.t -> (t, Gh_sim.Fault.site) re
     process is resumed and nothing is armed.
     @raise Gh_proc.Ptrace.Already_attached if a tracer holds the process. *)
 
-val capture_exn : Gh_sim.Account.t -> Gh_proc.Process.t -> t
-(** {!capture} for fault-free contexts. @raise Failure on a fault. *)
-
 val snapshot : t -> Snapshot.t
 (** The progressively materialized snapshot — pass to {!Restore.run}.
+    Unlike the eager path, restored pages are {e not} re-armed for CoW:
+    their originals are already saved, so later invocations pay no
+    further salvage faults ("one-time per unique modified page").
     (Note: {!Verify.state_matches} compares {e every} present page's
     contents, so it only agrees with an incremental snapshot once all
     pages have been salvaged; restores themselves never read unsalvaged
     pages, because an unsalvaged page is by construction unmodified.) *)
 
-val restore :
-  Gh_sim.Account.t -> t -> Gh_proc.Process.t -> (Breakdown.t, Gh_sim.Fault.site) result
-(** {!Restore.run} on the materialized snapshot. Unlike the eager path,
-    restored pages are {e not} re-armed for CoW: their originals are
-    already saved, so later invocations pay no further salvage faults
-    ("one-time per unique modified page"). *)
-
 val saved_pages : t -> int
 (** Pages salvaged so far — the manager's data memory, in pages. *)
-
-val capture_ns : t -> Gh_sim.Time_ns.t
-
-val detach_hook : t -> unit
-(** Stop salvaging (e.g. when tearing the container down). *)

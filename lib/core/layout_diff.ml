@@ -34,12 +34,3 @@ let diff acct ~cost (snapshot : Snapshot.t) (maps : Procfs.maps_entry list) =
       if not (Hashtbl.mem matched r.Snapshot.start_addr) then changes := Removed r :: !changes)
     snapshot.Snapshot.regions;
   List.rev !changes
-
-let count changes =
-  List.fold_left
-    (fun (a, rm, rs, pc) -> function
-      | Added _ -> (a + 1, rm, rs, pc)
-      | Removed _ -> (a, rm + 1, rs, pc)
-      | Resized _ -> (a, rm, rs + 1, pc)
-      | Prot_changed _ -> (a, rm, rs, pc + 1))
-    (0, 0, 0, 0) changes

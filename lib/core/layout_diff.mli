@@ -23,6 +23,3 @@ val diff :
   change list
 (** Charged per VMA compared. A region that merely moved appears as one
     [Added] plus one [Removed], which the reversal handles naturally. *)
-
-val count : change list -> int * int * int * int
-(** (added, removed, resized, prot-changed). *)

@@ -1,8 +1,6 @@
 module Account = Gh_sim.Account
 module Fault = Gh_sim.Fault
 module Process = Gh_proc.Process
-module As = Gh_mem.Address_space
-module Cost = Gh_kernel.Cost
 
 type mode = Eager | Incremental
 
@@ -24,16 +22,11 @@ type t = {
   mutable restores : int;
   mutable failures : int;
   mutable last_failure : failure option;
-  (* -- Integrity accounting. Verification and scrubbing read memory and
-     nothing else: their modeled cost is tallied here (pages hashed ×
-     [hash_per_page_ns]) but never charged to [acct] — the event timeline
-     is bit-identical with them on or off (DESIGN §14). -- *)
-  mutable verified_blocks : int;
+  (* -- Integrity. Verification and scrubbing read memory and nothing
+     else: they are never charged to [acct], so the event timeline is
+     bit-identical with them on or off (DESIGN §14). -- *)
   mutable last_verify_blocks : int;
-  mutable verify_ns : int;
   mutable verify_failures : int;
-  mutable scrubbed_blocks : int;
-  mutable scrub_ns : int;
   mutable scrub_cursor : int;
   mutable clean_via_restore : bool;
   (* Dedup membership: the index the eager snapshot joined, and this
@@ -62,27 +55,16 @@ let create ?(paranoid = false) ?(verify = Verify_off) ?(mode = Eager) proc =
     restores = 0;
     failures = 0;
     last_failure = None;
-    verified_blocks = 0;
     last_verify_blocks = 0;
-    verify_ns = 0;
     verify_failures = 0;
-    scrubbed_blocks = 0;
-    scrub_ns = 0;
     scrub_cursor = 0;
     clean_via_restore = false;
     sharer = None;
   }
 
 let process t = t.proc
-let account t = t.acct
 let verify t = t.verify
 let status t = t.status
-
-let status_name = function
-  | Clean -> "clean"
-  | Dirty -> "dirty"
-  | Restoring -> "restoring"
-  | Poisoned -> "poisoned"
 
 let fail t what start =
   let f = { what; spent_ns = Account.since t.acct start } in
@@ -143,13 +125,9 @@ let run_audit t snap =
   in
   if stride = 0 then Ok ()
   else
-    let cost = As.cost t.proc.Process.mem in
     match Verify.audit_hashes ~stride ~offset snap t.proc with
     | Ok blocks ->
-        t.verified_blocks <- t.verified_blocks + blocks;
         t.last_verify_blocks <- blocks;
-        t.verify_ns <-
-          t.verify_ns + (blocks * Snapshot.block_pages * cost.Cost.hash_per_page_ns);
         Ok ()
     | Error c ->
         t.verify_failures <- t.verify_failures + 1;
@@ -276,9 +254,6 @@ let scrub t ~blocks =
     | None -> `Skip
     | Some snap -> (
         let r = Snapshot.scrub snap ~cursor:t.scrub_cursor ~blocks in
-        let cost = As.cost t.proc.Process.mem in
-        t.scrubbed_blocks <- t.scrubbed_blocks + r.Snapshot.checked_blocks;
-        t.scrub_ns <- t.scrub_ns + (r.Snapshot.checked_pages * cost.Cost.hash_per_page_ns);
         t.scrub_cursor <- r.Snapshot.next_cursor;
         match r.Snapshot.corrupt with
         | Some c ->
@@ -307,12 +282,8 @@ let restores_performed t = t.restores
 let failures t = t.failures
 let last_failure t = t.last_failure
 let total_manager_ns t = Account.total t.acct
-let verified_blocks t = t.verified_blocks
 let last_verify_blocks t = t.last_verify_blocks
-let verify_ns t = t.verify_ns
 let verify_failures t = t.verify_failures
-let scrubbed_blocks t = t.scrubbed_blocks
-let scrub_ns t = t.scrub_ns
 
 let buffer_pages t =
   match (t.sharer, t.mode, t.incr, t.snap) with

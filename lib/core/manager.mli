@@ -26,7 +26,8 @@
     fresh manager (cold restart + re-snapshot), which the [Gh_faas]
     recovery pipeline drives.
 
-    The manager's CPU time accumulates on its own {!account}: this work is
+    The manager's CPU time accumulates on its own account
+    ({!total_manager_ns}): this work is
     off the request's critical path, which is why it only shows up in
     throughput (high-load) measurements. *)
 
@@ -58,10 +59,9 @@ type failure = {
     every stored word), the audit hashes the {e restored process's}
     memory per {!Snapshot.block_pages}-page block against the hashes
     captured from the source — so it also catches corruption of the
-    stored buffer itself and silently-skipped restore writes. Its
-    modeled cost is tallied on {!verify_ns} / {!verified_blocks}, never
+    stored buffer itself and silently-skipped restore writes. It is never
     charged to the account (DESIGN §14: the timeline is identical with
-    verification on or off). *)
+    verification on or off); {!last_verify_blocks} reports its work. *)
 type verify =
   | Verify_off
   | Verify_sampled of int
@@ -80,13 +80,11 @@ val create : ?paranoid:bool -> ?verify:verify -> ?mode:mode -> Gh_proc.Process.t
     [Dirty] — nothing is proven until the snapshot. *)
 
 val process : t -> Gh_proc.Process.t
-val account : t -> Gh_sim.Account.t
 
 val verify : t -> verify
 (** The restore-time audit policy given to {!create}. *)
 
 val status : t -> status
-val status_name : status -> string
 
 val take_snapshot : t -> (Gh_sim.Time_ns.t, failure) result
 (** Capture the clean state; returns the capture cost and transitions to
@@ -157,7 +155,7 @@ val last_failure : t -> failure option
 val total_manager_ns : t -> Gh_sim.Time_ns.t
 (** All manager CPU time so far: snapshot + every restore. *)
 
-(** {1 Integrity: scrubbing, audit accounting, ground truth} *)
+(** {1 Integrity: scrubbing, audit counts, ground truth} *)
 
 val scrub :
   t -> blocks:int -> [ `Skip | `Checked of int * bool | `Corrupt of Snapshot.corruption ]
@@ -178,22 +176,11 @@ val audit_oracle : t -> [ `Intact | `Corrupt of string ] option
     [skip_restore] the process itself is the reference and the probe is
     meaningless. Free: reads memory only. *)
 
-val verified_blocks : t -> int
-(** Blocks hash-audited across all restores. *)
-
 val last_verify_blocks : t -> int
 (** Blocks audited by the most recent successful restore (0 if the last
     audit failed or never ran). *)
 
-val verify_ns : t -> int
-(** Modeled audit cost (pages hashed × [hash_per_page_ns]) — tallied,
-    never charged to the account. *)
-
 val verify_failures : t -> int
-val scrubbed_blocks : t -> int
-
-val scrub_ns : t -> int
-(** Modeled scrub cost, same tally-only discipline as {!verify_ns}. *)
 
 val buffer_pages : t -> int
 (** Pages of function memory held in the manager: the whole present

@@ -298,8 +298,3 @@ let scrub t ~cursor ~blocks =
 let self_check t =
   let r = scrub t ~cursor:0 ~blocks:max_int in
   r.corrupt
-
-let pp ppf t =
-  Format.fprintf ppf "snapshot: %d regions, %d present pages, %d threads, captured in %a"
-    (List.length t.regions) t.present_pages (List.length t.regs) Gh_sim.Time_ns.pp
-    t.capture_ns

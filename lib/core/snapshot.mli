@@ -123,5 +123,3 @@ val scrub : t -> cursor:int -> blocks:int -> scrub_result
 
 val self_check : t -> corruption option
 (** One unbounded scrub pass over the whole snapshot. *)
-
-val pp : Format.formatter -> t -> unit

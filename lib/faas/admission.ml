@@ -17,16 +17,10 @@ module Trace = Gh_sim.Trace
 
 type policy =
   | Fifo  (** Drop-tail: reject the newcomer when full. *)
-  | Lifo
-      (** Newest-first service under saturation: admit the newcomer, drop the
-          oldest queued entry (which has already burned most of its slack). *)
   | Edf_drop
       (** Serve FIFO but, when full, drop whichever entry (newcomer included)
           has the earliest deadline — it is the least likely to make it.
           Entries without deadlines never expire and are dropped last. *)
-  | Fair_share
-      (** Per-tenant fairness keyed on {!Principal}: when full, drop the
-          newest entry of the tenant holding the most queue slots. *)
 
 type reason =
   | Capacity  (** The queue was full. *)
@@ -38,11 +32,7 @@ let reason_name = function
   | Expired -> "expired"
   | Brownout -> "brownout"
 
-let policy_name = function
-  | Fifo -> "fifo"
-  | Lifo -> "lifo"
-  | Edf_drop -> "edf-drop"
-  | Fair_share -> "fair-share"
+let policy_name = function Fifo -> "fifo" | Edf_drop -> "edf-drop"
 
 type config = { capacity : int; policy : policy }
 
@@ -127,7 +117,6 @@ let remove t victim = t.items <- List.filter (fun e -> e.seq <> victim.seq) t.it
 let pick_victim t newcomer =
   match t.cfg.policy with
   | Fifo -> newcomer
-  | Lifo -> List.hd t.items (* oldest *)
   | Edf_drop ->
       let key e = match e.req.Request.deadline with None -> max_int | Some d -> d in
       List.fold_left
@@ -136,33 +125,6 @@ let pick_victim t newcomer =
              which favors work that has already waited. *)
           if key e < key v || (key e = key v && e.seq > v.seq) then e else v)
         newcomer t.items
-  | Fair_share ->
-      let counts = Hashtbl.create 8 in
-      List.iter
-        (fun e ->
-          let id = e.req.Request.principal.Principal.id in
-          Hashtbl.replace counts id (1 + Option.value ~default:0 (Hashtbl.find_opt counts id)))
-        t.items;
-      (* Max count, ties to the lowest id: the winner is independent of
-         [Hashtbl.fold] order. *)
-      let heaviest =
-        Hashtbl.fold
-          (fun id n best ->
-            match best with
-            | Some (bid, bn) when bn > n || (bn = n && bid <= id) -> best
-            | _ -> Some (id, n))
-          counts None
-      in
-      let id = fst (Option.get heaviest) in
-      (* Newest entry of the heaviest tenant: its oldest queued work keeps
-         its place in line. *)
-      List.fold_left
-        (fun v e ->
-          if e.req.Request.principal.Principal.id = id then
-            match v with Some b when b.seq > e.seq -> v | _ -> Some e
-          else v)
-        None t.items
-      |> Option.get
 
 let admit t ~now req payload =
   purge_expired t ~now;
@@ -187,21 +149,12 @@ let admit t ~now req payload =
 
 let take t ~now =
   purge_expired t ~now;
-  match t.cfg.policy with
-  | Fifo | Edf_drop | Fair_share -> (
-      match t.items with
-      | [] -> None
-      | e :: rest ->
-          t.items <- rest;
-          t.length <- t.length - 1;
-          Some (e.req, e.payload))
-  | Lifo -> (
-      match List.rev t.items with
-      | [] -> None
-      | e :: rest_rev ->
-          t.items <- List.rev rest_rev;
-          t.length <- t.length - 1;
-          Some (e.req, e.payload))
+  match t.items with
+  | [] -> None
+  | e :: rest ->
+      t.items <- rest;
+      t.length <- t.length - 1;
+      Some (e.req, e.payload)
 
 (* Silent removal for hedge-loser cancellation: the request was (or will
    be) served elsewhere, so this copy must vanish without counting as shed
@@ -213,10 +166,3 @@ let cancel t ~req_id =
       remove t e;
       t.length <- t.length - 1;
       Some e.payload
-
-let shed_all ?(now = 0) t reason =
-  let dead = t.items in
-  t.items <- [];
-  List.iter (fun e -> drop t ~now reason e) dead
-
-let iter t f = List.iter (fun e -> f e.req e.payload) t.items

@@ -11,16 +11,10 @@
 
 type policy =
   | Fifo  (** Drop-tail: reject the newcomer when full. *)
-  | Lifo
-      (** Newest-first service under saturation: admit the newcomer, drop the
-          oldest queued entry. *)
   | Edf_drop
       (** FIFO service but, when full, drop whichever entry (newcomer
           included) has the earliest deadline. Deadline-free entries are
           dropped last. *)
-  | Fair_share
-      (** When full, drop the newest entry of the {!Principal} holding the
-          most queue slots. *)
 
 type reason =
   | Capacity  (** The queue was full. *)
@@ -28,7 +22,6 @@ type reason =
   | Brownout  (** Dropped by the overload controller's priority shed. *)
 
 val reason_name : reason -> string
-val policy_name : policy -> string
 
 type config = { capacity : int; policy : policy }
 
@@ -59,8 +52,8 @@ val admit : 'a t -> now:Gh_sim.Time_ns.t -> Request.t -> 'a -> bool
     queue); a [true] return can still have shed some {e other} entry. *)
 
 val take : 'a t -> now:Gh_sim.Time_ns.t -> (Request.t * 'a) option
-(** Purge expired entries, then pop the next entry in policy order (FIFO
-    for all policies except [Lifo], which serves newest-first). *)
+(** Purge expired entries, then pop the oldest entry (both policies serve
+    FIFO). *)
 
 val purge_expired : 'a t -> now:Gh_sim.Time_ns.t -> unit
 (** Shed every queued entry whose deadline has passed. Called internally by
@@ -71,12 +64,6 @@ val cancel : 'a t -> req_id:int -> 'a option
     expired count, no shed hook, no trace event — a hedged request's loser
     copy was served elsewhere, and cancellation must leave no metrics
     residue. Returns the removed payload. *)
-
-val shed_all : ?now:Gh_sim.Time_ns.t -> 'a t -> reason -> unit
-(** Drop everything queued (e.g. when the owning pool is being torn down).
-    [now] only timestamps the trace events (default 0). *)
-
-val iter : 'a t -> (Request.t -> 'a -> unit) -> unit
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

@@ -40,8 +40,6 @@ type t = {
   mutable open_streak : int;  (* consecutive opens: the backoff attempt index *)
   mutable retry_at : Time_ns.t;  (* Open: when the next probe may go out *)
   mutable probing : bool;  (* Half_open: the one probe slot is taken *)
-  mutable opens : int;
-  mutable transitions : int;
   mutable on_transition : state -> state -> unit;
 }
 
@@ -56,27 +54,21 @@ let create ?rng config =
     open_streak = 0;
     retry_at = 0;
     probing = false;
-    opens = 0;
-    transitions = 0;
     on_transition = (fun _ _ -> ());
   }
 
 let state t = t.state
-let opens t = t.opens
-let transitions t = t.transitions
 let set_on_transition t f = t.on_transition <- f
 
 let goto t next =
   if t.state <> next then begin
     let prev = t.state in
     t.state <- next;
-    t.transitions <- t.transitions + 1;
     t.on_transition prev next
   end
 
 let trip t ~now =
   t.open_streak <- t.open_streak + 1;
-  t.opens <- t.opens + 1;
   t.probing <- false;
   t.retry_at <- now + Backoff.delay ?rng:t.rng t.config.probe_backoff ~attempt:t.open_streak;
   goto t Open

@@ -56,10 +56,5 @@ val record_failure : t -> now:Gh_sim.Time_ns.t -> unit
 (** An attempt failed: counts toward the threshold when closed, re-opens
     with the next (longer, capped) dwell when half-open. *)
 
-val opens : t -> int
-(** Times the breaker tripped open. *)
-
-val transitions : t -> int
-
 val set_on_transition : t -> (state -> state -> unit) -> unit
 (** Observer for gauge/trace updates; called with (previous, next). *)

@@ -40,15 +40,6 @@ type config = {
   shed_below_priority : int;
 }
 
-let default_config =
-  {
-    target_delay_ns = Time_ns.of_ms 50.0;
-    escalate_after = 8;
-    recover_after = 16;
-    hysteresis = 0.5;
-    shed_below_priority = 1;
-  }
-
 let validate cfg =
   if cfg.target_delay_ns <= 0 then invalid_arg "Brownout: target_delay_ns must be positive";
   if cfg.escalate_after <= 0 || cfg.recover_after <= 0 then
@@ -63,7 +54,6 @@ type t = {
   mutable over_streak : int;
   mutable under_streak : int;
   mutable escalations : int;
-  mutable recoveries : int;
 }
 
 let create ?trace cfg =
@@ -75,13 +65,11 @@ let create ?trace cfg =
     over_streak = 0;
     under_streak = 0;
     escalations = 0;
-    recoveries = 0;
   }
 
 let level t = t.level
 let config t = t.cfg
 let escalations t = t.escalations
-let recoveries t = t.recoveries
 
 let observe ?(at = 0) t delay_ns =
   let cfg = t.cfg in
@@ -106,7 +94,6 @@ let observe ?(at = 0) t delay_ns =
     if t.under_streak >= cfg.recover_after && t.level <> Normal then begin
       t.level <- of_rank (rank t.level - 1);
       t.under_streak <- 0;
-      t.recoveries <- t.recoveries + 1;
       Trace.emitf_opt t.trace ~at ~category:"brownout" ~what:"recover"
         "-> %s (delay %.2fms under %.0f%% of target)" (level_name t.level)
         (Time_ns.to_ms delay_ns) (100.0 *. cfg.hysteresis);

@@ -26,10 +26,6 @@ type config = {
       (** At [Shedding], arrivals with [Principal.priority < this] drop. *)
 }
 
-val default_config : config
-(** 50 ms target, escalate after 8, recover after 16 at half the target,
-    shed priorities below 1. *)
-
 type t
 
 val create : ?trace:Gh_sim.Trace.t -> config -> t
@@ -57,4 +53,3 @@ val suppress_cold_starts : t -> bool
     more? True at any level above [Normal]. *)
 
 val escalations : t -> int
-val recoveries : t -> int

@@ -55,22 +55,6 @@ type config = {
   breaker : Breaker.config;
 }
 
-let default_config =
-  {
-    n_nodes = 3;
-    node = Node.default_config;
-    placement = Least_loaded;
-    failover = true;
-    hb_interval = Time_ns.of_ms 100.0;
-    hang_ns = Time_ns.of_ms 400.0;
-    response_timeout = Time_ns.of_sec 1.0;
-    max_attempts = 3;
-    hedge_after = None;
-    restart_ns = Time_ns.of_ms 500.0;
-    health = Health.default_config;
-    breaker = Breaker.default_config;
-  }
-
 (* One controller-side dispatch of one request to one member, pinned to
    the member epoch it was sent under. [a_done] flips exactly once —
    response, timeout, or successful cancellation — and decrements the

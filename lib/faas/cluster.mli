@@ -57,11 +57,6 @@ type config = {
   breaker : Breaker.config;
 }
 
-val default_config : config
-(** 3 nodes, least-loaded, failover on, 100 ms heartbeats, 400 ms hangs,
-    1 s response timeout, 3 attempts, no hedging, 500 ms restarts,
-    {!Health.default_config}, {!Breaker.default_config}. *)
-
 type t
 
 val create :
@@ -120,7 +115,7 @@ val submit :
     exhausts its budget, expires, or becomes unrouteable fires the
     {!set_on_failed} hook instead. Matches {!Controller.sink}, so a
     partial application [fun req ~on_response -> submit t ~name req
-    ~on_response] plugs straight into {!Controller.create_sink}.
+    ~on_response] plugs straight into {!Controller.create}.
     @raise Not_found for unregistered functions. *)
 
 val set_on_failed : t -> (Request.t -> unit) -> unit

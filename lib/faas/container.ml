@@ -60,12 +60,9 @@ type t = {
   mutable on_retired : t -> unit;
   mutable on_scrub : t -> int -> unit;
   mutable consecutive_failures : int;
-  mutable failures : int;
-  mutable timeouts : int;
   mutable replacements : int;
   mutable recovery_ns : Time_ns.t list;
   mutable scrub_epoch : int;
-  mutable scrub_slices : int;
   mutable scrubbed_blocks : int;
   mutable scrub_corruptions : int;
 }
@@ -88,12 +85,9 @@ let create ?(obs = Obs.none) ?(recovery = default_recovery) ?rebuild ?rng ?scrub
     on_retired = ignore;
     on_scrub = (fun _ _ -> ());
     consecutive_failures = 0;
-    failures = 0;
-    timeouts = 0;
     replacements = 0;
     recovery_ns = [];
     scrub_epoch = 0;
-    scrub_slices = 0;
     scrubbed_blocks = 0;
     scrub_corruptions = 0;
   }
@@ -186,21 +180,17 @@ let span_emit t req (inv : Strategy_intf.invocation) ~dispatch_ns =
           | None -> ())
       | _ -> ()
 
-let id t = t.id
 let state t = t.state
 let is_idle t = t.state = Idle
 let is_quarantined t = t.state = Quarantined
 let completed t = t.completed
 let strategy t = t.strategy
-let failures t = t.failures
-let timeouts t = t.timeouts
 let replacements t = t.replacements
 let recovery_ns t = t.recovery_ns
 let set_on_idle t f = t.on_idle <- f
 let set_on_failure t f = t.on_failure <- f
 let set_on_retired t f = t.on_retired <- f
 let set_on_scrub t f = t.on_scrub <- f
-let scrub_slices t = t.scrub_slices
 let scrubbed_blocks t = t.scrubbed_blocks
 let scrub_corruptions t = t.scrub_corruptions
 
@@ -223,16 +213,14 @@ let rec become_idle t =
   | _ -> ()
 
 (* One scrub slice: hash-check a bounded number of snapshot blocks against
-   their capture-time hashes. Reading memory is free in simulated time (the
-   modelled cost is tallied by the strategy's manager), so the slices never
-   perturb the request timeline; a pass runs once per idle period and stops
+   their capture-time hashes. Reading memory is free in simulated time, so
+   the slices never perturb the request timeline; a pass runs once per idle period and stops
    at the end of the snapshot, so the event queue always drains. *)
 and scrub_slice t cfg epoch =
   if t.state = Idle && t.scrub_epoch = epoch then
     match t.strategy.Strategy_intf.scrub cfg.blocks_per_slice with
     | Strategy_intf.Scrub_skip -> ()
     | Strategy_intf.Scrubbed (blocks, finished) ->
-        t.scrub_slices <- t.scrub_slices + 1;
         t.scrubbed_blocks <- t.scrubbed_blocks + blocks;
         t.on_scrub t blocks;
         if not finished then
@@ -280,7 +268,6 @@ and fail t failure =
      dedup registration — on every recovery path, including the ones that
      end in quarantine. [kill] is idempotent and free. *)
   t.strategy.Strategy_intf.kill ();
-  t.failures <- t.failures + 1;
   t.consecutive_failures <- t.consecutive_failures + 1;
   t.on_failure t failure;
   if t.consecutive_failures >= t.recovery.quarantine_after then retire t
@@ -306,7 +293,6 @@ let submit ?(dispatch_ns = 0) t req ~on_response =
       match t.recovery.timeout_ns with
       | Some timeout ->
           Engine.schedule t.engine ~after:(dispatch_ns + timeout) (fun () ->
-              t.timeouts <- t.timeouts + 1;
               trace_emitf t ~what:"timeout" "req#%d killed after %.0fms" req.Request.id
                 (Time_ns.to_ms timeout);
               (match t.obs.Obs.spans with

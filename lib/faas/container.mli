@@ -95,7 +95,6 @@ val create :
     retires the container. [rng] jitters the rebuild backoff. [scrub]
     (default off) enables idle-time snapshot scrubbing. *)
 
-val id : t -> int
 val state : t -> state
 val is_idle : t -> bool
 val is_quarantined : t -> bool
@@ -104,16 +103,11 @@ val completed : t -> int
 val strategy : t -> Strategy_intf.t
 (** The {e current} strategy — replaced on every cold restart. *)
 
-val failures : t -> int
-val timeouts : t -> int
 val replacements : t -> int
 
 val recovery_ns : t -> Gh_sim.Time_ns.t list
 (** Time from each failure detection to the container serving again
     (MTTR samples), newest first. *)
-
-val scrub_slices : t -> int
-(** Scrub slices executed (excluding skipped ones). *)
 
 val scrubbed_blocks : t -> int
 (** Snapshot blocks hash-checked by the scrubber, lifetime total. *)

@@ -17,8 +17,8 @@ let default_overhead =
 let sample_overhead m rng =
   m.base_ns + int_of_float (Rng.lognormal rng ~mu:m.jitter_mu_ns ~sigma:m.jitter_sigma)
 
-(* What sits behind the front door. The classic shape is a single
-   [Invoker]; a [Sink] is any request consumer with the same response
+(* What sits behind the front door: a single [Invoker]'s submit in the
+   paper's deployment, or any request consumer with the same response
    contract — the cluster plugs in here without the controller knowing
    about nodes, placement, or failover. *)
 type sink = Request.t -> on_response:(Request.t -> Strategy_intf.invocation -> unit) -> unit
@@ -30,8 +30,6 @@ type t = {
   sink : sink;
   overhead : overhead_model;
   ttl_ns : Time_ns.t option;
-  mutable completions : int;
-  mutable shed : int;
   mutable on_shed : Request.t -> unit;
 }
 
@@ -42,7 +40,7 @@ type completion = {
   invoker_ns : Time_ns.t;
 }
 
-let create_sink ?(overhead = default_overhead) ?ttl_ns ?(obs = Obs.none) engine ~rng sink =
+let create ?(overhead = default_overhead) ?ttl_ns ?(obs = Obs.none) engine ~rng sink =
   (match ttl_ns with
   | Some ttl when ttl <= 0 -> invalid_arg "Controller.create: ttl_ns must be positive"
   | _ -> ());
@@ -53,14 +51,8 @@ let create_sink ?(overhead = default_overhead) ?ttl_ns ?(obs = Obs.none) engine 
     sink;
     overhead;
     ttl_ns;
-    completions = 0;
-    shed = 0;
     on_shed = ignore;
   }
-
-let create ?overhead ?obs engine ~rng invoker =
-  create_sink ?overhead ?obs engine ~rng (fun req ~on_response ->
-      Invoker.submit invoker req ~on_response)
 
 let submit t req ~on_complete =
   let t0 = Engine.now t.engine in
@@ -89,7 +81,6 @@ let submit t req ~on_complete =
       (* The front-door overhead alone can kill a tight deadline: shed here
          rather than ship a dead request to the invoker. *)
       if Request.expired req ~now:(Engine.now t.engine) then begin
-        t.shed <- t.shed + 1;
         let now = Engine.now t.engine in
         Obs.failure t.obs ~now;
         (match t.obs.Obs.spans with
@@ -113,7 +104,6 @@ let submit t req ~on_complete =
               | None -> ())
           | None -> ());
           Engine.schedule t.engine ~after:back (fun () ->
-              t.completions <- t.completions + 1;
               let now = Engine.now t.engine in
               let ok =
                 match invocation.Strategy_intf.outcome with
@@ -141,6 +131,4 @@ let submit t req ~on_complete =
                   invoker_ns = invocation.Strategy_intf.on_path_ns;
                 })))
 
-let completions t = t.completions
-let shed t = t.shed
 let set_on_shed t f = t.on_shed <- f

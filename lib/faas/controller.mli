@@ -30,12 +30,22 @@ type completion = {
 
 val create :
   ?overhead:overhead_model ->
+  ?ttl_ns:Gh_sim.Time_ns.t ->
   ?obs:Gh_sim.Obs.t ->
   Gh_sim.Engine.t ->
   rng:Gh_sim.Rng.t ->
-  Invoker.t ->
+  sink ->
   t
-(** [obs] (default {!Gh_sim.Obs.none}) supplies the collectors. Its
+(** The front door over a backend: [Invoker.submit invoker] for the
+    paper's deployment, a {!Cluster}'s submit for the fleet.
+
+    [ttl_ns] enables deadlines: each accepted request without one is
+    stamped [now + ttl_ns], exactly once, at the front door; the deadline
+    then propagates to the backend, which sheds the request if it has
+    already expired. Omitted (the default), no deadline is ever stamped —
+    the pre-overload-protection behavior, bit-identical.
+
+    [obs] (default {!Gh_sim.Obs.none}) supplies the collectors. Its
     [spans] open the request's root span at arrival, wrap the front/return
     platform overheads in ["controller"] spans, and close the root at
     client response with ["outcome"] and ["e2e_ns"] attributes. Its
@@ -45,34 +55,10 @@ val create :
     every front-door shed (a bad event). All of it reads the clock only —
     no simulated time is charged. *)
 
-val create_sink :
-  ?overhead:overhead_model ->
-  ?ttl_ns:Gh_sim.Time_ns.t ->
-  ?obs:Gh_sim.Obs.t ->
-  Gh_sim.Engine.t ->
-  rng:Gh_sim.Rng.t ->
-  sink ->
-  t
-(** Same front door over an arbitrary backend — how a {!Cluster} sits
-    behind the controller. {!create} is [create_sink] over
-    [Invoker.submit]; RNG splitting and overhead sampling are identical,
-    so swapping one for the other never perturbs the random stream.
-
-    [ttl_ns] enables deadlines: each accepted request without one is
-    stamped [now + ttl_ns], exactly once, at the front door; the deadline
-    then propagates to the backend, which sheds the request if it has
-    already expired. Omitted (the default), no deadline is ever stamped —
-    the pre-overload-protection behavior, bit-identical. *)
-
 val submit : t -> Request.t -> on_complete:(completion -> unit) -> unit
 (** Accept a request at the endpoint now; the completion callback fires when
     the response has traversed the platform back to the client. Requests
     already expired after the front-door overhead are shed (no completion;
     see {!set_on_shed}). *)
-
-val completions : t -> int
-
-val shed : t -> int
-(** Requests the controller itself shed at the front door. *)
 
 val set_on_shed : t -> (Request.t -> unit) -> unit

@@ -42,7 +42,6 @@ type t = {
   mutable state : state;
   mutable misses : int;  (* consecutive missed heartbeats *)
   mutable beats : int;  (* consecutive heartbeats, Rejoining only *)
-  mutable transitions : int;
   mutable on_transition : state -> state -> unit;
 }
 
@@ -55,12 +54,10 @@ let create config =
     state = Healthy;
     misses = 0;
     beats = 0;
-    transitions = 0;
     on_transition = (fun _ _ -> ());
   }
 
 let state t = t.state
-let transitions t = t.transitions
 let set_on_transition t f = t.on_transition <- f
 
 let accepts_traffic t = t.state = Healthy
@@ -70,7 +67,6 @@ let goto t next =
   if t.state <> next then begin
     let prev = t.state in
     t.state <- next;
-    t.transitions <- t.transitions + 1;
     t.on_transition prev next
   end
 

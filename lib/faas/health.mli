@@ -48,7 +48,5 @@ val accepts_traffic : t -> bool
 val presumed_dead : t -> bool
 (** [state t = Quarantined]. *)
 
-val transitions : t -> int
-
 val set_on_transition : t -> (state -> state -> unit) -> unit
 (** Observer for gauge/trace updates; called with (previous, next). *)

@@ -10,9 +10,6 @@ type recovery = {
   retry_backoff : Backoff.t;
 }
 
-let default_recovery =
-  { container = Container.default_recovery; max_attempts = 3; retry_backoff = Backoff.default }
-
 type recovery_stats = {
   timeouts : int;
   retries : int;
@@ -132,11 +129,10 @@ let handle_failure t r c failure =
             | None -> ())
       end
 
-let create ?(prestarted = true) ?(obs = Obs.none) ?recovery ?rng ?scrub engine ~n_containers
-    ~dispatch_ns ~make_strategy =
+let create ?(obs = Obs.none) ?recovery ?rng ?scrub engine ~n_containers ~dispatch_ns
+    ~make_strategy =
   if n_containers < 1 then invalid_arg "Invoker.create: need at least one container";
   let strategies = Array.init n_containers make_strategy in
-  let strategies = if prestarted then strategies else Array.map with_cold_start strategies in
   (* Without recovery, containers get no rebuild path and no hang timeout:
      a hang wedges its container (the pre-recovery behaviour) and a
      poisoned restore retires it — fail closed either way. *)
@@ -219,7 +215,6 @@ let create ?(prestarted = true) ?(obs = Obs.none) ?recovery ?rng ?scrub engine ~
 
 let set_on_failed t f = t.on_failed <- f
 let queue_length t = Admission.length t.queue
-let completed t = Array.fold_left (fun n c -> n + Container.completed c) 0 t.containers
 let containers t = t.containers
 
 let recovery_stats t =

@@ -20,9 +20,6 @@ type recovery = {
   retry_backoff : Backoff.t;  (** Pacing between retries of one request. *)
 }
 
-val default_recovery : recovery
-(** {!Container.default_recovery}, 3 attempts, {!Backoff.default}. *)
-
 type recovery_stats = {
   timeouts : int;  (** Hang timeouts fired. *)
   retries : int;  (** Requests re-submitted after a timeout. *)
@@ -35,7 +32,6 @@ type recovery_stats = {
 type t
 
 val create :
-  ?prestarted:bool ->
   ?obs:Gh_sim.Obs.t ->
   ?recovery:recovery ->
   ?rng:Gh_sim.Rng.t ->
@@ -48,10 +44,8 @@ val create :
 (** [make_strategy i] builds container [i]'s strategy (its own process);
     with [recovery] it is also the cold-restart rebuild path (a [Failure]
     it raises becomes a failed rebuild attempt, retried under backoff).
-    With [prestarted = false], each container pays its strategy's one-time
-    initialization (runtime boot + warm-up + snapshot) on the simulated
-    timeline before serving its first request — container cold starts.
-    [rng] jitters the backoff delays; omit it for fully deterministic
+    Containers start warm; wrap [make_strategy]'s result in
+    {!with_cold_start} to model container cold starts. [rng] jitters the backoff delays; omit it for fully deterministic
     pacing. Without [recovery], hangs wedge their container and poisoned
     containers are retired (fail closed, no replacement). [scrub] enables
     idle-time snapshot scrubbing in every container (see
@@ -76,7 +70,6 @@ val set_on_failed : t -> (Request.t -> unit) -> unit
 (** Called when a request is abandoned after its last retry. *)
 
 val queue_length : t -> int
-val completed : t -> int
 val containers : t -> Container.t array
 
 val recovery_stats : t -> recovery_stats

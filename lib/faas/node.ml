@@ -511,7 +511,6 @@ let warm_idle t ~name =
         0 pool.slots
 
 let set_on_shed t f = t.on_shed <- f
-let brownout_level t = Option.map Brownout.level t.brownout
 let brownout_escalations t =
   match t.brownout with Some b -> Brownout.escalations b | None -> 0
 
@@ -549,9 +548,6 @@ let total_cold_starts t =
 
 let total_evictions t =
   Hashtbl.fold (fun _ p n -> n + Metrics.counter_value p.evictions) t.pools 0
-
-let total_quarantined t =
-  Hashtbl.fold (fun _ p n -> n + Metrics.counter_value p.quarantined) t.pools 0
 
 let total_shed t =
   Hashtbl.fold

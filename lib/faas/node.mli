@@ -137,9 +137,6 @@ val set_on_shed : t -> (Admission.reason -> Request.t -> unit) -> unit
 (** Called once per shed request, across all pools; the request will never
     produce a response. *)
 
-val brownout_level : t -> Brownout.level option
-(** Current degradation level, [None] when brownout is disabled. *)
-
 val brownout_escalations : t -> int
 
 val stats : t -> fn_stats list
@@ -148,7 +145,6 @@ val memory_high_water_mb : t -> int
 val cores_busy : t -> int
 val total_cold_starts : t -> int
 val total_evictions : t -> int
-val total_quarantined : t -> int
 val total_shed : t -> int
 val total_expired : t -> int
 val total_deadline_misses : t -> int

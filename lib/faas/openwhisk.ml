@@ -29,5 +29,7 @@ let deploy ?trace ?spans ?series ?(slos = []) ?scrub config ~make_strategy =
     Invoker.create ~obs ?scrub engine ~n_containers:config.n_cores
       ~dispatch_ns:config.dispatch_ns ~make_strategy
   in
-  let controller = Controller.create ~overhead:config.overhead ~obs engine ~rng invoker in
+  let controller =
+    Controller.create ~overhead:config.overhead ~obs engine ~rng (Invoker.submit invoker)
+  in
   { engine; controller; invoker; services = Services.create (); rng }

@@ -17,8 +17,4 @@ let deadline t = t.deadline
 let expired t ~now =
   match t.deadline with None -> false | Some d -> now >= d
 
-let remaining_ns t ~now =
-  match t.deadline with None -> None | Some d -> Some (d - now)
-
 let secret t = Principal.secret_word t.principal ~nonce:t.nonce
-let pp ppf t = Format.fprintf ppf "req#%d from %a" t.id Principal.pp t.principal

@@ -27,11 +27,5 @@ val expired : t -> now:Gh_sim.Time_ns.t -> bool
     started at [now] can no longer complete in time, so every hand-off
     sheds it instead of spending a core or restore on it. *)
 
-val remaining_ns : t -> now:Gh_sim.Time_ns.t -> Gh_sim.Time_ns.t option
-(** Nanoseconds until the deadline (negative once past); [None] when the
-    request has no deadline. *)
-
 val secret : t -> int
 (** The private data word this request carries. *)
-
-val pp : Format.formatter -> t -> unit

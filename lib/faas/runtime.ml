@@ -80,7 +80,3 @@ let node_runtime =
 let for_lang = function C -> c_runtime | Python -> python_runtime | Nodejs -> node_runtime
 let lang_to_string = function C -> "c" | Python -> "python" | Nodejs -> "nodejs"
 let lang_suffix = function C -> "(c)" | Python -> "(p)" | Nodejs -> "(n)"
-
-let pp ppf t =
-  Format.fprintf ppf "%s: %d threads, %d arenas, churn=%d" (lang_to_string t.lang) t.threads
-    t.arena_count t.layout_churn

@@ -51,5 +51,3 @@ val for_lang : lang -> t
 val lang_to_string : lang -> string
 val lang_suffix : lang -> string
 (** The paper's benchmark tag: ["(c)"], ["(p)"] or ["(n)"]. *)
-
-val pp : Format.formatter -> t -> unit

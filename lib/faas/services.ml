@@ -7,7 +7,6 @@ type error = Access_denied of { key : string; principal : Principal.t }
 
 let create () = { store = Hashtbl.create 64; acl = Hashtbl.create 64 }
 let grant t p ~key = Hashtbl.replace t.acl (key, p.Principal.id) ()
-let revoke t p ~key = Hashtbl.remove t.acl (key, p.Principal.id)
 let allowed t p ~key = Hashtbl.mem t.acl (key, p.Principal.id)
 
 let put t p ~key v =

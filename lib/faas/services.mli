@@ -14,8 +14,6 @@ val create : unit -> t
 val grant : t -> Principal.t -> key:string -> unit
 (** Allow [principal] to read and write [key]. *)
 
-val revoke : t -> Principal.t -> key:string -> unit
-
 val put : t -> Principal.t -> key:string -> int -> (unit, error) result
 val get : t -> Principal.t -> key:string -> (int option, error) result
 

@@ -117,8 +117,6 @@ type t = {
           actual restore). Free — reads memory only. *)
 }
 
-let no_post inv = inv.post_ns = 0
-
 (* Constructor helpers for strategies (and tests) without a manager. *)
 let no_status () = None
 let no_kill () = ()

@@ -136,9 +136,6 @@ type t = {
           strategy has no such oracle. Free — reads memory only. *)
 }
 
-val no_post : invocation -> bool
-(** True when the invocation leaves no deferred work. *)
-
 val no_status : unit -> status option
 (** [fun () -> None]: for strategies (and test stubs) without a manager. *)
 

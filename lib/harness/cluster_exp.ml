@@ -177,7 +177,7 @@ let fleet ?obs cfg spec ~seed ~service ~label ~load
   in
   Cluster.register cluster ~name:spec.Fm.name spec;
   let controller =
-    Controller.create_sink ~ttl_ns:ttl engine
+    Controller.create ~ttl_ns:ttl engine
       ~rng:(Rng.named_split root "controller")
       (fun req ~on_response -> Cluster.submit cluster ~name:spec.Fm.name req ~on_response)
   in

@@ -106,14 +106,6 @@ val measure :
   requests:int ->
   row
 
-val run :
-  Config.t ->
-  ?rates:float list ->
-  ?placements:Gh_faas.Cluster.placement list ->
-  ?requests:int ->
-  Gh_workloads.Catalog.entry ->
-  point list
-
 val violations : point list -> int
 (** Delivery-contract breaches across all cells: double-serves,
     shed-and-served requests, conservation residue, dangling attempts.

@@ -20,9 +20,6 @@ type point = {
           stream, so counts differ across strategies). *)
 }
 
-val strategies : Gh_isolation.Registry.id list
-(** BASE, GH, GH_NOP, FORK. *)
-
 val run :
   Config.t -> ?rates:float list -> ?requests:int -> Gh_workloads.Catalog.entry -> point list
 

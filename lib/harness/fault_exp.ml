@@ -149,8 +149,7 @@ let measure cfg strategy spec ~fault_rate ~n_containers ~n_requests =
       }
   end
 
-let run cfg ?(rates = default_rates) ?(n_containers = 2) ?(requests = default_requests)
-    (entry : Catalog.entry) =
+let run cfg ?(rates = default_rates) ?(requests = default_requests) (entry : Catalog.entry) =
   List.map
     (fun fault_rate ->
       {
@@ -158,7 +157,7 @@ let run cfg ?(rates = default_rates) ?(n_containers = 2) ?(requests = default_re
         rows =
           List.filter_map
             (fun strategy ->
-              measure cfg strategy entry.Catalog.spec ~fault_rate ~n_containers
+              measure cfg strategy entry.Catalog.spec ~fault_rate ~n_containers:2
                 ~n_requests:requests)
             strategies;
       })

@@ -55,16 +55,8 @@ val measure :
     identical fault schedule and output. *)
 
 val run :
-  Config.t ->
-  ?rates:float list ->
-  ?n_containers:int ->
-  ?requests:int ->
-  Gh_workloads.Catalog.entry ->
-  point list
-
-val gate : point list -> (unit, string) result
-(** [Error] naming the count when any request was served by a non-clean
-    process ([unsafe_served] summed over the sweep). *)
+  Config.t -> ?rates:float list -> ?requests:int -> Gh_workloads.Catalog.entry -> point list
+(** Two containers per cell. *)
 
 val print : Format.formatter -> Gh_workloads.Catalog.entry -> point list -> unit
 

@@ -15,7 +15,7 @@ type point = {
 let principals =
   [| Gh_faas.Principal.make ~id:1 ~name:"alice"; Gh_faas.Principal.make ~id:2 ~name:"bob" |]
 
-let measure cfg strategy (entry : Catalog.entry) ~n_containers ~rate_rps ~n_requests =
+let measure cfg strategy (entry : Catalog.entry) ~rate_rps ~n_requests =
   let seed =
     cfg.Config.seed
     lxor Hashtbl.hash ("load", entry.Catalog.display, Registry.to_string strategy, rate_rps)
@@ -25,7 +25,7 @@ let measure cfg strategy (entry : Catalog.entry) ~n_containers ~rate_rps ~n_requ
     Gh_faas.Openwhisk.deploy ?spans:cfg.Config.spans ?series:cfg.Config.series
       ~slos:cfg.Config.slos
       {
-        Gh_faas.Openwhisk.n_cores = n_containers;
+        Gh_faas.Openwhisk.n_cores = 1;
         dispatch_ns = cfg.Config.dispatch_ns;
         overhead = Gh_faas.Controller.default_overhead;
         seed;
@@ -44,19 +44,22 @@ let measure cfg strategy (entry : Catalog.entry) ~n_containers ~rate_rps ~n_requ
   in
   Stats.summarize results.Gh_faas.Client.e2e_ms
 
-let run cfg ?(n_containers = 1) ?(utilizations = [ 0.2; 0.4; 0.6; 0.8; 0.95; 1.1 ]) entry =
-  (* The GH service rate (incl. restore) anchors the sweep. *)
+let utilizations = [ 0.2; 0.4; 0.6; 0.8; 0.95; 1.1 ]
+
+(* One container, so the GH service rate (incl. restore) of a single
+   process anchors the sweep. *)
+let run cfg entry =
   let gh_rate =
-    match Throughput_exp.run_one ~n_containers cfg Registry.Gh entry with
+    match Throughput_exp.run_one ~n_containers:1 cfg Registry.Gh entry with
     | Some m -> m.Throughput_exp.tput_rps
     | None -> failwith "GH unsupported?"
   in
-  let n_requests = max 40 (cfg.Config.tput_requests * n_containers) in
+  let n_requests = max 40 cfg.Config.tput_requests in
   List.map
     (fun u ->
       let rate_rps = u *. gh_rate in
-      let base = measure cfg Registry.Base entry ~n_containers ~rate_rps ~n_requests in
-      let gh = measure cfg Registry.Gh entry ~n_containers ~rate_rps ~n_requests in
+      let base = measure cfg Registry.Base entry ~rate_rps ~n_requests in
+      let gh = measure cfg Registry.Gh entry ~rate_rps ~n_requests in
       {
         rate_rps;
         base_mean_ms = base.Stats.mean;

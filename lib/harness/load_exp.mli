@@ -14,13 +14,8 @@ type point = {
   gh_p95_ms : float;
 }
 
-val run :
-  Config.t ->
-  ?n_containers:int ->
-  ?utilizations:float list ->
-  Gh_workloads.Catalog.entry ->
-  point list
-(** Sweeps offered load as fractions of the GH saturation rate
-    (default 0.2 … 1.1). *)
+val run : Config.t -> Gh_workloads.Catalog.entry -> point list
+(** Sweeps offered load on one container as fractions of its GH
+    saturation rate (0.2 … 1.1). *)
 
 val print : Format.formatter -> Gh_workloads.Catalog.entry -> point list -> unit

@@ -61,9 +61,6 @@ val violations : point list -> int
     [shed_served] + [late_uncounted]) across the sweep; the CI gate
     requires 0. *)
 
-val gate : point list -> (unit, string) result
-(** [Error] naming the count when {!violations} is nonzero. *)
-
 val print : Format.formatter -> Gh_workloads.Catalog.entry -> point list -> unit
 
 val sweep : Sweep.t

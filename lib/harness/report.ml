@@ -8,14 +8,10 @@ let pad align width s =
     | L -> s ^ String.make (width - n) ' '
     | R -> String.make (width - n) ' ' ^ s
 
-let table ppf ~title ~header ?align rows =
+let table ppf ~title ~header rows =
   let n_cols = List.fold_left (fun acc r -> max acc (List.length r)) (List.length header) rows in
   let get lst i = match List.nth_opt lst i with Some s -> s | None -> "" in
-  let aligns =
-    match align with
-    | Some a -> Array.init n_cols (fun i -> match List.nth_opt a i with Some x -> x | None -> R)
-    | None -> Array.init n_cols (fun i -> if i = 0 then L else R)
-  in
+  let aligns = Array.init n_cols (fun i -> if i = 0 then L else R) in
   let widths = Array.make n_cols 0 in
   List.iter
     (fun r ->

@@ -1,17 +1,9 @@
 (** Plain-text rendering of experiment results: fixed-width tables and
     gnuplot-style series blocks, printed to a formatter. *)
 
-type align = L | R
-
-val table :
-  Format.formatter ->
-  title:string ->
-  header:string list ->
-  ?align:align list ->
-  string list list ->
-  unit
-(** Render rows under a rule-separated header. [align] defaults to left for
-    the first column and right for the rest. Ragged rows are padded. *)
+val table : Format.formatter -> title:string -> header:string list -> string list list -> unit
+(** Render rows under a rule-separated header, the first column aligned
+    left and the rest right. Ragged rows are padded. *)
 
 val series :
   Format.formatter ->

@@ -12,7 +12,9 @@ type result = {
    an independent throughput run seeded by (seed + 1000·repeat, entry,
    cores), so the whole product flattens into one cell list for the domain
    pool and regroups by index into the same per-entry points. *)
-let run ?(max_cores = 4) ?(repeats = 3) cfg entries =
+let repeats = 3
+
+let run ?(max_cores = 4) cfg entries =
   let cells =
     List.concat_map
       (fun entry ->

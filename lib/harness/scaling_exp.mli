@@ -12,9 +12,8 @@ type result = {
   std_by_cores : (int * float) list;  (** (cores, std over repeats). *)
 }
 
-val run :
-  ?max_cores:int -> ?repeats:int -> Config.t -> Gh_workloads.Catalog.entry list -> result list
-(** [repeats] defaults to 3 (the paper used 6). *)
+val run : ?max_cores:int -> Config.t -> Gh_workloads.Catalog.entry list -> result list
+(** Each point averages 3 runs (the paper used 6). *)
 
 val linearity : result -> float option
 (** Throughput at max cores divided by (max cores × throughput at 1 core);

@@ -95,11 +95,6 @@ val unprotected_corrupted_serves : point list -> int
 (** Corrupted serves under [Off] — nonzero at nonzero rates shows the
     window the integrity machinery closes. *)
 
-val gate : point list -> (unit, string) result
-(** [Error] on any corrupted serve under [Full], or when the grid injects
-    corruption with checking [Off] yet the oracle caught none (a vacuous
-    sweep proves nothing). *)
-
 val print : Format.formatter -> Gh_workloads.Catalog.entry -> point list -> unit
 
 val sweep : Sweep.t

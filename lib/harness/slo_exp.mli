@@ -54,9 +54,6 @@ val violations : point list -> int
 (** Unalerted gated breaches + invalid or window-short dumps + span
     failures, failover-on rows only. 0 is the CI gate. *)
 
-val gate : point list -> (unit, string) result
-(** [Error] naming the count when {!violations} is nonzero. *)
-
 val print : Format.formatter -> Gh_workloads.Catalog.entry -> point list -> unit
 
 val sweep : Sweep.t

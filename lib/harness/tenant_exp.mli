@@ -24,8 +24,6 @@ type result = {
   leftover_queue : int;  (** Requests still queued when the run ended. *)
 }
 
-val mode_to_string : mode -> string
-
 val run :
   Config.t ->
   ?memory_budgets_mb:int list ->

@@ -202,8 +202,8 @@ let make_with_state ?(policy = Policy.Always_isolate) ?(paranoid = false)
   in
   (strategy, s)
 
-let make ?policy ?paranoid ?verify ?dedup ?mode ?interposition ?fault ~rng spec =
+let make ?paranoid ?verify ?dedup ?mode ?interposition ?fault ~rng spec =
   let strategy, _state =
-    make_with_state ?policy ?paranoid ?verify ?dedup ?mode ?interposition ?fault ~rng spec
+    make_with_state ?paranoid ?verify ?dedup ?mode ?interposition ?fault ~rng spec
   in
   strategy

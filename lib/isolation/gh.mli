@@ -17,7 +17,6 @@ type interposition =
           the price of a small trusted platform change. *)
 
 val make :
-  ?policy:Policy.t ->
   ?paranoid:bool ->
   ?verify:Groundhog_core.Manager.verify ->
   ?dedup:Groundhog_core.Dedup.t ->
@@ -27,10 +26,7 @@ val make :
   rng:Gh_sim.Rng.t ->
   Gh_faas.Function_model.spec ->
   Gh_faas.Strategy_intf.t
-(** [policy] defaults to [Always_isolate]; with [Trust_same_principal] the
-    {!Gh_faas.Strategy_intf.t.invoke} path still restores eagerly (no
-    lookahead), but {!invoke_with_lookahead} exposes the skip. [paranoid]
-    verifies each restore bit-for-bit (testing). [verify] (default off)
+(** [paranoid] verifies each restore bit-for-bit (testing). [verify] (default off)
     hash-audits each restore and reports the result on the invocation's
     [verify] field; an audit failure poisons the manager and — when the
     corrupt block is dedup-shared — blasts every sharer. [dedup]
@@ -59,6 +55,10 @@ val make_with_state :
   rng:Gh_sim.Rng.t ->
   Gh_faas.Function_model.spec ->
   Gh_faas.Strategy_intf.t * state
+(** {!make}, also returning the internals. [policy] defaults to
+    [Always_isolate]; with [Trust_same_principal] the
+    {!Gh_faas.Strategy_intf.t.invoke} path still restores eagerly (no
+    lookahead), but {!invoke_with_lookahead} exposes the skip. *)
 
 val manager : state -> Groundhog_core.Manager.t
 val instance : state -> Gh_faas.Function_model.instance

@@ -87,20 +87,3 @@ let default =
 let no_coalescing = { default with coalesce_runs = false }
 let uffd_tracking = { default with tracking = Uffd }
 let kernel_list_tracking = { default with tracking = Kernel_list }
-
-let pp ppf t =
-  let tracking =
-    match t.tracking with
-    | Soft_dirty -> "soft-dirty"
-    | Uffd -> "uffd"
-    | Kernel_list -> "kernel-list"
-  in
-  Format.fprintf ppf
-    "@[<v>tracking=%s sd_fault=%dns cow_fault=%dns first_touch=%dns@ \
-     scan=%dns/page clear_refs=%dns/page maps=%dns/vma@ \
-     interrupt=%dns/thread inject=%dns/syscall@ \
-     copy=%dns/page run-setup=%dns coalesce=%d@]"
-    tracking t.sd_fault_ns t.cow_fault_ns t.first_touch_fault_ns
-    t.pagemap_scan_per_page_ns t.clear_refs_per_page_ns t.maps_read_per_vma_ns
-    t.ptrace_interrupt_per_thread_ns t.syscall_inject_ns t.restore_copy_per_page_ns
-    t.restore_copy_run_setup_ns (if t.coalesce_runs then 1 else 0)

@@ -116,5 +116,3 @@ val uffd_tracking : t
 val kernel_list_tracking : t
 (** The footnote-6 hypothetical: in-kernel dirty-page lists — normal write
     faults, dirty-proportional restore-time walk. *)
-
-val pp : Format.formatter -> t -> unit

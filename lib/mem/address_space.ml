@@ -660,7 +660,3 @@ let arm_cow_all t =
 let total_pages t = Array.fold_left (fun acc v -> acc + v.Vma.n_pages) 0 t.arr
 let present_pages t = Array.fold_left (fun acc v -> acc + Bitmap.count v.Vma.present) 0 t.arr
 let dirty_pages t = Array.fold_left (fun acc v -> acc + Bitmap.count v.Vma.soft_dirty) 0 t.arr
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>brk=%012x sd=%b@ %a@]" t.brk_addr t.sd_on
-    (Format.pp_print_list Vma.pp) (Array.to_list t.arr)

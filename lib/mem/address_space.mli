@@ -178,5 +178,3 @@ val set_cow_hook : t -> (Vma.t -> int -> unit) option -> unit
 val total_pages : t -> int
 val present_pages : t -> int
 val dirty_pages : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -40,14 +40,6 @@ let page_index t addr =
   if not (contains t addr) then invalid_arg "Vma.page_index: address outside region";
   (addr - t.start_addr) / page_size
 
-let kind_to_string = function
-  | Text -> "text"
-  | Data -> "data"
-  | Heap -> "heap"
-  | Stack -> "stack"
-  | Anon -> "anon"
-  | Wasm_linear -> "wasm"
-
 (* Typed as [int array], so the stores need no write barrier (see the
    interface); forward, hence distinct arrays only. *)
 let blit_pages (src : int array) src_pos (dst : int array) dst_pos len =
@@ -112,8 +104,3 @@ let clone_cow t =
 let recycle t =
   Gh_sim.Buffer_pool.release t.data;
   t.data <- [||]
-
-let pp ppf t =
-  Format.fprintf ppf "%012x-%012x %a %s (%d pages, %d present, %d dirty)"
-    t.start_addr (end_addr t) Prot.pp t.prot (kind_to_string t.kind) t.n_pages
-    (Bitmap.count t.present) (Bitmap.count t.soft_dirty)

@@ -45,8 +45,6 @@ val page_index : t -> int -> int
 (** [page_index t addr] is the page offset of [addr] within [t].
     @raise Invalid_argument if [addr] is outside [t]. *)
 
-val kind_to_string : kind -> string
-
 val blit_pages : int array -> int -> int array -> int -> int -> unit
 (** [blit_pages src src_pos dst dst_pos len] copies [len] page words, like
     [Array.blit] but as plain stores: OCaml 5's [Array.blit] pays the
@@ -71,6 +69,3 @@ val recycle : t -> unit
 (** Release the page buffer into this domain's {!Gh_sim.Buffer_pool} and
     replace it with an empty array. Only for VMAs that nothing will touch
     again (a reaped fork child); any later page access raises. *)
-
-val pp : Format.formatter -> t -> unit
-(** One /proc/pid/maps-style line. *)

@@ -19,9 +19,9 @@ let next_pid = Atomic.make 1000
 
 let fresh_pid () = 1 + Atomic.fetch_and_add next_pid 1
 
-let create ?pid ?(fault = Gh_sim.Fault.none) ~mem ~n_threads () =
+let create ?(fault = Gh_sim.Fault.none) ~mem ~n_threads () =
   if n_threads < 1 then invalid_arg "Process.create: need at least one thread";
-  let pid = match pid with Some p -> p | None -> fresh_pid () in
+  let pid = fresh_pid () in
   let threads = List.init n_threads (fun i -> Thread.create ~tid:(pid + i)) in
   { pid; mem; threads; next_tid = pid + n_threads; fault; traced = false }
 
@@ -83,7 +83,3 @@ let fork t acct =
   child
 
 let recycle t = As.recycle t.mem
-
-let pp ppf t =
-  Format.fprintf ppf "pid=%d threads=%d pages=%d present=%d" t.pid (n_threads t)
-    (As.total_pages t.mem) (As.present_pages t.mem)

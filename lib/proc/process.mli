@@ -21,14 +21,12 @@ type t = {
           simulated nodes cannot collide. *)
 }
 
-val create :
-  ?pid:int -> ?fault:Gh_sim.Fault.t -> mem:Gh_mem.Address_space.t -> n_threads:int -> unit -> t
+val create : ?fault:Gh_sim.Fault.t -> mem:Gh_mem.Address_space.t -> n_threads:int -> unit -> t
 (** A process with [n_threads] threads (≥ 1). *)
 
 val set_fault : t -> Gh_sim.Fault.t -> unit
 (** Install a fault plan; children created by {!fork} inherit it. *)
 
-val cost : t -> Gh_kernel.Cost.t
 val n_threads : t -> int
 val main_thread : t -> Thread.t
 val find_thread : t -> int -> Thread.t option
@@ -59,5 +57,3 @@ val fork : t -> Gh_sim.Account.t -> t
     calling thread} — the standard POSIX semantics that make fork-based
     isolation unusable for multi-threaded runtimes (§3.2). Charged
     proportionally to VMAs and present pages (page-table duplication). *)
-
-val pp : Format.formatter -> t -> unit

@@ -20,8 +20,6 @@ val read_maps : Gh_sim.Account.t -> Process.t -> (maps_entry list, Gh_sim.Fault.
 (** Charged per VMA parsed (also when a fault fires). Entries ascend by
     start address. *)
 
-val entry_of_vma : Gh_mem.Vma.t -> maps_entry
-
 val scan_soft_dirty :
   Gh_sim.Account.t -> Process.t -> ((Gh_mem.Vma.t * Gh_mem.Bitmap.t) list, Gh_sim.Fault.site) result
 (** Walk every mapped page's pagemap entry; return a {e copy} of each VMA's

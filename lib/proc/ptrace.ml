@@ -44,7 +44,6 @@ let detach s acct =
   end
 
 let is_attached (p : Process.t) = p.Process.traced
-let process s = s.proc
 
 let getregs s acct th =
   check s;

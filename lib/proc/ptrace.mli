@@ -29,7 +29,6 @@ val detach : session -> Gh_sim.Account.t -> unit
     session down. Never faults. *)
 
 val is_attached : Process.t -> bool
-val process : session -> Process.t
 
 val getregs : session -> Gh_sim.Account.t -> Thread.t -> (Registers.t, Gh_sim.Fault.site) result
 (** A copy of the thread's registers. *)

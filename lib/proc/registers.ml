@@ -17,5 +17,3 @@ let scramble t rng =
   for i = 0 to n_gpr - 1 do
     t.gpr.(i) <- Gh_sim.Rng.int rng max_int
   done
-
-let pp ppf t = Format.fprintf ppf "rip=%x rsp=%x gpr0=%x" t.rip t.rsp t.gpr.(0)

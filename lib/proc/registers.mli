@@ -7,8 +7,6 @@
 
 type t = { mutable rip : int; mutable rsp : int; gpr : int array }
 
-val n_gpr : int
-
 val create : unit -> t
 (** All-zero register file. *)
 
@@ -18,5 +16,3 @@ val equal : t -> t -> bool
 
 val scramble : t -> Gh_sim.Rng.t -> unit
 (** Randomize the file — stands in for whatever the function computed. *)
-
-val pp : Format.formatter -> t -> unit

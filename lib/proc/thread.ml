@@ -2,7 +2,3 @@ type state = Running | Stopped
 type t = { tid : int; regs : Registers.t; mutable state : state }
 
 let create ~tid = { tid; regs = Registers.create (); state = Running }
-
-let pp ppf t =
-  let st = match t.state with Running -> "R" | Stopped -> "T" in
-  Format.fprintf ppf "tid=%d [%s] %a" t.tid st Registers.pp t.regs

@@ -5,4 +5,3 @@ type state = Running | Stopped  (** Stopped = held by a ptrace tracer. *)
 type t = { tid : int; regs : Registers.t; mutable state : state }
 
 val create : tid:int -> t
-val pp : Format.formatter -> t -> unit

@@ -59,9 +59,9 @@ let attribute_request children root =
   if total > attributed then add "(unattributed)" (total - attributed);
   (total, phase_ns)
 
-let default_percentiles = [ 50.0; 90.0; 99.0 ]
+let percentiles = [ 50.0; 90.0; 99.0 ]
 
-let analyze ?(percentiles = default_percentiles) spans =
+let analyze spans =
   let records = Span.records spans in
   let by_parent : (int, Span.record list) Hashtbl.t = Hashtbl.create 64 in
   List.iter

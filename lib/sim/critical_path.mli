@@ -19,12 +19,9 @@ type bucket = {
 
 type report = { total_requests : int; buckets : bucket list }
 
-val default_percentiles : float list
-(** [[50; 90; 99]]. *)
-
-val analyze : ?percentiles:float list -> Span.t -> report
+val analyze : Span.t -> report
+(** Buckets at p50, p90 and p99. *)
 
 val dominating : bucket -> phase option
 
-val pp_bucket : Format.formatter -> bucket -> unit
 val pp : Format.formatter -> report -> unit

@@ -35,14 +35,11 @@ val run : t -> until:Time_ns.t -> unit
 (** Dispatch events in order until the queue drains or simulated time would
     exceed [until]. Events scheduled exactly at [until] still run. *)
 
-val default_max_events : int
-(** The {!run_all} guard threshold when none is given: 200 million events,
-    orders of magnitude above any legitimate experiment. *)
-
 val run_all : ?max_events:int -> t -> unit
-(** Dispatch until the queue is empty. [max_events] (default
-    {!default_max_events}) bounds the total number of dispatched events so a
-    self-sustaining event chain fails with a diagnostic instead of diverging.
+(** Dispatch until the queue is empty. [max_events] (default 200
+    million, orders of magnitude above any legitimate experiment) bounds the
+    total number of dispatched events so a self-sustaining event chain fails
+    with a diagnostic instead of diverging.
     @raise Failure when the guard trips.
     @raise Invalid_argument if [max_events <= 0]. *)
 

@@ -159,5 +159,3 @@ let draw t site ~bound =
 let occurrences t site = t.seen.(site_index site)
 let fired t site = t.hits.(site_index site)
 let total_fired t = Array.fold_left ( + ) 0 t.hits
-
-let pp_site ppf s = Format.pp_print_string ppf (site_name s)

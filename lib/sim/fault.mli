@@ -94,4 +94,3 @@ val corruption_sites : site list
     no [Error site] is ever surfaced. *)
 
 val site_name : site -> string
-val pp_site : Format.formatter -> site -> unit

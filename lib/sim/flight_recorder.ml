@@ -49,8 +49,6 @@ let create ?(capacity = 16) ?(window_ns = Time_ns.of_ms 500.0) ?trace ?spans ?se
     total = 0;
   }
 
-let name t = t.name
-let window_ns t = t.window_ns
 let total t = t.total
 let dumps t = List.rev t.rev_dumps
 

@@ -34,9 +34,6 @@ val create :
     [window_ns] (default 500 ms sim time) before the failure.
     @raise Invalid_argument on a non-positive capacity or window. *)
 
-val name : t -> string
-val window_ns : t -> Time_ns.t
-
 val snapshot :
   t -> now:Time_ns.t -> ?node:string -> reason:string -> detail:string -> unit -> dump
 (** Freeze the pre-failure window from the attached collectors. The
@@ -48,7 +45,6 @@ val dumps : t -> dump list
 val total : t -> int
 (** Dumps ever taken (including evicted ones). *)
 
-val dump_to_json : dump -> Json.t
 val to_json : t -> Json.t
 
 val validate : Json.t -> (int, string) result

@@ -97,11 +97,6 @@ let values h = Reservoir.to_list h.res
 let observed h = h.offered
 let hist_count h = Stats.Online.count h.online
 let hist_mean h = Stats.Online.mean h.online
-let hist_std h = Stats.Online.std h.online
-
-let counter_name c = c.c_name
-let gauge_name g = g.g_name
-let histogram_name h = h.h_name
 
 let find t name = Hashtbl.find_opt t.tbl name
 

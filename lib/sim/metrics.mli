@@ -34,8 +34,6 @@ val histogram : ?capacity:int -> ?seed:int -> ?sampling:sampling -> t -> string 
 (** Find-or-create (creation parameters are ignored on a hit). Default:
     capacity 4096, seed [Hashtbl.hash name], [Head {head = 512; stride = 16}]. *)
 
-val default_sampling : sampling
-
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
 val set : gauge -> float -> unit
@@ -51,13 +49,7 @@ val observed : histogram -> int
 
 val hist_count : histogram -> int
 val hist_mean : histogram -> float
-val hist_std : histogram -> float
 
-val counter_name : counter -> string
-val gauge_name : gauge -> string
-val histogram_name : histogram -> string
-
-val find : t -> string -> metric option
 val find_counter : t -> string -> counter option
 val find_histogram : t -> string -> histogram option
 

@@ -17,7 +17,6 @@ let create ?(seed = 0) capacity =
   if capacity <= 0 then invalid_arg "Reservoir.create: capacity must be positive";
   { capacity; rng = Rng.create seed; buf = Array.make capacity 0.0; seen = 0 }
 
-let capacity t = t.capacity
 let seen t = t.seen
 let stored t = min t.seen t.capacity
 
@@ -35,10 +34,3 @@ let add t v =
 let to_list t =
   let n = stored t in
   List.init n (fun i -> t.buf.(n - 1 - i))
-
-let fold f init t =
-  let acc = ref init in
-  for i = 0 to stored t - 1 do
-    acc := f !acc t.buf.(i)
-  done;
-  !acc

@@ -25,10 +25,6 @@ val seen : t -> int
 val stored : t -> int
 (** Values currently held: [min (seen t) capacity]. *)
 
-val capacity : t -> int
-
 val to_list : t -> float list
 (** Retained values, newest-first while below capacity (the [v :: acc]
     convention of the accumulator lists this module replaces). *)
-
-val fold : ('a -> float -> 'a) -> 'a -> t -> 'a

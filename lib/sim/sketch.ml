@@ -129,9 +129,3 @@ let to_json t =
         Json.List
           (List.map (fun (i, n) -> Json.List [ Json.Int i; Json.Int n ]) (buckets t)) );
     ]
-
-let pp ppf t =
-  let q p = match quantile t p with Some v -> v | None -> Float.nan in
-  Format.fprintf ppf "sketch(n=%d p50=%.3f p90=%.3f p99=%.3f max=%.3f)" t.count (q 0.5)
-    (q 0.9) (q 0.99)
-    (if t.count = 0 then Float.nan else t.max_v)

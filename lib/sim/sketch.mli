@@ -46,4 +46,3 @@ val buckets : t -> (int * int) list
 (** Nonzero (bucket index, count) pairs, sorted by index. *)
 
 val to_json : t -> Json.t
-val pp : Format.formatter -> t -> unit

@@ -120,7 +120,6 @@ let create ?trace ?metrics config =
   }
 
 let name t = t.cfg.name
-let config t = t.cfg
 let firing t = t.firing
 let alerts t = List.rev t.rev_alerts
 let totals t = (t.total_good, t.total_bad)

@@ -20,13 +20,7 @@ type objective =
   | Cold_start of { target : float }
       (** Fraction of serves not paying a cold start. *)
 
-val objective_name : objective -> string
-
 type rule = { long_ns : Time_ns.t; short_ns : Time_ns.t; burn : float }
-
-val default_rules : base_ns:Time_ns.t -> rule list
-(** The workbook's fast (14.4x over 5m/1h) and slow (6x over 30m/6h)
-    pairs with the fast short window scaled to [base_ns]. *)
 
 type config = {
   name : string;
@@ -51,7 +45,6 @@ val create : ?trace:Trace.t -> ?metrics:Metrics.t -> config -> t
     (0, 1), non-positive burn, or [long_ns < short_ns]. *)
 
 val name : t -> string
-val config : t -> config
 
 val record : t -> now:Time_ns.t -> good:bool -> unit
 (** One classified event at [now]. *)
@@ -83,6 +76,8 @@ val standard :
   t list
 (** The fleet's stock objectives: availability (default 99.9%), latency
     under [latency_limit_ms] at 99%, and cold-start rate, each on
-    {!default_rules} with [base_ns] (default 200 ms sim time). *)
+    the workbook's fast (14.4x over 5m/1h) and slow (6x over 30m/6h) rule
+    pairs, with the fast short window scaled to [base_ns] (default 200 ms
+    sim time). *)
 
 val to_json : t -> Json.t

@@ -57,7 +57,6 @@ let create () =
 
 let is_open r = r.stop_ns = open_stop
 let duration_ns r = if is_open r then None else Some (r.stop_ns - r.start_ns)
-let add_attr r k v = r.attrs <- r.attrs @ [ (k, v) ]
 
 let records t = List.rev t.rev_records
 let count t = t.n_records
@@ -148,7 +147,7 @@ let finish_root t ~at ?(attrs = []) ~req_id () =
 
 (* -- keyed phases -- *)
 
-let phase_start t ~at ~req_id ~name ?(cat = "phase") ?attrs () =
+let phase_start t ~at ~req_id ~name ?(cat = "phase") () =
   let root = ensure_root t ~at ~req_id () in
   (* A phase reopened under the same key (e.g. a retried request queueing
      again) closes the stale one first: phases never overlap themselves. *)
@@ -157,7 +156,7 @@ let phase_start t ~at ~req_id ~name ?(cat = "phase") ?attrs () =
       Hashtbl.remove t.phases (req_id, name);
       finish t ~at:(max at stale.start_ns) stale
   | None -> ());
-  let r = start t ~at ~parent:root ~name ~cat ?attrs () in
+  let r = start t ~at ~parent:root ~name ~cat () in
   Hashtbl.replace t.phases (req_id, name) r
 
 let phase_stop t ~at ~req_id ~name ?(attrs = []) () =

@@ -60,8 +60,6 @@ val complete :
 (** Record a span whose bounds are both known (the stop may lie in the
     simulated future — see the module comment). *)
 
-val add_attr : record -> string -> string -> unit
-
 val is_open : record -> bool
 val duration_ns : record -> Time_ns.t option
 
@@ -75,15 +73,7 @@ val finish_root : t -> at:Time_ns.t -> ?attrs:(string * string) list -> req_id:i
     still open under it; the stop is the max of [at] and the latest child
     stop on the request's track. *)
 
-val phase_start :
-  t ->
-  at:Time_ns.t ->
-  req_id:int ->
-  name:string ->
-  ?cat:string ->
-  ?attrs:(string * string) list ->
-  unit ->
-  unit
+val phase_start : t -> at:Time_ns.t -> req_id:int -> name:string -> ?cat:string -> unit -> unit
 (** Open a phase keyed by [(req_id, name)] under the request's root, so
     the closing site needs no handle from the opening site. Reopening a
     key closes the stale phase first. *)

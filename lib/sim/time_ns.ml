@@ -7,7 +7,6 @@ let of_sec x = int_of_float (x *. 1e9 +. 0.5)
 let to_us t = float_of_int t /. 1e3
 let to_ms t = float_of_int t /. 1e6
 let to_sec t = float_of_int t /. 1e9
-let pp_ms ppf t = Format.fprintf ppf "%.2fms" (to_ms t)
 
 let pp ppf t =
   let a = abs t in

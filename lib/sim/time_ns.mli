@@ -22,8 +22,5 @@ val to_us : t -> float
 val to_ms : t -> float
 val to_sec : t -> float
 
-val pp_ms : Format.formatter -> t -> unit
-(** Prints a duration as fractional milliseconds, e.g. ["3.71ms"]. *)
-
 val pp : Format.formatter -> t -> unit
 (** Human-friendly printer choosing ns/us/ms/s units. *)

@@ -48,9 +48,7 @@ let make ?(window_ns = default_window_ns) ?(alpha = 0.01) registry =
     sketches = Hashtbl.create 64;
   }
 
-let create ?window_ns ?alpha registry = make ?window_ns ?alpha (Some registry)
-let window_ns t = t.window_ns
-let alpha t = t.alpha
+let create ?window_ns registry = make ?window_ns (Some registry)
 let window_of t ~at = at / t.window_ns
 let rolled_windows t = t.rolled
 

@@ -14,15 +14,11 @@
 
 type t
 
-val default_window_ns : Time_ns.t
-(** 100 ms of simulated time. *)
+val create : ?window_ns:Time_ns.t -> Metrics.t -> t
+(** Windows are [window_ns] long (default 100 ms of simulated time); the
+    per-window sketches bound relative error at 0.01.
+    @raise Invalid_argument if [window_ns <= 0]. *)
 
-val create : ?window_ns:Time_ns.t -> ?alpha:float -> Metrics.t -> t
-(** [alpha] is the relative-error bound of the per-window sketches
-    (default 0.01). @raise Invalid_argument if [window_ns <= 0]. *)
-
-val window_ns : t -> Time_ns.t
-val alpha : t -> float
 val window_of : t -> at:Time_ns.t -> int
 
 val tick : t -> now:Time_ns.t -> unit

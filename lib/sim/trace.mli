@@ -47,6 +47,5 @@ val clear : t -> unit
 val find : t -> category:string -> event list
 (** Events of one category, oldest first. *)
 
-val pp_event : Format.formatter -> event -> unit
 val render : Format.formatter -> t -> unit
 (** The whole timeline, one event per line. *)

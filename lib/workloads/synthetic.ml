@@ -118,13 +118,3 @@ let burst ?(duty = 0.3) ?(cycle_s = 2.0) rng ~rate_rps ~n =
     end
   in
   go [] 0 0 (draw_len on_mean_ns)
-
-(* A function that deadlocks with probability [p]: the recovery-pipeline
-   experiments need a workload whose requests sometimes never return. *)
-let hanging ?(p = 0.01) ?(base = Fm.default_spec) () =
-  if p < 0.0 || p > 1.0 then invalid_arg "Synthetic.hanging: p outside [0,1]";
-  {
-    base with
-    Fm.name = Printf.sprintf "%s-hang" base.Fm.name;
-    hang_rate = p;
-  }

@@ -48,13 +48,3 @@ val burst :
     stays [rate_rps]. Deterministic per RNG state.
     @raise Invalid_argument on non-positive rates/cycles, [duty] outside
     (0, 1], or negative [n]. *)
-
-val hanging :
-  ?p:float ->
-  ?base:Gh_faas.Function_model.spec ->
-  unit ->
-  Gh_faas.Function_model.spec
-(** A spec that never returns with probability [p] per invocation
-    (default 0.01, base {!Gh_faas.Function_model.default_spec}): the
-    recovery pipeline's hang-timeout path needs requests that genuinely
-    stall. @raise Invalid_argument if [p] is outside [0, 1]. *)

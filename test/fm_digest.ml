@@ -121,17 +121,17 @@ let digest k =
     invoke ~child id ~post_restore:false
   done;
   (* Under an incremental snapshot's salvage hook, then its restore. *)
-  let inc = Incremental.capture_exn (Account.create ()) p in
+  let inc = Result.get_ok (Incremental.capture (Account.create ()) p) in
   for id = 11 to 13 do
     invoke id ~post_restore:(id = 12)
   done;
   let a = Account.create () in
-  (match Incremental.restore a inc p with
+  (match Groundhog_core.Restore.run a (Incremental.snapshot inc) p with
   | Ok _ -> ()
   | Error site -> failwith ("Fm_digest: restore fault at " ^ Gh_sim.Fault.site_name site));
   restored a;
   invoke 14 ~post_restore:true;
-  Incremental.detach_hook inc;
+  As.set_cow_hook p.Process.mem None;
   (* A heap trimmed below the size the plans were laid out for: reads
      are clipped to it, and a write past it raises, recorded with the
      charge and the state it leaves behind. *)

@@ -152,11 +152,11 @@ let test_gh_restores_off_path () =
 let test_base_and_nop_have_no_post_work () =
   let base = Base.make ~rng:(rng ()) c_spec in
   let inv = base.Intf.invoke (Request.make ~id:1 ~principal:alice ()) in
-  check_bool "no deferred work" true (Intf.no_post inv);
+  check_int "no deferred work" 0 inv.Intf.post_ns;
   check_bool "not isolated" false inv.Intf.isolated;
   let nop = Gh_nop.make ~rng:(rng ()) c_spec in
   let inv = nop.Intf.invoke (Request.make ~id:1 ~principal:alice ()) in
-  check_bool "nop: no deferred work" true (Intf.no_post inv);
+  check_int "nop: no deferred work" 0 inv.Intf.post_ns;
   check_bool "nop: not isolated" false inv.Intf.isolated
 
 let test_coldstart_pays_init_on_path () =

@@ -67,14 +67,6 @@ let test_fifo_drop_tail () =
   check_int "served oldest first" 1
     (match Admission.take q ~now:0 with Some (r, ()) -> r.Request.id | None -> 0)
 
-let test_lifo_drops_oldest_serves_newest () =
-  let q, log = make_queue ~policy:Admission.Lifo 2 in
-  ignore (Admission.admit q ~now:0 (req 1) ());
-  ignore (Admission.admit q ~now:0 (req 2) ());
-  check_bool "newcomer admitted" true (Admission.admit q ~now:0 (req 3) ());
-  check_bool "oldest shed" true (List.mem (Admission.Capacity, 1) log.events);
-  check_bool "lifo service order" true (drain q ~now:0 = [ 3; 2 ])
-
 let test_edf_drops_earliest_expiry () =
   let q, log = make_queue ~policy:Admission.Edf_drop 2 in
   ignore (Admission.admit q ~now:0 (req ~deadline:100 1) ());
@@ -84,15 +76,6 @@ let test_edf_drops_earliest_expiry () =
   check_bool "newcomer admitted" true (Admission.admit q ~now:0 (req 3) ());
   check_bool "earliest expiry shed" true (List.mem (Admission.Capacity, 2) log.events);
   check_bool "survivors" true (drain q ~now:0 = [ 1; 3 ])
-
-let test_fair_share_drops_heaviest_tenant () =
-  let q, log = make_queue ~policy:Admission.Fair_share 2 in
-  ignore (Admission.admit q ~now:0 (req ~principal:alice 1) ());
-  ignore (Admission.admit q ~now:0 (req ~principal:alice 2) ());
-  (* Alice holds the whole queue; her newest entry makes room for Bob. *)
-  check_bool "bob admitted" true (Admission.admit q ~now:0 (req ~principal:bob 3) ());
-  check_bool "alice's newest shed" true (List.mem (Admission.Capacity, 2) log.events);
-  check_bool "one entry each" true (drain q ~now:0 = [ 1; 3 ])
 
 let test_dead_on_arrival_rejected () =
   let q, log = make_queue 8 in
@@ -112,15 +95,6 @@ let test_queued_requests_expire () =
   check_int "expired counter" 1 (Admission.expired_count q);
   check_bool "expired event" true (List.mem (Admission.Expired, 1) log.events);
   check_bool "queue drained" true (Admission.is_empty q)
-
-let test_shed_all () =
-  let q, log = make_queue 8 in
-  ignore (Admission.admit q ~now:0 (req 1) ());
-  ignore (Admission.admit q ~now:0 (req 2) ());
-  Admission.shed_all q Admission.Brownout;
-  check_bool "emptied" true (Admission.is_empty q);
-  check_int "both shed" 2 (Admission.shed_count q);
-  check_bool "brownout reason" true (List.mem (Admission.Brownout, 1) log.events)
 
 (* -- Brownout -- *)
 
@@ -159,8 +133,7 @@ let test_brownout_recovers_hysteretically () =
   check_bool "dead band holds level" true (Brownout.level b = Brownout.Degraded);
   ignore (Brownout.observe b under);
   check_bool "second calm sample recovers" true (Brownout.observe b under);
-  check_bool "normal again" true (Brownout.level b = Brownout.Normal);
-  check_int "one recovery" 1 (Brownout.recoveries b)
+  check_bool "normal again" true (Brownout.level b = Brownout.Normal)
 
 let test_brownout_dead_band_resets_streaks () =
   let b = Brownout.create bcfg in
@@ -319,7 +292,7 @@ let test_request_deadline_semantics () =
   let d = Request.with_deadline r 1_000 in
   check_bool "before" false (Request.expired d ~now:999);
   check_bool "at the instant" true (Request.expired d ~now:1_000);
-  check_bool "remaining" true (Request.remaining_ns d ~now:400 = Some 600)
+  check_bool "deadline kept" true (Request.deadline d = Some 1_000)
 
 (* -- Groundhog degraded mode must not weaken isolation -- *)
 
@@ -396,12 +369,9 @@ let () =
         [
           Alcotest.test_case "unbounded stays pure fifo" `Quick test_unbounded_is_fifo;
           Alcotest.test_case "fifo drop-tail" `Quick test_fifo_drop_tail;
-          Alcotest.test_case "lifo" `Quick test_lifo_drops_oldest_serves_newest;
           Alcotest.test_case "edf drop" `Quick test_edf_drops_earliest_expiry;
-          Alcotest.test_case "fair share" `Quick test_fair_share_drops_heaviest_tenant;
           Alcotest.test_case "dead on arrival" `Quick test_dead_on_arrival_rejected;
           Alcotest.test_case "queued expiry" `Quick test_queued_requests_expire;
-          Alcotest.test_case "shed all" `Quick test_shed_all;
         ] );
       ( "brownout",
         [

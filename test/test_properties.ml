@@ -157,10 +157,10 @@ let incremental_matches_eager =
       (* Eager reference first (it arms nothing persistent), then the
          incremental capture installs the salvage hook. *)
       let reference = Snapshot.capture_exn (Account.create ()) p in
-      let incr = Incremental.capture_exn (Account.create ()) p in
+      let incr = Result.get_ok (Incremental.capture (Account.create ()) p) in
       let mapped = ref [] in
       List.iter (apply_op p mapped) ops;
-      ignore (Incremental.restore (Account.create ()) incr p);
+      ignore (Restore.run (Account.create ()) (Incremental.snapshot incr) p);
       match Verify.state_matches reference p with
       | Ok () -> true
       | Error m ->

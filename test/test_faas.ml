@@ -398,6 +398,99 @@ let test_model_golden () =
         (Printf.sprintf "%d %s" k d))
     (Fm_digest.all ())
 
+(* -- Configuration is rejected with a named reason -- *)
+
+(* One row per configuration check in the platform: each builds one bad
+   value and hands it to its constructor, which must raise
+   [Invalid_argument] with exactly this text before doing any work. *)
+let test_config_rejected () =
+  let engine = Engine.create () in
+  let sink _ ~on_response:_ = () in
+  let controller = Controller.create engine ~rng:(Rng.create 1) sink in
+  let never_built _ = Alcotest.fail "no strategy may be built" in
+  let brownout =
+    {
+      Brownout.target_delay_ns = 1_000;
+      escalate_after = 1;
+      recover_after = 1;
+      hysteresis = 0.5;
+      shed_below_priority = 1;
+    }
+  in
+  let health = Health.default_config in
+  let cluster =
+    {
+      Cluster.n_nodes = 1;
+      node = Node.default_config;
+      placement = Cluster.Round_robin;
+      failover = true;
+      hb_interval = 1_000;
+      hang_ns = 1_000;
+      response_timeout = 1_000;
+      max_attempts = 1;
+      hedge_after = None;
+      restart_ns = 1_000;
+      health;
+      breaker = Breaker.default_config;
+    }
+  in
+  let saturate ~window principals =
+    Client.saturate engine controller ~n_requests:1 ~window ~principals ~input_kb:1
+  in
+  List.iter
+    (fun (msg, build) -> Alcotest.check_raises msg (Invalid_argument msg) (fun () -> build ()))
+    [
+      ( "Controller.create: ttl_ns must be positive",
+        fun () -> ignore (Controller.create ~ttl_ns:0 engine ~rng:(Rng.create 1) sink) );
+      ("Admission.bounded: capacity must be positive", fun () -> ignore (Admission.bounded 0));
+      ( "Brownout: target_delay_ns must be positive",
+        fun () -> ignore (Brownout.create { brownout with target_delay_ns = 0 }) );
+      ( "Brownout: escalate_after/recover_after must be positive",
+        fun () -> ignore (Brownout.create { brownout with recover_after = 0 }) );
+      ( "Brownout: hysteresis must be in (0, 1]",
+        fun () -> ignore (Brownout.create { brownout with hysteresis = 1.5 }) );
+      ( "Health.create: need 1 <= suspect_after < quarantine_after",
+        fun () ->
+          ignore (Health.create { health with suspect_after = health.Health.quarantine_after }) );
+      ( "Health.create: rejoin_after must be >= 1",
+        fun () -> ignore (Health.create { health with rejoin_after = 0 }) );
+      ( "Breaker.create: failure_threshold must be >= 1",
+        fun () ->
+          ignore (Breaker.create { Breaker.default_config with failure_threshold = 0 }) );
+      ( "Cluster.create: n_nodes must be >= 1",
+        fun () ->
+          ignore (Cluster.create engine { cluster with n_nodes = 0 } ~make_strategy:never_built) );
+      ( "Cluster.create: max_attempts must be >= 1",
+        fun () ->
+          ignore
+            (Cluster.create engine { cluster with max_attempts = 0 } ~make_strategy:never_built)
+      );
+      ( "Invoker.create: need at least one container",
+        fun () ->
+          ignore
+            (Invoker.create engine ~n_containers:0 ~dispatch_ns:0 ~make_strategy:never_built) );
+      ( "Client.closed_loop: no principals",
+        fun () ->
+          ignore
+            (Client.closed_loop engine controller ~n_requests:1 ~think_ns:0 ~principals:[||]
+               ~input_kb:1) );
+      ( "Client.open_loop: no principals",
+        fun () ->
+          ignore
+            (Client.open_loop engine controller ~rng:(Rng.create 2) ~rate_rps:1.0 ~n_requests:1
+               ~principals:[||] ~input_kb:1) );
+      ("Client.saturate: no principals", fun () -> ignore (saturate ~window:1 [||]));
+      ("Client.saturate: empty window", fun () -> ignore (saturate ~window:0 [| alice |]));
+      ( "Principal.make: id out of range",
+        fun () -> ignore (Principal.make ~id:0x10000 ~name:"x") );
+      ( "Principal.with_priority: negative priority",
+        fun () -> ignore (Principal.with_priority alice (-1)) );
+      ( "Backoff.make: need 0 <= base <= cap",
+        fun () -> ignore (Backoff.make ~base_ns:(-1) ()) );
+      ("Backoff.make: multiplier < 1", fun () -> ignore (Backoff.make ~multiplier:0.5 ()));
+      ("Backoff.make: jitter outside [0,1)", fun () -> ignore (Backoff.make ~jitter:1.0 ()));
+    ]
+
 let () =
   Alcotest.run "gh_faas"
     [
@@ -437,4 +530,6 @@ let () =
           Alcotest.test_case "container tracing" `Quick test_container_tracing;
           Alcotest.test_case "openwhisk deploy" `Quick test_openwhisk_deploy;
         ] );
+      ( "configuration",
+        [ Alcotest.test_case "rejected with a named reason" `Quick test_config_rejected ] );
     ]

@@ -11,6 +11,19 @@ dune build
 dune build bench/main.exe
 dune runtest
 
+# The README examples must run to completion, not only compile: they call
+# the library the way a reader would, so an API change that breaks one
+# fails here.
+for example in quickstart leak_demo platform_tour microbench_explore \
+  incremental_snapshots capacity_plan; do
+  dune exec "examples/$example.exe" >/dev/null
+done
+
+# test/golden_trace.json is generated by examples/gen_golden.ml and must
+# stay in lockstep with test_observability's golden_spans: the generator
+# has to reproduce the committed file byte for byte.
+dune exec examples/gen_golden.exe | cmp - test/golden_trace.json
+
 # Fault suite under three fixed seeds: the plan schedules and the whole
 # recovery pipeline must replay bit-identically from each.
 for seed in 1 42 1337; do

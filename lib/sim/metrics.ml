@@ -11,8 +11,8 @@
    [stride]-th), never wall-clock- or shared-RNG-dependent. Exact count /
    mean / std are maintained over *all* observations either way. *)
 
-type counter = { c_name : string; mutable count : int }
-type gauge = { g_name : string; mutable value : float }
+type counter = { mutable count : int }
+type gauge = { mutable value : float }
 
 type sampling =
   | All  (** Every observation goes to the reservoir (exact below capacity). *)
@@ -20,7 +20,6 @@ type sampling =
       (** Keep the first [head] observations, then every [stride]-th. *)
 
 type histogram = {
-  h_name : string;
   res : Reservoir.t;
   sampling : sampling;
   online : Stats.Online.t;
@@ -43,7 +42,7 @@ let counter t name =
   | Some (Counter c) -> c
   | Some m -> wrong_kind name m "counter"
   | None ->
-      let c = { c_name = name; count = 0 } in
+      let c = { count = 0 } in
       Hashtbl.replace t.tbl name (Counter c);
       c
 
@@ -52,7 +51,7 @@ let gauge t name =
   | Some (Gauge g) -> g
   | Some m -> wrong_kind name m "gauge"
   | None ->
-      let g = { g_name = name; value = 0.0 } in
+      let g = { value = 0.0 } in
       Hashtbl.replace t.tbl name (Gauge g);
       g
 
@@ -70,7 +69,6 @@ let histogram ?(capacity = 4096) ?seed ?(sampling = default_sampling) t name =
       let seed = match seed with Some s -> s | None -> Hashtbl.hash name in
       let h =
         {
-          h_name = name;
           res = Reservoir.create ~seed capacity;
           sampling;
           online = Stats.Online.create ();

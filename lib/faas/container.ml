@@ -214,8 +214,9 @@ let rec become_idle t =
 
 (* One scrub slice: hash-check a bounded number of snapshot blocks against
    their capture-time hashes. Reading memory is free in simulated time, so
-   the slices never perturb the request timeline; a pass runs once per idle period and stops
-   at the end of the snapshot, so the event queue always drains. *)
+   the slices never perturb the request timeline; a pass runs once per idle
+   period and stops at the end of the snapshot, so the event queue always
+   drains. *)
 and scrub_slice t cfg epoch =
   if t.state = Idle && t.scrub_epoch = epoch then
     match t.strategy.Strategy_intf.scrub cfg.blocks_per_slice with

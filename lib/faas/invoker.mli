@@ -45,8 +45,9 @@ val create :
     with [recovery] it is also the cold-restart rebuild path (a [Failure]
     it raises becomes a failed rebuild attempt, retried under backoff).
     Containers start warm; wrap [make_strategy]'s result in
-    {!with_cold_start} to model container cold starts. [rng] jitters the backoff delays; omit it for fully deterministic
-    pacing. Without [recovery], hangs wedge their container and poisoned
+    {!with_cold_start} to model container cold starts. [rng] jitters the
+    backoff delays; omit it for fully deterministic pacing. Without
+    [recovery], hangs wedge their container and poisoned
     containers are retired (fail closed, no replacement). [scrub] enables
     idle-time snapshot scrubbing in every container (see
     {!Container.scrub}); a corruption it finds recovers the container

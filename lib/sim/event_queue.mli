@@ -1,12 +1,12 @@
 (** Calendar-queue event scheduler: the engine's hot-loop priority queue.
 
     Orders elements exactly like a binary min-heap — ascending integer key,
-    FIFO among equal keys — but hashes keys into a ring of time buckets so the common
-    push/pop is O(1) instead of an O(log n) sift, stores entries in pooled
-    structure-of-arrays buckets so a push allocates nothing, and overwrites
-    vacated slots so popped values are immediately collectable. The binary
-    [Heap] in [test/support/] is the reference implementation; the property
-    suite checks the two agree on every (key, seq) pop order.
+    FIFO among equal keys — but hashes keys into a ring of time buckets so
+    the common push/pop is O(1) instead of an O(log n) sift, stores entries
+    in pooled structure-of-arrays buckets so a push allocates nothing, and
+    overwrites vacated slots so popped values are immediately collectable.
+    The binary [Heap] in [test/support/] is the reference implementation;
+    the property suite checks the two agree on every (key, seq) pop order.
 
     Worst cases degrade gracefully: keys beyond the ring's horizon spill to
     an overflow stack that is redistributed (and the bucket width retuned)

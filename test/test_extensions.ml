@@ -102,7 +102,9 @@ let test_open_loop_client () =
     Gh_faas.Invoker.create engine ~n_containers:2 ~dispatch_ns:0 ~make_strategy:(fun _ ->
         constant_strategy ~exec_ns:(Time_ns.of_ms 2.0))
   in
-  let controller = Gh_faas.Controller.create engine ~rng:(Rng.create 3) (Gh_faas.Invoker.submit invoker) in
+  let controller =
+    Gh_faas.Controller.create engine ~rng:(Rng.create 3) (Gh_faas.Invoker.submit invoker)
+  in
   let r =
     Gh_faas.Client.open_loop engine controller ~rng:(Rng.create 4) ~rate_rps:100.0
       ~n_requests:50 ~principals:[| alice; bob |] ~input_kb:4
@@ -118,7 +120,9 @@ let test_open_loop_rejects_bad_rate () =
     Gh_faas.Invoker.create engine ~n_containers:1 ~dispatch_ns:0 ~make_strategy:(fun _ ->
         constant_strategy ~exec_ns:1000)
   in
-  let controller = Gh_faas.Controller.create engine ~rng:(Rng.create 5) (Gh_faas.Invoker.submit invoker) in
+  let controller =
+    Gh_faas.Controller.create engine ~rng:(Rng.create 5) (Gh_faas.Invoker.submit invoker)
+  in
   Alcotest.check_raises "rate must be positive"
     (Invalid_argument "Client.open_loop: non-positive rate") (fun () ->
       ignore

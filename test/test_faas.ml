@@ -451,7 +451,8 @@ let test_config_rejected () =
         fun () -> ignore (Brownout.create { brownout with hysteresis = 1.5 }) );
       ( "Health.create: need 1 <= suspect_after < quarantine_after",
         fun () ->
-          ignore (Health.create { health with suspect_after = health.Health.quarantine_after }) );
+          ignore
+            (Health.create { health with suspect_after = health.Health.quarantine_after }) );
       ( "Health.create: rejoin_after must be >= 1",
         fun () -> ignore (Health.create { health with rejoin_after = 0 }) );
       ( "Breaker.create: failure_threshold must be >= 1",
@@ -459,7 +460,8 @@ let test_config_rejected () =
           ignore (Breaker.create { Breaker.default_config with failure_threshold = 0 }) );
       ( "Cluster.create: n_nodes must be >= 1",
         fun () ->
-          ignore (Cluster.create engine { cluster with n_nodes = 0 } ~make_strategy:never_built) );
+          ignore
+            (Cluster.create engine { cluster with n_nodes = 0 } ~make_strategy:never_built) );
       ( "Cluster.create: max_attempts must be >= 1",
         fun () ->
           ignore

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Before/after benchmark protocol: a parent revision against HEAD.
 
-    python3 ci/bench_pairs.py PARENT [WORKLOAD ...] [--pairs N] [--seed S]
+    python3 ci/bench_pairs.py PARENT [WORKLOAD ...] [--pairs N]
 
 Exports the committed trees of PARENT and HEAD (git archive) into a
 temporary directory, removed on exit, and runs perfbench/run.py in each:
@@ -10,7 +10,7 @@ temporary directory, removed on exit, and runs perfbench/run.py in each:
    and 1337) for figures-serial and fleet-faults, the two workloads with
    reference digests. Prints each seed's failed count.
 2. Pairs: N pairs (default 10) per workload (default: every workload of
-   BENCHMARK.json) at seed S (default 42), each side run for
+   BENCHMARK.json) at seed 42, each side run for
    BENCHMARK.json's run_seconds. The side that runs first alternates
    from pair to pair.
 
@@ -44,6 +44,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REF_SEEDS = list(range(32)) + [42, 1337]
 REF_WORKLOADS = ["figures-serial", "fleet-faults"]
+PAIR_SEED = 42
 
 
 class Failure(Exception):
@@ -125,7 +126,6 @@ def main():
     ap.add_argument("workloads", metavar="WORKLOAD", nargs="*",
                     help="default: " + " ".join(names))
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -136,7 +136,7 @@ def main():
     seconds = bench["run_seconds"]
     parent_sha, head_sha = git("rev-parse", args.parent), git("rev-parse", "HEAD")
     result = {"parent": parent_sha, "head": head_sha, "host_cores": os.cpu_count(),
-              "seed": args.seed, "pairs": args.pairs, "seconds": seconds,
+              "seed": PAIR_SEED, "pairs": args.pairs, "seconds": seconds,
               "correctness": {}, "metrics": {}}
     tmp = tempfile.mkdtemp(prefix="bench_pairs.")
     try:
@@ -160,7 +160,7 @@ def main():
         for i in range(args.pairs):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for w in workloads:
-                recs = {side: perfbench(trees[side], side, w, args.seed, seconds)
+                recs = {side: perfbench(trees[side], side, w, PAIR_SEED, seconds)
                         for side in order}
                 if recs["parent"]["failed"] != recs["change"]["failed"]:
                     raise Failure("pair %d %s: parent failed %d operations, change %d" % (

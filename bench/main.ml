@@ -490,12 +490,14 @@ let run_mem_bench out_dir =
   Buffer.add_string buf "\n}\n";
   write_record out_dir "BENCH_mem.json" buf
 
-(* == Engine hot loop: calendar queue vs reference binary heap == *)
+(* == Engine hot loop: event queue churn and an engine event storm == *)
 
 module Engine = Gh_sim.Engine
 module Event_queue = Gh_sim.Event_queue
 
-let churn_sizes = [ (256, "256"); (16_384, "16k"); (262_144, "256k") ]
+(* 2k is the deepest queue any benchmark workload reaches (~2.5K pending in
+   the slo sweep); 16k and 256k show how the heap scales past it. *)
+let churn_sizes = [ (256, "256"); (2_048, "2k"); (16_384, "16k"); (262_144, "256k") ]
 
 (* Sustained churn at a fixed pending count: pop the earliest event,
    schedule a replacement one average event-gap later — the steady state the
@@ -504,35 +506,22 @@ let churn_sizes = [ (256, "256"); (16_384, "16k"); (262_144, "256k") ]
    run batches [churn_ops] pairs so per-sample harness noise amortizes. *)
 let churn_ops = 64
 
-let engine_churn_tests (p, size_name) =
+let engine_churn_test (p, size_name) =
   let gap tick = 1 + (tick * 7919 mod (48 * p)) in
-  let heap = Heap.create () in
   let q = Event_queue.create ~dummy:() in
   for i = 1 to p do
-    Heap.push heap ~key:(i * 24) ();
     Event_queue.push q ~key:(i * 24) ()
   done;
-  let htick = ref 0 and qtick = ref 0 in
-  [
-    Test.make ~name:(Printf.sprintf "engine/churn-%s/calendar" size_name)
-      (Staged.stage (fun () ->
-           for _ = 1 to churn_ops do
-             match Event_queue.pop q with
-             | Some (k, ()) ->
-                 incr qtick;
-                 Event_queue.push q ~key:(k + gap !qtick) ()
-             | None -> assert false
-           done));
-    Test.make ~name:(Printf.sprintf "engine/churn-%s/heap" size_name)
-      (Staged.stage (fun () ->
-           for _ = 1 to churn_ops do
-             match Heap.pop heap with
-             | Some (k, ()) ->
-                 incr htick;
-                 Heap.push heap ~key:(k + gap !htick) ()
-             | None -> assert false
-           done));
-  ]
+  let tick = ref 0 in
+  Test.make ~name:(Printf.sprintf "engine/churn-%s" size_name)
+    (Staged.stage (fun () ->
+         for _ = 1 to churn_ops do
+           match Event_queue.pop q with
+           | Some (k, ()) ->
+               incr tick;
+               Event_queue.push q ~key:(k + gap !tick) ()
+           | None -> assert false
+         done))
 
 (* One full engine event storm: dispatch 20k chained events over a pending
    population of 1k, engine creation included (it is ~nothing). *)
@@ -554,84 +543,44 @@ let test_engine_storm =
          done;
          Engine.run_all e))
 
-(* Bulk admission of a burst arrival schedule: one [at_batch] pass vs the
-   per-arrival [at] loop it replaced at the experiment call sites. *)
-let admit_n = 10_000
-
-let admit_list =
-  let rng = Rng.create 11 in
-  List.map
-    (fun t -> (t, fun () -> ()))
-    (Gh_workloads.Synthetic.burst rng ~rate_rps:50_000.0 ~n:admit_n)
-
-let test_admit_loop =
-  Test.make ~name:"engine/admit-10k/at-loop"
-    (Staged.stage (fun () ->
-         let e = Engine.create () in
-         List.iter (fun (t, f) -> Engine.at e ~time:t f) admit_list))
-
-let test_admit_batch =
-  Test.make ~name:"engine/admit-10k/at-batch"
-    (Staged.stage (fun () ->
-         let e = Engine.create () in
-         Engine.at_batch e admit_list))
-
 let run_engine_bench out_dir =
-  print_endline "== Engine hot loop: calendar queue vs reference binary heap ==";
+  print_endline "== Engine hot loop: event queue churn and an engine event storm ==";
   Printf.printf "%-32s %14s\n" "benchmark" "time/run";
-  let run tests =
+  let results =
     List.concat_map
       (fun test ->
         let es = estimates test in
         List.iter (fun (name, t) -> Printf.printf "%-32s %14s\n" name (time_str t)) es;
         es)
-      tests
+      (List.map engine_churn_test churn_sizes @ [ test_engine_storm ])
   in
-  let churn = run (List.concat_map engine_churn_tests churn_sizes) in
-  let rest = run [ test_engine_storm; test_admit_loop; test_admit_batch ] in
-  let find results name = List.assoc_opt name results in
+  let find name = List.assoc_opt name results in
   print_newline ();
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (record_header ());
-  Buffer.add_string buf "  \"churn\": {\n";
-  let n_sizes = List.length churn_sizes in
-  List.iteri
-    (fun si (p, size_name) ->
-      Buffer.add_string buf (Printf.sprintf "    \"%s\": {\n      \"pending\": %d" size_name p);
-      (match
-         ( find churn (Printf.sprintf "engine/churn-%s/calendar" size_name),
-           find churn (Printf.sprintf "engine/churn-%s/heap" size_name) )
-       with
-      | Some c, Some h ->
-          (* per-run figures cover [churn_ops] pop+push pairs *)
-          let c = c /. float_of_int churn_ops and h = h /. float_of_int churn_ops in
-          Buffer.add_string buf
-            (Printf.sprintf
-               ",\n      \"calendar_ns\": %.1f,\n      \"heap_ns\": %.1f,\n      \"speedup\": %.2f"
-               c h (h /. c));
-          Printf.printf "engine/churn-%s: %.2fx (heap %s -> calendar %s)\n" size_name (h /. c)
-            (time_str h) (time_str c)
-      | _ -> ());
-      Buffer.add_string buf (if si = n_sizes - 1 then "\n    }\n" else "\n    },\n"))
-    churn_sizes;
-  Buffer.add_string buf "  }";
-  (match find rest "engine/storm-20k" with
+  Buffer.add_string buf "  \"churn_ns_per_op\": {";
+  let churn =
+    List.filter_map
+      (fun (p, size_name) ->
+        (* per-run figures cover [churn_ops] pop+push pairs *)
+        Option.map
+          (fun t -> (p, size_name, t /. float_of_int churn_ops))
+          (find ("engine/churn-" ^ size_name)))
+      churn_sizes
+  in
+  Buffer.add_string buf
+    (String.concat ","
+       (List.map (fun (p, _, ns) -> Printf.sprintf "\n    \"%d\": %.1f" p ns) churn));
+  List.iter
+    (fun (_, size_name, ns) -> Printf.printf "engine/churn-%s: %.1f ns per pop+push\n" size_name ns)
+    churn;
+  Buffer.add_string buf "\n  }";
+  (match find "engine/storm-20k" with
   | Some t ->
       Buffer.add_string buf
         (Printf.sprintf ",\n  \"storm_ns_per_event\": %.1f" (t /. float_of_int storm_events));
       Printf.printf "engine/storm: %.1f ns/event\n" (t /. float_of_int storm_events)
   | None -> ());
-  (match (find rest "engine/admit-10k/at-batch", find rest "engine/admit-10k/at-loop") with
-  | Some b, Some l ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           ",\n  \"admit_batch_ns_per_event\": %.1f,\n  \"admit_loop_ns_per_event\": %.1f,\n  \"admit_speedup\": %.2f"
-           (b /. float_of_int admit_n)
-           (l /. float_of_int admit_n)
-           (l /. b));
-      Printf.printf "engine/admit-10k: %.2fx (at-loop %s -> at-batch %s)\n" (l /. b)
-        (time_str l) (time_str b)
-  | _ -> ());
   Buffer.add_string buf "\n}\n";
   write_record out_dir "BENCH_engine.json" buf
 

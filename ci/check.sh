@@ -66,11 +66,11 @@ for seed in 1 42 1337; do
   dune exec bin/gh_bench.exe -- slo --smoke --seed $seed >/dev/null
 done
 
-# Engine hot-loop bench: the calendar-queue vs reference-heap group must
-# build and run (the differential ordering property itself runs under
-# `dune runtest` above) and write its record. The record goes to the
-# scratch dir: the committed BENCH_engine.json is taken on purpose, and a
-# CI run must not overwrite it with this host's timings.
+# Engine hot-loop bench: the event-queue churn and engine storm group must
+# build and run (the queue's ordering property against a sorted-list model
+# runs under `dune runtest` above) and write its record. The record goes to
+# the scratch dir: the committed BENCH_engine.json is taken on purpose, and
+# a CI run must not overwrite it with this host's timings.
 dune exec bench/main.exe -- --engine-only --out-dir "$tmp" >/dev/null
 test -s "$tmp/BENCH_engine.json"
 

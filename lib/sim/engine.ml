@@ -1,7 +1,5 @@
-(* The hot loop runs on the calendar queue; the binary [Heap] in
-   test/support/ is the ordering oracle for the differential property
-   tests. Both order events by (time, insertion seq), so swapping queues is
-   invisible to every experiment: `run all` replays event-for-event. *)
+(* Events fire in (time, insertion seq) order, which [Event_queue] keeps
+   by construction, so every experiment replays event for event. *)
 
 let nop () = ()
 
@@ -16,12 +14,12 @@ let at t ~time f =
 
 let at_batch t events =
   (* Validate everything up front so a bad instant raises before any event
-     is admitted, then admit the whole list in one pass. *)
+     is admitted, then admit in list order. *)
   List.iter
     (fun (time, _) ->
       if time < t.clock then invalid_arg "Engine.at_batch: instant in the simulated past")
     events;
-  Event_queue.push_list t.queue events
+  List.iter (fun (time, f) -> Event_queue.push t.queue ~key:time f) events
 
 let schedule t ~after f =
   if after < 0 then invalid_arg "Engine.schedule: negative delay";

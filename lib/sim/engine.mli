@@ -24,11 +24,10 @@ val at : t -> time:Time_ns.t -> (unit -> unit) -> unit
     in the simulated past. *)
 
 val at_batch : t -> (Time_ns.t * (unit -> unit)) list -> unit
-(** Admit a whole arrival list in one pass. Equivalent to calling {!at} on
-    each pair in list order — FIFO ties among equal instants follow list
-    position — but validated up front (no event is admitted if any instant
-    is in the past) and admitted without per-event queue re-entry, which is
-    what the bulk [Synthetic.burst] schedules want.
+(** Admit a whole arrival list. Equivalent to calling {!at} on each pair
+    in list order — FIFO ties among equal instants follow list position —
+    but validated up front: no event is admitted if any instant is in the
+    past.
     @raise Invalid_argument if any instant is in the simulated past. *)
 
 val run : t -> until:Time_ns.t -> unit

@@ -1,356 +1,106 @@
-(* Calendar (bucketed-ring) priority queue for the event engine.
+(* Binary min-heap on (key, seq), stored as a structure of arrays.
 
-   The binary [Heap] pays an O(log n) pointer-chasing sift per operation and
-   allocates a boxed entry per push; at the million-pending scale of the
-   cluster sweeps both costs dominate the hot loop. This queue instead hashes
-   each key into a ring of [ring_size] buckets of width [2^bits] key units,
-   so in the common case a push is an array append and a pop reads the
-   cursor's bucket. Each bucket is a tiny structure-of-arrays min-heap on
-   (key, seq), which keeps the total order — including the FIFO tie-break
-   among equal keys — exactly the binary heap's, while sift depth stays at
-   the handful of entries sharing one bucket.
+   The engine's traffic is shallow: the deepest sweep holds ~2.5K pending
+   events, and at that depth a heap's log-depth sift costs no more than a
+   bucketed calendar queue's bookkeeping (DESIGN §12). Keys and insertion
+   sequence numbers live in unboxed int arrays beside the values, so a push
+   allocates nothing once the arrays have grown, and the sifts move a hole
+   rather than swapping entries.
 
-   Layout invariants:
-   - The ring covers the virtual bucket indices [wbase, wbase + ring_size)
-     (vidx = key asr bits); each slot therefore holds at most one vidx's
-     entries at a time ("single lap").
-   - [cur] is the drain cursor, wbase <= cur <= wbase + ring_size; every
-     bucket strictly before it is empty. An occupancy bitset lets the cursor
-     skip runs of empty buckets a word at a time.
-   - Keys at or beyond the horizon spill, unsorted, into [far]; when the
-     ring drains, [rotate] re-centers the window on the earliest spilled
-     key, retunes the bucket width to the spill's spread, and pulls every
-     spilled entry inside the new horizon back into the ring. The width
-     heuristic keeps the horizon at >= 1/4 of the spill's span, so a spill
-     is consumed in at most a handful of rotations.
-   - Keys below the window (possible only through [at]-after-[run ~until]
-     patterns, where the window has advanced past the wall clock) go to the
-     [near] heap, which always drains before the ring: near keys are
-     strictly below the window start, ring keys at or above it.
-
-   Entries are pooled: the SoA arrays are reused across drain cycles, and a
-   vacated value slot is overwritten with [dummy] immediately so a popped
-   closure is collectable — the space leak the binary heap had. Arrays
-   shrink when mostly empty, so a long-lived drained queue does not pin its
-   peak-capacity arrays either. *)
-
-let ring_size = 1024
-let ring_mask = ring_size - 1
-let occ_words = ring_size / 32
-let max_bits = 44 (* 2^44 ns buckets: horizon ~200 sim-days, far beyond any sweep *)
-
-type 'a bucket = {
-  mutable keys : int array;
-  mutable seqs : int array;
-  mutable vals : 'a array;
-  mutable blen : int;
-}
+   A vacated value slot is overwritten with [dummy] at once, so a popped
+   closure is collectable; the arrays shrink when mostly empty, so a
+   long-lived drained queue does not pin its peak-capacity storage either. *)
 
 type 'a t = {
   dummy : 'a;
-  buckets : 'a bucket array;
-  occ : int array;
-  mutable bits : int;
-  mutable wbase : int;
-  mutable cur : int;
-  near : 'a bucket; (* min-heap of keys below the window (rare) *)
-  far : 'a bucket; (* unsorted spill beyond the horizon; [blen] is its length *)
-  mutable far_min : int;
+  mutable keys : int array;
+  mutable seqs : int array;
+  mutable vals : 'a array;
   mutable len : int;
   mutable next_seq : int;
 }
 
-let bucket_make () = { keys = [||]; seqs = [||]; vals = [||]; blen = 0 }
-
-let bucket_resize dummy b ncap =
-  let nk = Array.make ncap 0 in
-  let ns = Array.make ncap 0 in
-  let nv = Array.make ncap dummy in
-  Array.blit b.keys 0 nk 0 b.blen;
-  Array.blit b.seqs 0 ns 0 b.blen;
-  Array.blit b.vals 0 nv 0 b.blen;
-  b.keys <- nk;
-  b.seqs <- ns;
-  b.vals <- nv
-
-let bucket_reserve dummy b n =
-  let cap = Array.length b.keys in
-  if n > cap then bucket_resize dummy b (max n (max 8 (cap * 2)))
-
-let bucket_maybe_shrink dummy b =
-  let cap = Array.length b.keys in
-  if cap > 64 && b.blen * 4 < cap then bucket_resize dummy b (max 16 (cap / 2))
-
-let bucket_clear b =
-  b.keys <- [||];
-  b.seqs <- [||];
-  b.vals <- [||];
-  b.blen <- 0
-
-(* Min-heap push on (key, seq); ascending appends exit after one compare, so
-   batch-admitting a sorted arrival list costs O(1) per entry. *)
-let bucket_push dummy b ~key ~seq v =
-  bucket_reserve dummy b (b.blen + 1);
-  let keys = b.keys and seqs = b.seqs and vals = b.vals in
-  let i = ref b.blen in
-  b.blen <- b.blen + 1;
-  keys.(!i) <- key;
-  seqs.(!i) <- seq;
-  vals.(!i) <- v;
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let p = (!i - 1) / 2 in
-    if key < keys.(p) || (key = keys.(p) && seq < seqs.(p)) then begin
-      keys.(!i) <- keys.(p);
-      seqs.(!i) <- seqs.(p);
-      vals.(!i) <- vals.(p);
-      keys.(p) <- key;
-      seqs.(p) <- seq;
-      vals.(p) <- v;
-      i := p
-    end
-    else continue := false
-  done
-
-let bucket_pop dummy b =
-  let keys = b.keys and seqs = b.seqs and vals = b.vals in
-  let key0 = keys.(0) and val0 = vals.(0) in
-  let n = b.blen - 1 in
-  b.blen <- n;
-  if n > 0 then begin
-    let k = keys.(n) and s = seqs.(n) and v = vals.(n) in
-    keys.(0) <- k;
-    seqs.(0) <- s;
-    vals.(0) <- v;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      if l >= n then continue := false
-      else begin
-        let r = l + 1 in
-        let c =
-          if r < n && (keys.(r) < keys.(l) || (keys.(r) = keys.(l) && seqs.(r) < seqs.(l)))
-          then r
-          else l
-        in
-        if keys.(c) < k || (keys.(c) = k && seqs.(c) < s) then begin
-          keys.(!i) <- keys.(c);
-          seqs.(!i) <- seqs.(c);
-          vals.(!i) <- vals.(c);
-          keys.(c) <- k;
-          seqs.(c) <- s;
-          vals.(c) <- v;
-          i := c
-        end
-        else continue := false
-      end
-    done
-  end;
-  vals.(n) <- dummy;
-  (* unpin the popped closure *)
-  bucket_maybe_shrink dummy b;
-  (key0, val0)
-
-let ctz x =
-  let n = ref 0 and x = ref x in
-  if !x land 0xFFFF = 0 then begin
-    n := !n + 16;
-    x := !x lsr 16
-  end;
-  if !x land 0xFF = 0 then begin
-    n := !n + 8;
-    x := !x lsr 8
-  end;
-  if !x land 0xF = 0 then begin
-    n := !n + 4;
-    x := !x lsr 4
-  end;
-  if !x land 0x3 = 0 then begin
-    n := !n + 2;
-    x := !x lsr 2
-  end;
-  if !x land 0x1 = 0 then incr n;
-  !n
-
-let occ_set t s = t.occ.(s lsr 5) <- t.occ.(s lsr 5) lor (1 lsl (s land 31))
-let occ_clear t s = t.occ.(s lsr 5) <- t.occ.(s lsr 5) land lnot (1 lsl (s land 31))
-
-(* First occupied virtual index in [from, wbase + ring_size), or -1. Words
-   are 32 slots, and ring_size is a multiple of 32, so a word never straddles
-   the ring wrap; the single-lap invariant makes slot occupancy equivalent to
-   vidx occupancy inside the window. *)
-let next_occupied t from =
-  let limit = t.wbase + ring_size in
-  let rec scan vidx =
-    if vidx >= limit then -1
-    else begin
-      let s = vidx land ring_mask in
-      let b = s land 31 in
-      let word = t.occ.(s lsr 5) lsr b in
-      if word <> 0 then begin
-        let cand = vidx + ctz word in
-        if cand < limit then cand else -1
-      end
-      else scan (vidx + (32 - b))
-    end
-  in
-  scan from
-
-let create ~dummy =
-  {
-    dummy;
-    buckets = Array.init ring_size (fun _ -> bucket_make ());
-    occ = Array.make occ_words 0;
-    bits = 12;
-    (* ~4us buckets to start; rotations retune *)
-    wbase = 0;
-    cur = 0;
-    near = bucket_make ();
-    far = bucket_make ();
-    far_min = max_int;
-    len = 0;
-    next_seq = 0;
-  }
-
+let create ~dummy = { dummy; keys = [||]; seqs = [||]; vals = [||]; len = 0; next_seq = 0 }
 let is_empty t = t.len = 0
 let size t = t.len
 
-let push_entry t ~key ~seq v =
-  if t.len = 0 then begin
-    (* Empty queue: re-center the window so the key lands in the ring. *)
-    t.wbase <- key asr t.bits;
-    t.cur <- t.wbase
-  end;
-  t.len <- t.len + 1;
-  let vidx = key asr t.bits in
-  if vidx < t.wbase then bucket_push t.dummy t.near ~key ~seq v
-  else if vidx - t.wbase >= ring_size then begin
-    let f = t.far in
-    bucket_reserve t.dummy f (f.blen + 1);
-    f.keys.(f.blen) <- key;
-    f.seqs.(f.blen) <- seq;
-    f.vals.(f.blen) <- v;
-    f.blen <- f.blen + 1;
-    if key < t.far_min then t.far_min <- key
-  end
-  else begin
-    let s = vidx land ring_mask in
-    let b = t.buckets.(s) in
-    if b.blen = 0 then occ_set t s;
-    bucket_push t.dummy b ~key ~seq v;
-    if vidx < t.cur then t.cur <- vidx
-  end
+(* Entry (k, s) pops strictly before (k', s'). Sequence numbers are unique,
+   so this is a total order and the pop sequence is fully determined. *)
+let before (k : int) (s : int) k' s' = k < k' || (k = k' && s < s')
 
+let resize t cap =
+  let keys = Array.make cap 0 and seqs = Array.make cap 0 and vals = Array.make cap t.dummy in
+  Array.blit t.keys 0 keys 0 t.len;
+  Array.blit t.seqs 0 seqs 0 t.len;
+  Array.blit t.vals 0 vals 0 t.len;
+  t.keys <- keys;
+  t.seqs <- seqs;
+  t.vals <- vals
+
+(* Sift up from a hole at the end. A key no earlier than its parent's — an
+   ascending arrival list, say — stops after one compare. *)
 let push t ~key v =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  push_entry t ~key ~seq v
-
-let push_list t items =
-  match items with
-  | [] -> ()
-  | _ ->
-      (* One pass over the list; presize the spill stack so a long arrival
-         list admits without repeated regrowth (bulk admissions mostly land
-         beyond the horizon). *)
-      let n = List.length items in
-      bucket_reserve t.dummy t.far (t.far.blen + n);
-      List.iter
-        (fun (key, v) ->
-          let seq = t.next_seq in
-          t.next_seq <- seq + 1;
-          push_entry t ~key ~seq v)
-        items
-
-(* Ring drained but entries remain beyond the horizon: re-center and retune.
-   Progress is guaranteed — the earliest spilled key always lands in the new
-   window's first bucket. *)
-let rotate t =
-  let f = t.far in
-  assert (f.blen > 0);
-  let fmin = ref max_int and fmax = ref min_int in
-  for i = 0 to f.blen - 1 do
-    let k = f.keys.(i) in
-    if k < !fmin then fmin := k;
-    if k > !fmax then fmax := k
-  done;
-  (* Width heuristic: ~2 entries per bucket on average, but never so narrow
-     that the horizon covers less than a quarter of the spill's span. *)
-  let span = !fmax - !fmin in
-  let width = max 1 (max (span * 2 / max 1 f.blen) (span / (ring_size * 4))) in
-  let bits = ref 0 in
-  while 1 lsl !bits < width && !bits < max_bits do
-    incr bits
-  done;
-  t.bits <- !bits;
-  t.wbase <- !fmin asr !bits;
-  t.cur <- t.wbase;
-  let limit = t.wbase + ring_size in
-  let kept = ref 0 in
-  t.far_min <- max_int;
-  for i = 0 to f.blen - 1 do
-    let key = f.keys.(i) in
-    let vidx = key asr t.bits in
-    if vidx < limit then begin
-      let s = vidx land ring_mask in
-      let b = t.buckets.(s) in
-      if b.blen = 0 then occ_set t s;
-      bucket_push t.dummy b ~key ~seq:f.seqs.(i) f.vals.(i)
+  let cap = Array.length t.keys in
+  if t.len = cap then resize t (max 8 (cap * 2));
+  let keys = t.keys and seqs = t.seqs and vals = t.vals in
+  let i = ref t.len in
+  t.len <- t.len + 1;
+  let sifting = ref true in
+  while !sifting && !i > 0 do
+    let p = (!i - 1) / 2 in
+    if before key seq keys.(p) seqs.(p) then begin
+      keys.(!i) <- keys.(p);
+      seqs.(!i) <- seqs.(p);
+      vals.(!i) <- vals.(p);
+      i := p
     end
-    else begin
-      f.keys.(!kept) <- key;
-      f.seqs.(!kept) <- f.seqs.(i);
-      f.vals.(!kept) <- f.vals.(i);
-      if key < t.far_min then t.far_min <- key;
-      incr kept
-    end
+    else sifting := false
   done;
-  for i = !kept to f.blen - 1 do
-    f.vals.(i) <- t.dummy
-  done;
-  f.blen <- !kept;
-  bucket_maybe_shrink t.dummy f
+  keys.(!i) <- key;
+  seqs.(!i) <- seq;
+  vals.(!i) <- v
 
-(* Advance the cursor to the first nonempty bucket, rotating windows as
-   needed. Precondition: [near] empty and [len > 0]. *)
-let rec settle t =
-  let v = next_occupied t t.cur in
-  if v >= 0 then t.cur <- v
-  else begin
-    rotate t;
-    settle t
-  end
-
+(* Take the root, then sift the last entry down from the root's hole. *)
 let pop t =
   if t.len = 0 then None
   else begin
-    t.len <- t.len - 1;
-    if t.near.blen > 0 then Some (bucket_pop t.dummy t.near)
-    else begin
-      settle t;
-      let s = t.cur land ring_mask in
-      let b = t.buckets.(s) in
-      let kv = bucket_pop t.dummy b in
-      if b.blen = 0 then occ_clear t s;
-      Some kv
-    end
+    let keys = t.keys and seqs = t.seqs and vals = t.vals in
+    let key0 = keys.(0) and val0 = vals.(0) in
+    let n = t.len - 1 in
+    t.len <- n;
+    let k = keys.(n) and s = seqs.(n) and v = vals.(n) in
+    vals.(n) <- t.dummy;
+    if n > 0 then begin
+      let i = ref 0 and sifting = ref true in
+      while !sifting do
+        let l = (2 * !i) + 1 in
+        if l >= n then sifting := false
+        else begin
+          let c = if l + 1 < n && before keys.(l + 1) seqs.(l + 1) keys.(l) seqs.(l) then l + 1 else l in
+          if before keys.(c) seqs.(c) k s then begin
+            keys.(!i) <- keys.(c);
+            seqs.(!i) <- seqs.(c);
+            vals.(!i) <- vals.(c);
+            i := c
+          end
+          else sifting := false
+        end
+      done;
+      keys.(!i) <- k;
+      seqs.(!i) <- s;
+      vals.(!i) <- v
+    end;
+    let cap = Array.length keys in
+    if cap > 64 && n * 4 < cap then resize t (max 16 (cap / 2));
+    Some (key0, val0)
   end
 
-let peek_key t =
-  if t.len = 0 then None
-  else if t.near.blen > 0 then Some t.near.keys.(0)
-  else begin
-    settle t;
-    Some t.buckets.(t.cur land ring_mask).keys.(0)
-  end
+let peek_key t = if t.len = 0 then None else Some t.keys.(0)
 
 let clear t =
-  Array.iter bucket_clear t.buckets;
-  bucket_clear t.near;
-  bucket_clear t.far;
-  Array.fill t.occ 0 occ_words 0;
-  t.far_min <- max_int;
-  t.len <- 0;
-  t.wbase <- 0;
-  t.cur <- 0
+  t.keys <- [||];
+  t.seqs <- [||];
+  t.vals <- [||];
+  t.len <- 0

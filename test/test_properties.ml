@@ -250,29 +250,21 @@ let bitmap_runs_are_maximal =
       in
       List.for_all ok_run runs && disjoint runs)
 
-let heap_pops_sorted =
-  let open QCheck2 in
-  Test.make ~name:"heap pops keys in nondecreasing order" ~count:200
-    Gen.(list_size (int_range 0 300) (int_bound 1000))
-    (fun keys ->
-      let h = Heap.create () in
-      List.iter (fun k -> Heap.push h ~key:k k) keys;
-      let rec drain prev =
-        match Heap.pop h with
-        | None -> true
-        | Some (k, _) -> k >= prev && drain k
-      in
-      drain min_int)
-
-(* Differential oracle for the calendar queue: random interleaved
+(* The event queue against a sorted-list model: random interleaved
    push/pop/peek sequences, with a narrow key range so duplicate keys (and
-   hence seq tie-breaks) are common, must agree with the reference binary
-   heap on every observation — popped (key, value) pairs, peeked keys, and
-   sizes. Values number the pushes, so a pop mismatch pinpoints a broken
-   (key, seq) order, the engine's determinism contract. *)
+   hence seq tie-breaks) are common, must agree with the model on every
+   observation — popped (key, value) pairs, peeked keys, and sizes. Values
+   number the pushes, so a pop mismatch pinpoints a broken (key, seq) order,
+   the engine's determinism contract. *)
 type queue_op = Qpush of int | Qpop | Qpeek
 
-let event_queue_matches_heap =
+(* [(key, seq, value)] entries sorted by (key, seq). A push's seq is the
+   largest yet, so it goes after every entry whose key is no greater. *)
+let rec model_insert ((key, _, _) as e) = function
+  | ((k, _, _) as x) :: rest when k <= key -> x :: model_insert e rest
+  | rest -> e :: rest
+
+let event_queue_matches_model =
   let open QCheck2 in
   let gen_op =
     Gen.(
@@ -280,56 +272,66 @@ let event_queue_matches_heap =
         [
           (5, map (fun k -> Qpush k) (int_bound 40));
           (3, map (fun k -> Qpush (k * 100_003)) (int_bound 10_000));
-          (* wide keys force window rotations *)
           (4, return Qpop);
           (2, return Qpeek);
         ])
   in
-  Test.make ~name:"calendar queue replays the reference heap on random op sequences"
+  Test.make ~name:"event queue matches a sorted-list model on random op sequences"
     ~count:500
     Gen.(list_size (int_range 0 400) gen_op)
     (fun ops ->
-      let heap = Heap.create () in
+      let model = ref [] in
       let q = Gh_sim.Event_queue.create ~dummy:(-1) in
       let counter = ref 0 in
+      let model_pop () =
+        match !model with
+        | [] -> None
+        | (k, _, v) :: rest ->
+            model := rest;
+            Some (k, v)
+      in
       List.for_all
         (fun op ->
           match op with
           | Qpush key ->
               let v = !counter in
               incr counter;
-              Heap.push heap ~key v;
+              model := model_insert (key, v, v) !model;
               Gh_sim.Event_queue.push q ~key v;
               true
-          | Qpop -> Heap.pop heap = Gh_sim.Event_queue.pop q
+          | Qpop -> model_pop () = Gh_sim.Event_queue.pop q
           | Qpeek ->
-              Heap.peek_key heap = Gh_sim.Event_queue.peek_key q
-              && Heap.size heap = Gh_sim.Event_queue.size q)
+              (match !model with [] -> None | (k, _, _) :: _ -> Some k)
+              = Gh_sim.Event_queue.peek_key q
+              && List.length !model = Gh_sim.Event_queue.size q)
         ops
       &&
       (* Both must then drain identically to empty. *)
       let rec drain () =
-        match (Heap.pop heap, Gh_sim.Event_queue.pop q) with
+        match (model_pop (), Gh_sim.Event_queue.pop q) with
         | None, None -> true
         | a, b -> a = b && drain ()
       in
       drain ())
 
-let event_queue_batch_matches_loop =
+let at_batch_matches_at_loop =
   let open QCheck2 in
-  Test.make ~name:"push_list equals a push loop, ties included" ~count:300
-    Gen.(list_size (int_range 0 200) (int_bound 30))
-    (fun keys ->
-      let a = Gh_sim.Event_queue.create ~dummy:(-1) in
-      let b = Gh_sim.Event_queue.create ~dummy:(-1) in
-      List.iteri (fun i k -> Gh_sim.Event_queue.push a ~key:k i) keys;
-      Gh_sim.Event_queue.push_list b (List.mapi (fun i k -> (k, i)) keys);
-      let rec drain () =
-        match (Gh_sim.Event_queue.pop a, Gh_sim.Event_queue.pop b) with
-        | None, None -> true
-        | x, y -> x = y && drain ()
+  Test.make ~name:"at_batch fires in the order of an at loop, ties included" ~count:300
+    Gen.(pair (list_size (int_range 0 50) (int_bound 30)) (list_size (int_range 0 200) (int_bound 30)))
+    (fun (pending, batch) ->
+      (* Both engines hold the same pending events, so batch entries also tie
+         with events admitted before them. *)
+      let fire admit =
+        let e = Gh_sim.Engine.create () in
+        let log = ref [] in
+        let event tag time = (time, fun () -> log := (time, tag) :: !log) in
+        List.iteri (fun i time -> Gh_sim.Engine.at e ~time (snd (event (-1 - i) time))) pending;
+        admit e (List.mapi (fun i time -> event i time) batch);
+        Gh_sim.Engine.run_all e;
+        List.rev !log
       in
-      drain ())
+      fire (fun e -> List.iter (fun (time, f) -> Gh_sim.Engine.at e ~time f))
+      = fire Gh_sim.Engine.at_batch)
 
 let percentile_bounds =
   let open QCheck2 in
@@ -927,9 +929,8 @@ let () =
         [
           to_alcotest bitmap_runs_cover_set_bits;
           to_alcotest bitmap_runs_are_maximal;
-          to_alcotest heap_pops_sorted;
-          to_alcotest event_queue_matches_heap;
-          to_alcotest event_queue_batch_matches_loop;
+          to_alcotest event_queue_matches_model;
+          to_alcotest at_batch_matches_at_loop;
           to_alcotest percentile_bounds;
           to_alcotest rng_int_bounds;
           to_alcotest online_stats_match;

@@ -151,50 +151,11 @@ let test_online_merge () =
   check_bool "mean" true (Float.abs (Stats.Online.mean merged -. Stats.Online.mean all) < 1e-9);
   check_bool "std" true (Float.abs (Stats.Online.std merged -. Stats.Online.std all) < 1e-9)
 
-(* -- Heap -- *)
-
-let test_heap_ordering () =
-  let h = Heap.create () in
-  List.iter (fun k -> Heap.push h ~key:k k) [ 5; 1; 9; 3; 7; 2; 8 ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (_, v) ->
-        out := v :: !out;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (List.rev !out)
-
-let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  Heap.push h ~key:5 "a";
-  Heap.push h ~key:5 "b";
-  Heap.push h ~key:5 "c";
-  let next () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
-  (* Evaluate in sequence: OCaml list literals evaluate right-to-left. *)
-  let first = next () in
-  let second = next () in
-  let third = next () in
-  Alcotest.(check (list string)) "insertion order among ties" [ "a"; "b"; "c" ]
-    [ first; second; third ]
-
-let test_heap_peek_and_size () =
-  let h = Heap.create () in
-  check_bool "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek_key h);
-  Heap.push h ~key:3 ();
-  Heap.push h ~key:1 ();
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek_key h);
-  check_int "size" 2 (Heap.size h);
-  Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h)
-
 (* A drained queue must not pin the closures it dispatched: watch the
    payloads each closure captures through weak pointers and demand they are
-   collected once everything is popped. The original [Heap.pop] failed
-   this — vacated slots beyond [len] kept every entry reachable. *)
+   collected once everything is popped. A heap that only decrements its
+   length fails this: vacated slots beyond [len] keep every entry
+   reachable. *)
 let check_drained_releases name ~push ~pop =
   let n = 16 in
   let w = Weak.create n in
@@ -220,10 +181,6 @@ let check_drained_releases name ~push ~pop =
   | Some _ -> Alcotest.fail (name ^ ": expected drained")
   | None -> ()
 
-let test_heap_pop_releases () =
-  let h = Heap.create () in
-  check_drained_releases "heap" ~push:(fun ~key f -> Heap.push h ~key f) ~pop:(fun () -> Heap.pop h)
-
 (* -- Event_queue -- *)
 
 let test_event_queue_ordering () =
@@ -244,8 +201,13 @@ let test_event_queue_fifo_ties () =
   let q = Event_queue.create ~dummy:"" in
   Event_queue.push q ~key:5 "a";
   Event_queue.push q ~key:5 "b";
-  Event_queue.push_list q [ (5, "c"); (5, "d") ];
+  Event_queue.push q ~key:5 "c";
+  Event_queue.push q ~key:1 "z";
   let next () = match Event_queue.pop q with Some (_, v) -> v | None -> "?" in
+  (* Popping the earlier key sifts the ties down from the root. *)
+  Alcotest.(check string) "earlier key first" "z" (next ());
+  Event_queue.push q ~key:5 "d";
+  (* Evaluate in sequence: OCaml list literals evaluate right-to-left. *)
   let first = next () in
   let second = next () in
   let third = next () in
@@ -265,15 +227,12 @@ let test_event_queue_peek_and_size () =
   check_bool "cleared" true (Event_queue.is_empty q)
 
 let test_event_queue_wide_spread () =
-  (* Keys spanning ten orders of magnitude force window rotations, overflow
-     redistribution and bucket-width retunes; the pop order must still be
-     exact. *)
+  (* 20K keys spanning ten orders of magnitude grow the arrays many times
+     and sift through deep levels; the pop order must still be exact. *)
   let q = Event_queue.create ~dummy:0 in
   let rng = Rng.create 4242 in
   let keys = Array.init 20_000 (fun _ -> Rng.int rng (1 lsl (1 + Rng.int rng 34))) in
   Array.iter (fun k -> Event_queue.push q ~key:k k) keys;
-  (* Interleave draining with fresh near-past pushes to hit the below-window
-     path too. *)
   let popped = ref [] in
   let rec drain () =
     match Event_queue.pop q with
@@ -287,8 +246,8 @@ let test_event_queue_wide_spread () =
   Alcotest.(check (list int)) "exact sorted order" expect (List.rev !popped)
 
 let test_event_queue_below_window () =
-  (* Peek can advance the internal window past sparse gaps; a later push at
-     a smaller (but legal) key must still pop first. *)
+  (* A push below every pending key, made after a peek at a far key, must
+     become the new minimum and pop first. *)
   let q = Event_queue.create ~dummy:0 in
   Event_queue.push q ~key:1_000_000_000 1;
   Alcotest.(check (option int)) "peek far" (Some 1_000_000_000) (Event_queue.peek_key q);
@@ -393,19 +352,17 @@ let test_engine_at_batch () =
       Engine.at_batch c [ (20, (fun () -> ())); (5, fun () -> ()) ]);
   check_int "nothing admitted" 0 (Engine.pending c)
 
-let test_engine_matches_reference_heap () =
-  (* Determinism contract: the engine (on the calendar queue) dispatches in
-     exactly the (time, seq) order of the reference binary heap, including
-     callbacks that schedule more work mid-run. *)
+let test_engine_replays_time_seq_order () =
+  (* Determinism contract: the engine dispatches in exactly (time, seq)
+     order, including callbacks that schedule more work mid-run. *)
   let rng = Rng.create 12345 in
-  let reference = Heap.create () in
   let engine = Engine.create () in
-  let fired = ref [] in
+  let planted = ref [] and fired = ref [] in
   let uid = ref 0 in
   let rec plant depth ~time =
     let id = !uid in
     incr uid;
-    Heap.push reference ~key:time id;
+    planted := (time, id) :: !planted;
     Engine.at engine ~time (fun () ->
         fired := (time, id) :: !fired;
         if depth > 0 && Rng.int rng 3 = 0 then
@@ -416,20 +373,10 @@ let test_engine_matches_reference_heap () =
     plant 2 ~time:(Rng.int rng 200)
   done;
   Engine.run_all engine;
-  (* Every plant pushed the same (time, id) into the reference heap with the
-     same sequence position, so its drain order is the ground-truth global
-     (time, seq) order the engine must have dispatched in. *)
-  let expected = ref [] in
-  let rec drain () =
-    match Heap.pop reference with
-    | Some (k, id) ->
-        expected := (k, id) :: !expected;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list (pair int int))) "engine replays the reference order"
-    (List.rev !expected) (List.rev !fired)
+  (* Ids number the [at] calls in order, so sorting (time, id) pairs gives
+     the (time, seq) order the engine must have dispatched in. *)
+  Alcotest.(check (list (pair int int))) "engine replays the (time, seq) order"
+    (List.sort compare !planted) (List.rev !fired)
 
 (* -- Trace -- *)
 
@@ -514,13 +461,6 @@ let () =
           Alcotest.test_case "online matches direct" `Quick test_online_matches_direct;
           Alcotest.test_case "online merge" `Quick test_online_merge;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "FIFO ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "peek and size" `Quick test_heap_peek_and_size;
-          Alcotest.test_case "drained heap releases closures" `Quick test_heap_pop_releases;
-        ] );
       ( "event_queue",
         [
           Alcotest.test_case "ordering" `Quick test_event_queue_ordering;
@@ -539,8 +479,8 @@ let () =
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
           Alcotest.test_case "stress ordering (50k events)" `Quick test_engine_stress_ordering;
           Alcotest.test_case "batch admission" `Quick test_engine_at_batch;
-          Alcotest.test_case "replays the reference heap" `Quick
-            test_engine_matches_reference_heap;
+          Alcotest.test_case "replays the (time, seq) order" `Quick
+            test_engine_replays_time_seq_order;
         ] );
       ( "trace",
         [

@@ -17,7 +17,6 @@ type t = {
   engine : Gh_sim.Engine.t;
   controller : Controller.t;
   invoker : Invoker.t;
-  services : Services.t;
   rng : Gh_sim.Rng.t;
 }
 
@@ -32,4 +31,4 @@ let deploy ?trace ?spans ?series ?(slos = []) ?scrub config ~make_strategy =
   let controller =
     Controller.create ~overhead:config.overhead ~obs engine ~rng (Invoker.submit invoker)
   in
-  { engine; controller; invoker; services = Services.create (); rng }
+  { engine; controller; invoker; rng }

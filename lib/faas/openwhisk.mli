@@ -17,7 +17,6 @@ type t = {
   engine : Gh_sim.Engine.t;
   controller : Controller.t;
   invoker : Invoker.t;
-  services : Services.t;
   rng : Gh_sim.Rng.t;
 }
 

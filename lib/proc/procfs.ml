@@ -51,14 +51,3 @@ let clear_refs acct (p : Process.t) =
   Account.charge acct (As.total_pages p.Process.mem * c.Cost.clear_refs_per_page_ns);
   if Fault.fire p.Process.fault Fault.Procfs_clear then Error Fault.Procfs_clear
   else Ok (As.clear_refs p.Process.mem)
-
-type statm = { total_pages : int; present_pages : int; dirty_pages : int }
-
-let read_statm acct (p : Process.t) =
-  let c = As.cost p.Process.mem in
-  Account.charge acct c.Cost.maps_read_per_vma_ns;
-  {
-    total_pages = As.total_pages p.Process.mem;
-    present_pages = As.present_pages p.Process.mem;
-    dirty_pages = As.dirty_pages p.Process.mem;
-  }

@@ -33,8 +33,3 @@ val dirty_sets : Process.t -> (Gh_mem.Vma.t * Gh_mem.Bitmap.t) list
 val clear_refs : Gh_sim.Account.t -> Process.t -> (unit, Gh_sim.Fault.site) result
 (** Reset soft-dirty bits over the whole address space; charged per mapped
     page (the kernel walks the page tables). *)
-
-type statm = { total_pages : int; present_pages : int; dirty_pages : int }
-
-val read_statm : Gh_sim.Account.t -> Process.t -> statm
-(** Charged one maps-line read. *)

@@ -129,30 +129,3 @@ let render_metric ppf (name, m) =
             (Reservoir.stored h.res))
 
 let render ppf t = List.iter (render_metric ppf) (snapshot t)
-
-let to_json t =
-  let metric_json = function
-    | Counter c -> Json.Assoc [ ("type", Json.String "counter"); ("value", Json.Int c.count) ]
-    | Gauge g -> Json.Assoc [ ("type", Json.String "gauge"); ("value", Json.Float g.value) ]
-    | Histogram h ->
-        let q =
-          match quantiles h with
-          | None -> []
-          | Some s ->
-              [
-                ("p50", Json.Float s.Stats.median);
-                ("p90", Json.Float s.Stats.p90);
-                ("p99", Json.Float s.Stats.p99);
-                ("max", Json.Float s.Stats.max);
-              ]
-        in
-        Json.Assoc
-          ([
-             ("type", Json.String "histogram");
-             ("count", Json.Int (hist_count h));
-             ("mean", Json.Float (hist_mean h));
-             ("sampled", Json.Int (Reservoir.stored h.res));
-           ]
-          @ q)
-  in
-  Json.Assoc (List.map (fun (name, m) -> (name, metric_json m)) (snapshot t))

@@ -59,5 +59,3 @@ val snapshot : t -> (string * metric) list
 val render : Format.formatter -> t -> unit
 (** Text snapshot, one sorted line per metric — stable for golden-file
     diffs. *)
-
-val to_json : t -> Json.t

@@ -53,11 +53,3 @@ let exponential t ~mean =
     if u > 0.0 then u else nonzero ()
   in
   -.mean *. log (nonzero ())
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -45,6 +45,3 @@ val lognormal : t -> mu:float -> sigma:float -> float
 
 val exponential : t -> mean:float -> float
 (** Exponential deviate with the given mean. Requires [mean > 0]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

@@ -80,18 +80,4 @@ module Online = struct
   let count t = t.n
   let mean t = t.mu
   let std t = if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.n - 1))
-
-  let merge a b =
-    if a.n = 0 then { n = b.n; mu = b.mu; m2 = b.m2 }
-    else if b.n = 0 then { n = a.n; mu = a.mu; m2 = a.m2 }
-    else begin
-      let n = a.n + b.n in
-      let delta = b.mu -. a.mu in
-      let mu = a.mu +. (delta *. float_of_int b.n /. float_of_int n) in
-      let m2 =
-        a.m2 +. b.m2
-        +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-      in
-      { n; mu; m2 }
-    end
 end

@@ -47,7 +47,4 @@ module Online : sig
   val count : t -> int
   val mean : t -> float
   val std : t -> float
-
-  val merge : t -> t -> t
-  (** Combine two accumulators (Chan et al. parallel formula). *)
 end

@@ -135,15 +135,6 @@ let test_procfs_scan_and_clear () =
   check_int "scan result is a snapshot" 5 dirty_after;
   check_int "process itself is clean" 0 (As.dirty_pages p.Process.mem)
 
-let test_procfs_statm () =
-  let p = fresh () in
-  let a = acct () in
-  let heap = As.heap p.Process.mem in
-  As.dirty_range p.Process.mem a heap ~pos:0 ~len:3 ~value:1;
-  let st = Procfs.read_statm a p in
-  check_int "total" (As.total_pages p.Process.mem) st.Procfs.total_pages;
-  check_int "dirty" 3 st.Procfs.dirty_pages
-
 (* -- Ptrace -- *)
 
 let test_ptrace_attach_detach () =
@@ -275,7 +266,6 @@ let () =
         [
           Alcotest.test_case "maps" `Quick test_procfs_maps;
           Alcotest.test_case "scan and clear" `Quick test_procfs_scan_and_clear;
-          Alcotest.test_case "statm" `Quick test_procfs_statm;
         ] );
       ( "ptrace",
         [

@@ -93,15 +93,6 @@ let test_rng_exponential_mean () =
   done;
   check_bool "mean ~4" true (Float.abs (Stats.Online.mean acc -. 4.0) < 0.2)
 
-let test_rng_shuffle_permutes () =
-  let rng = Rng.create 9 in
-  let a = Array.init 50 Fun.id in
-  Rng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "is a permutation" (Array.init 50 Fun.id) sorted;
-  check_bool "actually shuffled" true (a <> Array.init 50 Fun.id)
-
 (* -- Stats -- *)
 
 let test_stats_known_values () =
@@ -139,17 +130,7 @@ let test_online_matches_direct () =
   check_bool "mean close" true (Float.abs (Stats.Online.mean acc -. s.Stats.mean) < 1e-9);
   check_bool "std close" true (Float.abs (Stats.Online.std acc -. s.Stats.std) < 1e-9)
 
-let test_online_merge () =
-  let rng = Rng.create 78 in
-  let data = Array.init 400 (fun _ -> Rng.float rng 10.0) in
-  let all = Stats.Online.create () in
-  Array.iter (Stats.Online.add all) data;
-  let a = Stats.Online.create () and b = Stats.Online.create () in
-  Array.iteri (fun i x -> Stats.Online.add (if i < 150 then a else b) x) data;
-  let merged = Stats.Online.merge a b in
-  check_int "count" 400 (Stats.Online.count merged);
-  check_bool "mean" true (Float.abs (Stats.Online.mean merged -. Stats.Online.mean all) < 1e-9);
-  check_bool "std" true (Float.abs (Stats.Online.std merged -. Stats.Online.std all) < 1e-9)
+(* -- Event_queue -- *)
 
 (* A drained queue must not pin the closures it dispatched: watch the
    payloads each closure captures through weak pointers and demand they are
@@ -180,8 +161,6 @@ let check_drained_releases name ~push ~pop =
   match pop () with
   | Some _ -> Alcotest.fail (name ^ ": expected drained")
   | None -> ()
-
-(* -- Event_queue -- *)
 
 let test_event_queue_ordering () =
   let q = Event_queue.create ~dummy:0 in
@@ -450,7 +429,6 @@ let () =
           Alcotest.test_case "named split" `Quick test_rng_named_split;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
-          Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
         ] );
       ( "stats",
         [
@@ -459,7 +437,6 @@ let () =
           Alcotest.test_case "single sample" `Quick test_stats_single_sample;
           Alcotest.test_case "empty raises" `Quick test_stats_empty_raises;
           Alcotest.test_case "online matches direct" `Quick test_online_matches_direct;
-          Alcotest.test_case "online merge" `Quick test_online_merge;
         ] );
       ( "event_queue",
         [

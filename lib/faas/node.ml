@@ -55,10 +55,8 @@ type fn_stats = {
   queue_len : int;
   containers : int;
   e2e_ms : float list;
-  timeouts : int;
   failed_requests : int;
   quarantined : int;
-  poisonings : int;
   shed : int;
   expired : int;
   deadline_misses : int;
@@ -78,10 +76,8 @@ type pool = {
   evictions : Metrics.counter;
   e2e_name : string;  (* the histogram's name, also its series' *)
   e2e : Metrics.histogram;  (* milliseconds *)
-  timeouts : Metrics.counter;
   failed_requests : Metrics.counter;
   quarantined : Metrics.counter;
-  poisonings : Metrics.counter;
   brownout_shed : Metrics.counter;  (* arrivals dropped by the priority floor *)
   deadline_misses : Metrics.counter;  (* completions delivered past deadline *)
   cancelled : Metrics.counter;  (* queued hedge losers removed by the cluster *)
@@ -197,10 +193,8 @@ let register t ~name spec =
         Metrics.histogram t.metrics e2e_name ~capacity:e2e_reservoir_capacity
           ~seed:(Hashtbl.hash ("node-e2e", name))
           ~sampling:Metrics.All;
-      timeouts = c "timeouts";
       failed_requests = c "failed_requests";
       quarantined = c "quarantined";
-      poisonings = c "poisonings";
       brownout_shed = c "brownout_shed";
       deadline_misses = c "deadline_misses";
       cancelled = c "cancelled";
@@ -342,8 +336,9 @@ and on_slot_retired t pool slot =
 
 (* Node containers run passive recovery: a hang wedges its container (no
    timeout fires) and a poisoned one retires itself, which
-   [on_slot_retired] accounts for. The [timeouts], [failed_requests] and
-   [poisonings] counters stay registered, at zero. *)
+   [on_slot_retired] accounts for. No request is abandoned, so the
+   [failed_requests] counter stays registered at zero; Overload_exp's
+   [failed] column reads it. *)
 and on_slot_failure t pool failure =
   match failure with
   | Container.Poisoned_restore _ ->
@@ -525,10 +520,8 @@ let stats t =
          queue_len = Admission.length pool.queue;
          containers = List.length pool.slots;
          e2e_ms = Metrics.values pool.e2e;
-         timeouts = Metrics.counter_value pool.timeouts;
          failed_requests = Metrics.counter_value pool.failed_requests;
          quarantined = Metrics.counter_value pool.quarantined;
-         poisonings = Metrics.counter_value pool.poisonings;
          shed = Admission.shed_count pool.queue + Metrics.counter_value pool.brownout_shed;
          expired = Admission.expired_count pool.queue;
          deadline_misses = Metrics.counter_value pool.deadline_misses;

@@ -67,10 +67,8 @@ type fn_stats = {
   e2e_ms : float list;
       (** Per-request latency incl. queueing, newest first. Bounded: a
           uniform reservoir sample past 8192 requests. *)
-  timeouts : int;  (** Always 0: no hang timeout fires under passive recovery. *)
   failed_requests : int;  (** Always 0: no request is retried, so none is abandoned. *)
   quarantined : int;  (** Containers permanently retired. *)
-  poisonings : int;  (** Always 0: a poisoned container is retired, not restarted. *)
   shed : int;  (** Dropped: queue overflow + brownout priority shed. *)
   expired : int;  (** Dropped: deadline passed (on arrival or queued). *)
   deadline_misses : int;  (** Completions delivered after their deadline. *)

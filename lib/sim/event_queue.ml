@@ -78,7 +78,8 @@ let pop t =
         let l = (2 * !i) + 1 in
         if l >= n then sifting := false
         else begin
-          let c = if l + 1 < n && before keys.(l + 1) seqs.(l + 1) keys.(l) seqs.(l) then l + 1 else l in
+          let r = l + 1 in
+          let c = if r < n && before keys.(r) seqs.(r) keys.(l) seqs.(l) then r else l in
           if before keys.(c) seqs.(c) k s then begin
             keys.(!i) <- keys.(c);
             seqs.(!i) <- seqs.(c);

@@ -317,7 +317,8 @@ let event_queue_matches_model =
 let at_batch_matches_at_loop =
   let open QCheck2 in
   Test.make ~name:"at_batch fires in the order of an at loop, ties included" ~count:300
-    Gen.(pair (list_size (int_range 0 50) (int_bound 30)) (list_size (int_range 0 200) (int_bound 30)))
+    Gen.(
+      pair (list_size (int_range 0 50) (int_bound 30)) (list_size (int_range 0 200) (int_bound 30)))
     (fun (pending, batch) ->
       (* Both engines hold the same pending events, so batch entries also tie
          with events admitted before them. *)

@@ -7,9 +7,6 @@ module Manager = Groundhog_core.Manager
 module Breakdown = Groundhog_core.Breakdown
 module Microbench = Gh_workloads.Microbench
 
-let principals =
-  [| Gh_faas.Principal.make ~id:1 ~name:"alice"; Gh_faas.Principal.make ~id:2 ~name:"bob" |]
-
 (* Measure a microbenchmark under Groundhog built on a variant cost model:
    returns (mean in-function ms, mean restore ms). *)
 let measure_with_cost cfg cost spec =
@@ -27,7 +24,7 @@ let measure_with_cost cfg cost spec =
     let acct = Account.create () in
     let req =
       Gh_faas.Request.make ~id:(i + discard + 1)
-        ~principal:principals.((i + discard) mod 2)
+        ~principal:Sweep.principals.((i + discard) mod 2)
         ~input_kb:spec.Fm.input_kb ()
     in
     ignore (Fm.invoke inst acct rng ~post_restore:(i > -discard) req);

@@ -16,18 +16,12 @@ type result = {
   faasm_reset_ms : float option;
 }
 
-let principals =
-  [|
-    Gh_faas.Principal.make ~id:1 ~name:"alice";
-    Gh_faas.Principal.make ~id:2 ~name:"bob";
-  |]
-
 let collect_breakdowns strat n input_kb =
   let acc = ref Breakdown.zero in
   let count = ref 0 in
   for i = 0 to n - 1 do
     let req =
-      Gh_faas.Request.make ~id:(i + 1) ~principal:principals.(i mod 2) ~input_kb ()
+      Gh_faas.Request.make ~id:(i + 1) ~principal:Sweep.principals.(i mod 2) ~input_kb ()
     in
     let inv = strat.Intf.invoke req in
     match inv.Intf.breakdown with
@@ -81,11 +75,9 @@ let run_one ?(with_faasm = true) cfg (entry : Catalog.entry) =
     faasm_reset_ms;
   }
 
-(* One cell per entry (the per-entry seed depends only on the display
-   name), fanned across domains; parallel_map preserves input order. *)
-let run ?with_faasm cfg entries =
-  Gh_sim.Domain_pool.parallel_map ~jobs:(Config.effective_jobs cfg)
-    (run_one ?with_faasm cfg) entries
+(* One cell per entry; the per-entry seed depends only on the display
+   name. *)
+let run ?with_faasm cfg entries = Sweep.map cfg (run_one ?with_faasm cfg) entries
 
 let print_fig8 ppf results =
   let step_labels = List.map fst (Breakdown.steps Breakdown.zero) in

@@ -13,9 +13,6 @@ type point = {
 
 let strategies = [ Registry.Base; Registry.Gh; Registry.Gh_nop; Registry.Fork ]
 
-let alice = Gh_faas.Principal.make ~id:1 ~name:"alice"
-let bob = Gh_faas.Principal.make ~id:2 ~name:"bob"
-
 let measure cfg strategy spec ~requests =
   let seed = cfg.Config.seed lxor Hashtbl.hash ("crash", spec.Fm.name, Registry.to_string strategy) in
   match Registry.make strategy ~rng:(Rng.create seed) spec with
@@ -23,7 +20,7 @@ let measure cfg strategy spec ~requests =
   | Ok strat ->
       let busy = ref 0 and crashes = ref 0 and succeeded = ref 0 in
       for i = 1 to requests do
-        let principal = if i land 1 = 1 then alice else bob in
+        let principal = Sweep.principals.((i - 1) land 1) in
         let inv =
           strat.Intf.invoke (Gh_faas.Request.make ~id:i ~principal ~input_kb:spec.Fm.input_kb ())
         in

@@ -43,164 +43,74 @@ let extras =
     Scrub_integrity;
   ]
 
-let to_string = function
-  | Fig3_left -> "fig3-left"
-  | Fig3_right -> "fig3-right"
-  | Fig4 -> "fig4"
-  | Fig5 -> "fig5"
-  | Fig6 -> "fig6"
-  | Fig7 -> "fig7"
-  | Fig8 -> "fig8"
-  | Table1 -> "table1"
-  | Table2 -> "table2"
-  | Table3 -> "table3"
-  | Headline -> "headline"
-  | Motivation -> "motivation"
-  | Ablation_tracking -> "ablation-tracking"
-  | Ablation_coalescing -> "ablation-coalescing"
-  | Policy_skip -> "policy-skip"
-  | Load_latency -> "load-latency"
-  | Snapshot_cost -> "snapshot-cost"
-  | Multi_tenant -> "multi-tenant"
-  | Crash_recovery -> "crash-recovery"
-  | Fault_injection -> "fault-injection"
-  | Overload -> "overload"
-  | Scrub_integrity -> "scrub-integrity"
+(* One row per experiment: id, CLI name, accepted aliases, description. *)
+let table =
+  [
+    (Fig3_left, "fig3-left", [ "fig3left"; "fig3" ],
+     "microbenchmark latency vs % pages dirtied (100K mapped pages)");
+    (Fig3_right, "fig3-right", [ "fig3right" ],
+     "microbenchmark latency vs address-space size (1K pages dirtied)");
+    (Fig4, "fig4", [], "relative e2e and invoker latency, all 58 benchmarks");
+    (Fig5, "fig5", [], "relative throughput, all 58 benchmarks");
+    (Fig6, "fig6", [], "restoration duration: GH vs FAASM");
+    (Fig7, "fig7", [], "GH throughput scaling with 1-4 cores (14 representative benchmarks)");
+    (Fig8, "fig8", [],
+     "restoration cost breakdown + snapshot cost (14 representative benchmarks)");
+    (Table1, "table1", [], "absolute latency and throughput for all configurations");
+    (Table2, "table2", [], "overheads relative to the insecure baseline");
+    (Table3, "table3", [], "GH latency/throughput vs restoration cost, sorted by restore time");
+    (Headline, "headline", [ "summary" ],
+     "suite-wide medians/percentiles vs the paper's headline claims");
+    (Motivation, "motivation", [],
+     "per-request cost of GH vs coldstart and CRIU-style isolation (motivation)");
+    (Ablation_tracking, "ablation-tracking", [ "uffd" ],
+     "soft-dirty bits vs userfaultfd tracking sweep (ablation)");
+    (Ablation_coalescing, "ablation-coalescing", [ "coalescing" ],
+     "restore-copy run coalescing on/off sweep (ablation)");
+    (Policy_skip, "policy-skip", [ "policy" ],
+     "rollback-skip policy vs caller diversity (extension of 4.4)");
+    (Load_latency, "load-latency", [ "load" ],
+     "open-loop latency vs offered load, BASE vs GH (extension)");
+    (Snapshot_cost, "snapshot-cost", [ "snapshot" ],
+     "one-time snapshotting cost across the whole catalog (5.5)");
+    (Multi_tenant, "multi-tenant", [ "tenant"; "density" ],
+     "container density under a shared node: BASE vs eager GH vs incremental GH");
+    (Crash_recovery, "crash-recovery", [ "crash" ],
+     "restore as fault recovery: occupancy vs crash rate (extension)");
+    (Fault_injection, "fault-injection", [ "fault"; "faults" ],
+     "seeded fault injection: availability/goodput/MTTR/p99 under fail-closed recovery");
+    (Overload, "overload", [ "brownout" ],
+     "overload sweep: goodput/shedding/deadline misses with protection on vs off");
+    (Scrub_integrity, "scrub-integrity", [ "scrub"; "integrity" ],
+     "snapshot integrity: corruption rate x verification policy (hashing, scrubbing, dedup)");
+  ]
+
+let row id = List.find (fun (id', _, _, _) -> id' = id) table
+let to_string id = match row id with _, name, _, _ -> name
+let describe id = match row id with _, _, _, doc -> doc
 
 let of_string s =
-  match String.lowercase_ascii s with
-  | "fig3-left" | "fig3left" -> Ok Fig3_left
-  | "fig3-right" | "fig3right" -> Ok Fig3_right
-  | "fig3" -> Ok Fig3_left
-  | "fig4" -> Ok Fig4
-  | "fig5" -> Ok Fig5
-  | "fig6" -> Ok Fig6
-  | "fig7" -> Ok Fig7
-  | "fig8" -> Ok Fig8
-  | "table1" -> Ok Table1
-  | "table2" -> Ok Table2
-  | "table3" -> Ok Table3
-  | "headline" | "summary" -> Ok Headline
-  | "motivation" -> Ok Motivation
-  | "ablation-tracking" | "uffd" -> Ok Ablation_tracking
-  | "ablation-coalescing" | "coalescing" -> Ok Ablation_coalescing
-  | "policy-skip" | "policy" -> Ok Policy_skip
-  | "load-latency" | "load" -> Ok Load_latency
-  | "snapshot-cost" | "snapshot" -> Ok Snapshot_cost
-  | "multi-tenant" | "tenant" | "density" -> Ok Multi_tenant
-  | "crash-recovery" | "crash" -> Ok Crash_recovery
-  | "fault-injection" | "fault" | "faults" -> Ok Fault_injection
-  | "overload" | "brownout" -> Ok Overload
-  | "scrub-integrity" | "scrub" | "integrity" -> Ok Scrub_integrity
-  | other -> Error (Printf.sprintf "unknown experiment %S" other)
+  let s = String.lowercase_ascii s in
+  match List.find_opt (fun (_, name, aliases, _) -> name = s || List.mem s aliases) table with
+  | Some (id, _, _, _) -> Ok id
+  | None -> Error (Printf.sprintf "unknown experiment %S" s)
 
-let describe = function
-  | Fig3_left -> "microbenchmark latency vs % pages dirtied (100K mapped pages)"
-  | Fig3_right -> "microbenchmark latency vs address-space size (1K pages dirtied)"
-  | Fig4 -> "relative e2e and invoker latency, all 58 benchmarks"
-  | Fig5 -> "relative throughput, all 58 benchmarks"
-  | Fig6 -> "restoration duration: GH vs FAASM"
-  | Fig7 -> "GH throughput scaling with 1-4 cores (14 representative benchmarks)"
-  | Fig8 -> "restoration cost breakdown + snapshot cost (14 representative benchmarks)"
-  | Table1 -> "absolute latency and throughput for all configurations"
-  | Table2 -> "overheads relative to the insecure baseline"
-  | Table3 -> "GH latency/throughput vs restoration cost, sorted by restore time"
-  | Headline -> "suite-wide medians/percentiles vs the paper's headline claims"
-  | Motivation -> "per-request cost of GH vs coldstart and CRIU-style isolation (motivation)"
-  | Ablation_tracking -> "soft-dirty bits vs userfaultfd tracking sweep (ablation)"
-  | Ablation_coalescing -> "restore-copy run coalescing on/off sweep (ablation)"
-  | Policy_skip -> "rollback-skip policy vs caller diversity (extension of 4.4)"
-  | Load_latency -> "open-loop latency vs offered load, BASE vs GH (extension)"
-  | Snapshot_cost -> "one-time snapshotting cost across the whole catalog (5.5)"
-  | Multi_tenant -> "container density under a shared node: BASE vs eager GH vs incremental GH"
-  | Crash_recovery -> "restore as fault recovery: occupancy vs crash rate (extension)"
-  | Fault_injection ->
-      "seeded fault injection: availability/goodput/MTTR/p99 under fail-closed recovery"
-  | Overload ->
-      "overload sweep: goodput/shedding/deadline misses with protection on vs off"
-  | Scrub_integrity ->
-      "snapshot integrity: corruption rate x verification policy (hashing, scrubbing, dedup)"
-
-(* Latency/throughput/breakdown sweeps over the catalog are shared between
-   the experiments that need them — Table1 after Fig4 must not re-measure.
-   The memo used to be a process-global mutable record, which (a) silently
-   reused results across configs within one process and (b) raced if two
-   callers ever filled a slot concurrently. It is now a value the caller
-   threads through one batch of experiments; each slot is a tiny
-   single-assignment cell guarded by a mutex + condition so concurrent
-   callers block on the one computation instead of duplicating it. *)
-type 'a slot = {
-  m : Mutex.t;
-  cond : Condition.t;
-  mutable state : 'a slot_state;
-}
-
-and 'a slot_state = Empty | Running | Done of 'a
-
-let slot () = { m = Mutex.create (); cond = Condition.create (); state = Empty }
-
-(* Fill-once: the first caller computes (outside the lock — the sweeps take
-   seconds), later callers wait on the condition. A raising computation
-   resets the slot so the next caller retries rather than deadlocking. *)
-let memo slot compute =
-  let rec await () =
-    match slot.state with
-    | Done v ->
-        Mutex.unlock slot.m;
-        v
-    | Running ->
-        Condition.wait slot.cond slot.m;
-        await ()
-    | Empty -> (
-        slot.state <- Running;
-        Mutex.unlock slot.m;
-        match compute () with
-        | v ->
-            Mutex.lock slot.m;
-            slot.state <- Done v;
-            Condition.broadcast slot.cond;
-            Mutex.unlock slot.m;
-            v
-        | exception exn ->
-            let bt = Printexc.get_raw_backtrace () in
-            Mutex.lock slot.m;
-            slot.state <- Empty;
-            Condition.broadcast slot.cond;
-            Mutex.unlock slot.m;
-            Printexc.raise_with_backtrace exn bt)
-  in
-  Mutex.lock slot.m;
-  await ()
-
+(* The catalog-wide sweeps that several experiments share (Table1 after
+   Fig4 must not re-measure), each forced at most once per batch. *)
 type cache = {
-  latency : Latency_exp.result list slot;
-  tput : Throughput_exp.result list slot;
-  breakdown_all : Breakdown_exp.result list slot;
-  breakdown_rep : Breakdown_exp.result list slot;
+  latency : Latency_exp.result list Lazy.t;
+  tput : Throughput_exp.result list Lazy.t;
+  breakdown_all : Breakdown_exp.result list Lazy.t;
+  breakdown_rep : Breakdown_exp.result list Lazy.t;
 }
 
-(* The config parameter documents the contract — a cache holds results for
-   exactly one configuration; reusing it under another cfg would serve that
-   config stale sweeps. *)
-let cache (_ : Config.t) =
+let cache cfg =
   {
-    latency = slot ();
-    tput = slot ();
-    breakdown_all = slot ();
-    breakdown_rep = slot ();
+    latency = lazy (Latency_exp.run cfg Catalog.all);
+    tput = lazy (Throughput_exp.run cfg Catalog.all);
+    breakdown_all = lazy (Breakdown_exp.run cfg Catalog.all);
+    breakdown_rep = lazy (Breakdown_exp.run cfg Representative.entries);
   }
-
-let latency_results cache cfg =
-  memo cache.latency (fun () -> Latency_exp.run cfg Catalog.all)
-
-let tput_results cache cfg =
-  memo cache.tput (fun () -> Throughput_exp.run cfg Catalog.all)
-
-let breakdown_all cache cfg =
-  memo cache.breakdown_all (fun () -> Breakdown_exp.run cfg Catalog.all)
-
-let breakdown_rep cache cfg =
-  memo cache.breakdown_rep (fun () -> Breakdown_exp.run cfg Representative.entries)
 
 (* Single-benchmark experiments pin their workload by catalog name; a
    lookup miss used to surface as [Option.get] (anonymous
@@ -212,10 +122,8 @@ let catalog_entry name =
 
 let run ?cache:c id cfg ppf =
   let cache = match c with Some c -> c | None -> cache cfg in
-  let latency_results cfg = latency_results cache cfg in
-  let tput_results cfg = tput_results cache cfg in
-  let breakdown_all cfg = breakdown_all cache cfg in
-  let breakdown_rep cfg = breakdown_rep cache cfg in
+  let latency () = Lazy.force cache.latency and tput () = Lazy.force cache.tput in
+  let breakdown_all () = Lazy.force cache.breakdown_all in
   match id with
   | Fig3_left ->
       Microbench_exp.print ppf
@@ -225,20 +133,15 @@ let run ?cache:c id cfg ppf =
       Microbench_exp.print ppf
         ~title:"Fig 3 (right) — latency (ms) vs address-space size, 1K pages dirtied"
         ~x_label:"pages" (Microbench_exp.run_right cfg)
-  | Fig4 -> Latency_exp.print_fig4 ppf (latency_results cfg)
-  | Fig5 -> Throughput_exp.print_fig5 ppf (tput_results cfg)
+  | Fig4 -> Latency_exp.print_fig4 ppf (latency ())
+  | Fig5 -> Throughput_exp.print_fig5 ppf (tput ())
   | Fig6 -> Breakdown_exp.print_fig6 ppf (Breakdown_exp.run cfg Catalog.wasm_ported)
   | Fig7 -> Scaling_exp.print_fig7 ppf (Scaling_exp.run cfg Representative.entries)
-  | Fig8 -> Breakdown_exp.print_fig8 ppf (breakdown_rep cfg)
-  | Table1 -> Tables.print_table1 ppf (latency_results cfg) (tput_results cfg)
-  | Table2 -> Tables.print_table2 ppf (latency_results cfg) (tput_results cfg)
-  | Table3 ->
-      Tables.print_table3 ppf (latency_results cfg) (tput_results cfg) (breakdown_all cfg)
-  | Headline ->
-      let summary =
-        Summary.compute (latency_results cfg) (tput_results cfg) (breakdown_all cfg)
-      in
-      Summary.print ppf summary
+  | Fig8 -> Breakdown_exp.print_fig8 ppf (Lazy.force cache.breakdown_rep)
+  | Table1 -> Tables.print_table1 ppf (latency ()) (tput ())
+  | Table2 -> Tables.print_table2 ppf (latency ()) (tput ())
+  | Table3 -> Tables.print_table3 ppf (latency ()) (tput ()) (breakdown_all ())
+  | Headline -> Summary.print ppf (Summary.compute (latency ()) (tput ()) (breakdown_all ()))
   | Motivation ->
       let entries = List.filter_map Catalog.find Motivation_exp.default_benchmarks in
       Motivation_exp.print ppf (Motivation_exp.run cfg entries)
@@ -272,7 +175,7 @@ let run ?cache:c id cfg ppf =
    included); the buffers are concatenated in request order, so the merged
    report is byte-for-byte what serial printing straight to [ppf] produced.
    Experiments themselves run one after another — the parallelism lives in
-   the per-cell sweeps underneath (see {!Gh_sim.Domain_pool}) — and they
+   the per-cell sweeps underneath (see {!Sweep.map}) — and they
    share one {!cache} so e.g. Table1 after Fig4 reuses the latency sweep. *)
 let run_list ids cfg ppf =
   let cache = cache cfg in

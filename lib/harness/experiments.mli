@@ -43,18 +43,37 @@ val extras : id list
 (** The ablation/extension experiments. *)
 
 val to_string : id -> string
+(** The CLI name, e.g. ["fig3-left"]. *)
+
 val of_string : string -> (id, string) result
+(** The CLI name or one of its aliases (["fig3"], ["summary"], ["uffd"],
+    ...), case-insensitively; otherwise an error naming the input. *)
+
 val describe : id -> string
 
 type cache
-(** Memo for the catalog-wide latency/throughput/breakdown sweeps shared
-    between experiments (Table1 after Fig4 reuses the latency sweep).
-    Safe for concurrent callers: each slot fills exactly once, other
-    callers block until it is done. A cache belongs to one configuration;
-    never reuse it with a different [Config.t]. *)
+(** The catalog-wide latency, throughput and breakdown sweeps that
+    several experiments share (Table1 after Fig4 reuses the latency
+    sweep), each computed on first use and kept for the batch.
+
+    A cache is forced in sequence by the one caller running a batch.
+    There are four such callers: [run_list] (behind {!run_all} and
+    {!run_extras}), gh-bench's [run], perfbench's [figures_ops] and
+    bench's [run_figures]; each forces it from the calling domain. Cells
+    never touch it. Forcing it from two domains at once raises
+    [Lazy.Undefined] instead of blocking.
+
+    A sweep that raised re-raises the same exception at the next force
+    instead of recomputing. No figures operation raises at any of the 34
+    reference seeds ([perfbench/refs/figures.json]), and a recompute
+    would raise the same exception, since cells are deterministic.
+
+    A cache belongs to the configuration it was built with; never pass it
+    to {!run} with a different [Config.t]. *)
 
 val cache : Config.t -> cache
-(** A fresh, empty cache for one batch of experiments under this config. *)
+(** A fresh cache for one batch of experiments under this config; no
+    sweep runs until an experiment needs it. *)
 
 val run : ?cache:cache -> id -> Config.t -> Format.formatter -> unit
 (** Execute the experiment and print its table/series. Pass [cache] to

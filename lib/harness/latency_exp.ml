@@ -20,12 +20,6 @@ type result = {
 let default_strategies =
   [ Registry.Base; Registry.Gh; Registry.Gh_nop; Registry.Fork; Registry.Faasm ]
 
-let principals =
-  [|
-    Gh_faas.Principal.make ~id:1 ~name:"alice";
-    Gh_faas.Principal.make ~id:2 ~name:"bob";
-  |]
-
 let run_one cfg strategy (entry : Catalog.entry) =
   let seed = cfg.Config.seed lxor Hashtbl.hash (entry.Catalog.display, Registry.to_string strategy) in
   let rng = Rng.create seed in
@@ -49,7 +43,7 @@ let run_one cfg strategy (entry : Catalog.entry) =
       let invoker_ms = Array.make n 0.0 in
       let e2e_ms = Array.make n 0.0 in
       for i = -discard to n - 1 do
-        let principal = principals.((i + discard) mod Array.length principals) in
+        let principal = Sweep.principals.((i + discard) mod 2) in
         let req =
           Gh_faas.Request.make ~id:(i + discard + 1) ~principal
             ~input_kb:entry.Catalog.spec.Fm.input_kb ()
@@ -64,29 +58,9 @@ let run_one cfg strategy (entry : Catalog.entry) =
       Some { strategy; invoker = Stats.summarize invoker_ms; e2e = Stats.summarize e2e_ms }
   end
 
-(* Each (entry, strategy) cell seeds its own RNG from the pair's identity
-   (see [run_one]), so cells are pure in (cfg, cell) and the sweep can fan
-   them across domains; regrouping by input position makes the merged
-   result — and hence the printed report — byte-identical to the serial
-   sweep. *)
 let run ?(strategies = default_strategies) cfg entries =
-  let n_s = List.length strategies in
-  let cells =
-    List.concat_map (fun entry -> List.map (fun s -> (entry, s)) strategies) entries
-  in
-  let arr =
-    Array.of_list
-      (Gh_sim.Domain_pool.parallel_map ~jobs:(Config.effective_jobs cfg)
-         (fun (entry, s) -> run_one cfg s entry)
-         cells)
-  in
-  List.mapi
-    (fun i entry ->
-      let measurements =
-        List.filter_map Fun.id (List.init n_s (fun j -> arr.((i * n_s) + j)))
-      in
-      { entry; measurements })
-    entries
+  Sweep.grid cfg entries strategies (fun e s -> run_one cfg s e)
+  |> List.map (fun (entry, measurements) -> { entry; measurements })
 
 let find result strategy =
   List.find_opt (fun m -> m.strategy = strategy) result.measurements

@@ -12,9 +12,6 @@ type point = {
   gh_p95_ms : float;
 }
 
-let principals =
-  [| Gh_faas.Principal.make ~id:1 ~name:"alice"; Gh_faas.Principal.make ~id:2 ~name:"bob" |]
-
 let measure cfg strategy (entry : Catalog.entry) ~rate_rps ~n_requests =
   let seed =
     cfg.Config.seed
@@ -40,7 +37,7 @@ let measure cfg strategy (entry : Catalog.entry) ~rate_rps ~n_requests =
   let results =
     Gh_faas.Client.open_loop deployment.Gh_faas.Openwhisk.engine
       deployment.Gh_faas.Openwhisk.controller ~rng:(Rng.split root) ~rate_rps
-      ~n_requests ~principals ~input_kb:entry.Catalog.spec.Fm.input_kb
+      ~n_requests ~principals:Sweep.principals ~input_kb:entry.Catalog.spec.Fm.input_kb
   in
   Stats.summarize results.Gh_faas.Client.e2e_ms
 

@@ -13,12 +13,6 @@ type point = {
 
 let strategies = [ Registry.Base; Registry.Gh; Registry.Gh_nop; Registry.Fork ]
 
-let principals =
-  [|
-    Gh_faas.Principal.make ~id:1 ~name:"alice";
-    Gh_faas.Principal.make ~id:2 ~name:"bob";
-  |]
-
 (* One (strategy, spec) measurement: mean on-path latency (low load) and
    mean on-path + deferred-work latency (high load, back-to-back). *)
 let measure cfg strategy spec =
@@ -35,7 +29,8 @@ let measure cfg strategy spec =
         let low = ref 0.0 and high = ref 0.0 in
         for i = -discard to n - 1 do
           let req =
-            Gh_faas.Request.make ~id:(i + discard + 1) ~principal:principals.((i + discard) mod 2)
+            Gh_faas.Request.make ~id:(i + discard + 1)
+              ~principal:Sweep.principals.((i + discard) mod 2)
               ~input_kb:spec.Fm.input_kb ()
           in
           let inv = strat.Intf.invoke req in
@@ -48,34 +43,17 @@ let measure cfg strategy spec =
         Some (!low /. n, !high /. n)
   end
 
-(* One cell per (sweep point, strategy): [measure] seeds from the spec's
-   name and the strategy, so the flattened product fans across domains and
-   regroups by index into the same per-point assoc lists as the serial
-   nested loop would build. *)
+(* One cell per (sweep point, strategy); [measure] seeds from the spec's
+   name and the strategy. *)
 let run_points cfg specs =
-  let n_s = List.length strategies in
-  let cells =
-    List.concat_map (fun (_, spec) -> List.map (fun s -> (spec, s)) strategies) specs
-  in
-  let arr =
-    Array.of_list
-      (Gh_sim.Domain_pool.parallel_map ~jobs:(Config.effective_jobs cfg)
-         (fun (spec, s) -> measure cfg s spec)
-         cells)
-  in
-  List.mapi
-    (fun i (x, _) ->
-      let low = ref [] and high = ref [] in
-      List.iteri
-        (fun j strategy ->
-          match arr.((i * n_s) + j) with
-          | Some (l, h) ->
-              low := (strategy, l) :: !low;
-              high := (strategy, h) :: !high
-          | None -> ())
-        strategies;
-      { x; low_ms = List.rev !low; high_ms = List.rev !high })
-    specs
+  Sweep.grid cfg specs strategies (fun (_, spec) s ->
+      Option.map (fun lh -> (s, lh)) (measure cfg s spec))
+  |> List.map (fun ((x, _), row) ->
+         {
+           x;
+           low_ms = List.map (fun (s, (l, _)) -> (s, l)) row;
+           high_ms = List.map (fun (s, (_, h)) -> (s, h)) row;
+         })
 
 let run_left cfg =
   run_points cfg

@@ -8,53 +8,33 @@ type result = {
   std_by_cores : (int * float) list;
 }
 
-(* The sweep is a triple loop (entry × cores × repeat); every iteration is
-   an independent throughput run seeded by (seed + 1000·repeat, entry,
-   cores), so the whole product flattens into one cell list for the domain
-   pool and regroups by index into the same per-entry points. *)
+(* Every (entry, cores, repeat) cell is an independent throughput run
+   seeded by (seed + 1000·repeat, entry, cores). *)
 let repeats = 3
 
 let run ?(max_cores = 4) cfg entries =
-  let cells =
-    List.concat_map
-      (fun entry ->
-        List.concat_map
-          (fun cores -> List.init repeats (fun r -> (entry, cores, r)))
-          (List.init max_cores (fun i -> i + 1)))
-      entries
-  in
-  let samples =
-    Array.of_list
-      (Gh_sim.Domain_pool.parallel_map ~jobs:(Config.effective_jobs cfg)
-         (fun (entry, cores, r) ->
-           let cfg = { cfg with Config.seed = cfg.Config.seed + (1000 * r) } in
-           match Throughput_exp.run_one ~n_containers:cores cfg Registry.Gh entry with
-           | Some m -> Some m.Throughput_exp.tput_rps
-           | None -> None)
-         cells)
-  in
-  List.mapi
-    (fun i entry ->
+  let cores = List.init max_cores (fun i -> i + 1) in
+  let cols = List.concat_map (fun c -> List.init repeats (fun r -> (c, r))) cores in
+  Sweep.grid cfg entries cols (fun entry (c, r) ->
+      let cfg = { cfg with Config.seed = cfg.Config.seed + (1000 * r) } in
+      Throughput_exp.run_one ~n_containers:c cfg Registry.Gh entry
+      |> Option.map (fun m -> (c, m.Throughput_exp.tput_rps)))
+  |> List.map (fun (entry, samples) ->
       let points =
         List.filter_map
-          (fun cores ->
-            let base = ((i * max_cores) + (cores - 1)) * repeats in
-            let samples =
-              List.filter_map (fun r -> samples.(base + r)) (List.init repeats Fun.id)
-            in
-            match samples with
+          (fun c ->
+            match List.filter_map (fun (c', t) -> if c' = c then Some t else None) samples with
             | [] -> None
-            | _ ->
+            | samples ->
                 let a = Array.of_list samples in
-                Some (cores, Stats.mean a, Stats.std a))
-          (List.init max_cores (fun i -> i + 1))
+                Some (c, Stats.mean a, Stats.std a))
+          cores
       in
       {
         entry;
         by_cores = List.map (fun (c, m, _) -> (c, m)) points;
         std_by_cores = List.map (fun (c, _, sd) -> (c, sd)) points;
       })
-    entries
 
 let linearity r =
   match (List.assoc_opt 1 r.by_cores, List.rev r.by_cores) with

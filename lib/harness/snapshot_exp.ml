@@ -44,10 +44,10 @@ let incremental_probe cfg (entry : Catalog.entry) =
   done;
   (Time_ns.to_ms capture_ns, mb_of_pages (Manager.buffer_pages mgr))
 
-(* Per-entry cells (seeds hash the display name), fanned across domains;
-   parallel_map keeps catalog order so [print]'s sort sees the same list. *)
+(* Per-entry cells (seeds hash the display name), in catalog order, so
+   [print]'s sort sees the same list. *)
 let run cfg entries =
-  Gh_sim.Domain_pool.parallel_map ~jobs:(Config.effective_jobs cfg)
+  Sweep.map cfg
     (fun (entry : Catalog.entry) ->
       let seed = cfg.Config.seed lxor Hashtbl.hash ("snapshot", entry.Catalog.display) in
       let strategy, state = Gh.make_with_state ~rng:(Rng.create seed) entry.Catalog.spec in

@@ -1,9 +1,11 @@
-(* The scaffold shared by the five fail-closed sweeps (fault, overload,
-   cluster, scrub, slo): the two tenants every harness alternates, the
-   capacity probe that sizes offered load and timeouts, the recovery
-   config of the invoker-based sweeps, NaN-on-empty latency summaries, and
-   the descriptor that turns a harness into a `gh-bench` subcommand. Each
-   harness keeps only its cell logic, its gate and its table. *)
+(* The scaffold every harness shares: the cell runner that fans a sweep's
+   independent cells across domains, the two tenants every harness
+   alternates, and, for the five fail-closed sweeps (fault, overload,
+   cluster, scrub, slo), the capacity probe that sizes offered load and
+   timeouts, the recovery config of the invoker-based sweeps,
+   NaN-on-empty latency summaries, and the descriptor that turns a harness
+   into a `gh-bench` subcommand. Each harness keeps only its cell logic,
+   its gate and its table. *)
 
 module Rng = Gh_sim.Rng
 module Time_ns = Gh_sim.Time_ns
@@ -15,6 +17,19 @@ module Intf = Gh_faas.Strategy_intf
 module Invoker = Gh_faas.Invoker
 module Container = Gh_faas.Container
 module Backoff = Gh_faas.Backoff
+
+(* Every cell seeds its own RNG from its identity, so cells are pure in
+   (cfg, cell); [parallel_map] returns the results in cell order, so the
+   merge is byte-identical to a serial loop. *)
+let map cfg f cells = Gh_sim.Domain_pool.parallel_map ~jobs:(Config.effective_jobs cfg) f cells
+
+let grid cfg rows cols f =
+  let n = List.length cols in
+  let cells = List.concat_map (fun r -> List.map (fun c -> (r, c)) cols) rows in
+  let results = Array.of_list (map cfg (fun (r, c) -> f r c) cells) in
+  List.mapi
+    (fun i r -> (r, List.filter_map Fun.id (List.init n (fun j -> results.((i * n) + j)))))
+    rows
 
 let principals =
   [| Gh_faas.Principal.make ~id:1 ~name:"alice"; Gh_faas.Principal.make ~id:2 ~name:"bob" |]

@@ -1,11 +1,27 @@
-(** The scaffold shared by the five fail-closed sweeps ({!Fault_exp},
-    {!Overload_exp}, {!Cluster_exp}, {!Scrub_exp}, {!Slo_exp}).
+(** The scaffold every harness shares.
 
-    It owns what the harnesses used to copy: the alice/bob principal
-    pair, the capacity probe, the invoker recovery config, the
-    NaN-on-empty latency summaries, and the descriptor that `gh-bench`
-    turns into a subcommand. Each harness keeps only its cell logic, its
-    gate and its table. *)
+    It owns the cell runner that fans each sweep's independent cells
+    across domains ({!map}, {!grid}), and the alice/bob principal pair.
+    For the five fail-closed sweeps ({!Fault_exp}, {!Overload_exp},
+    {!Cluster_exp}, {!Scrub_exp}, {!Slo_exp}) it also owns the capacity
+    probe, the invoker recovery config, the NaN-on-empty latency
+    summaries, and the descriptor that `gh-bench` turns into a
+    subcommand. Each harness keeps only its cell logic, its gate and its
+    table. *)
+
+val map : Config.t -> ('a -> 'b) -> 'a list -> 'b list
+(** [map cfg f cells] applies [f] to every cell on up to
+    [Config.effective_jobs cfg] domains ({!Gh_sim.Domain_pool}) and
+    returns the results in cell order. Every cell seeds its RNG from the
+    config and its own identity, never from run order, so cells are pure
+    in [(cfg, cell)]; and since the results come back in cell order, the
+    merge is byte-identical to a serial [List.map f cells]. *)
+
+val grid :
+  Config.t -> 'r list -> 'c list -> ('r -> 'c -> 'v option) -> ('r * 'v list) list
+(** [grid cfg rows cols f] runs the [rows × cols] cells row-major through
+    {!map} and keeps each row's [Some] results in column order:
+    [List.map (fun r -> (r, List.filter_map (f r) cols)) rows]. *)
 
 val principals : Gh_faas.Principal.t array
 (** alice (id 1) and bob (id 2); sweeps alternate them by request id. *)

@@ -45,9 +45,6 @@ let default_functions =
     "jacobi-1d (c)";
   ]
 
-let principals =
-  [| Gh_faas.Principal.make ~id:1 ~name:"alice"; Gh_faas.Principal.make ~id:2 ~name:"bob" |]
-
 let make_strategy mode root name spec =
   let rng = Rng.named_split root name in
   match mode with
@@ -92,7 +89,7 @@ let run_mode cfg ~memory_mb ~duration_s ~rate_rps entries mode =
           incr next_id;
           let req =
             Gh_faas.Request.make ~id:!next_id
-              ~principal:principals.(!next_id mod 2)
+              ~principal:Sweep.principals.(!next_id mod 2)
               ~input_kb:e.Catalog.spec.Fm.input_kb ()
           in
           Node.submit node ~name:e.Catalog.display req;

@@ -17,12 +17,7 @@ type result = {
 
 let default_strategies = [ Registry.Base; Registry.Gh; Registry.Gh_nop; Registry.Fork ]
 
-let principals =
-  [|
-    Gh_faas.Principal.make ~id:1 ~name:"alice";
-    Gh_faas.Principal.make ~id:2 ~name:"bob";
-    Gh_faas.Principal.make ~id:3 ~name:"carol";
-  |]
+let principals = Array.append Sweep.principals [| Gh_faas.Principal.make ~id:3 ~name:"carol" |]
 
 let run_one ?n_containers cfg strategy (entry : Catalog.entry) =
   let n_containers = Option.value n_containers ~default:cfg.Config.n_containers in
@@ -75,27 +70,9 @@ let run_one ?n_containers cfg strategy (entry : Catalog.entry) =
       Some { strategy; tput_rps = tput; mean_cycle_ms }
   end
 
-(* Cells are pure in (cfg, entry, strategy) — [run_one] derives every RNG
-   stream from the cell's identity — so the sweep fans across domains and
-   regroups by input position for a byte-identical merge. *)
 let run ?(strategies = default_strategies) cfg entries =
-  let n_s = List.length strategies in
-  let cells =
-    List.concat_map (fun entry -> List.map (fun s -> (entry, s)) strategies) entries
-  in
-  let arr =
-    Array.of_list
-      (Gh_sim.Domain_pool.parallel_map ~jobs:(Config.effective_jobs cfg)
-         (fun (entry, s) -> run_one cfg s entry)
-         cells)
-  in
-  List.mapi
-    (fun i entry ->
-      let measurements =
-        List.filter_map Fun.id (List.init n_s (fun j -> arr.((i * n_s) + j)))
-      in
-      { entry; measurements })
-    entries
+  Sweep.grid cfg entries strategies (fun e s -> run_one cfg s e)
+  |> List.map (fun (entry, measurements) -> { entry; measurements })
 
 let find result strategy = List.find_opt (fun m -> m.strategy = strategy) result.measurements
 

@@ -239,17 +239,77 @@ let test_seed_changes_results () =
 
 (* -- Experiments registry -- *)
 
+(* The canonical names, in [all @ extras] order. *)
+let names =
+  Experiments.
+    [
+      ("fig3-left", Fig3_left);
+      ("fig3-right", Fig3_right);
+      ("fig4", Fig4);
+      ("fig5", Fig5);
+      ("fig6", Fig6);
+      ("fig7", Fig7);
+      ("fig8", Fig8);
+      ("table1", Table1);
+      ("table2", Table2);
+      ("table3", Table3);
+      ("headline", Headline);
+      ("motivation", Motivation);
+      ("ablation-tracking", Ablation_tracking);
+      ("ablation-coalescing", Ablation_coalescing);
+      ("policy-skip", Policy_skip);
+      ("load-latency", Load_latency);
+      ("snapshot-cost", Snapshot_cost);
+      ("multi-tenant", Multi_tenant);
+      ("crash-recovery", Crash_recovery);
+      ("fault-injection", Fault_injection);
+      ("overload", Overload);
+      ("scrub-integrity", Scrub_integrity);
+    ]
+
+let aliases =
+  Experiments.
+    [
+      ("fig3left", Fig3_left);
+      ("fig3", Fig3_left);
+      ("fig3right", Fig3_right);
+      ("summary", Headline);
+      ("uffd", Ablation_tracking);
+      ("coalescing", Ablation_coalescing);
+      ("policy", Policy_skip);
+      ("load", Load_latency);
+      ("snapshot", Snapshot_cost);
+      ("tenant", Multi_tenant);
+      ("density", Multi_tenant);
+      ("crash", Crash_recovery);
+      ("fault", Fault_injection);
+      ("faults", Fault_injection);
+      ("brownout", Overload);
+      ("scrub", Scrub_integrity);
+      ("integrity", Scrub_integrity);
+    ]
+
 let test_experiments_registry () =
   check_int "11 experiments" 11 (List.length Experiments.all);
+  let ids = Experiments.all @ Experiments.extras in
+  check_bool "every id named once, in order" true (List.map snd names = ids);
+  Alcotest.(check (list string))
+    "to_string" (List.map fst names) (List.map Experiments.to_string ids);
   List.iter
-    (fun id ->
-      match Experiments.of_string (Experiments.to_string id) with
-      | Ok id' -> check_bool "roundtrip" true (id = id')
-      | Error msg -> Alcotest.fail msg)
-    Experiments.all;
-  match Experiments.of_string "fig99" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown experiment must fail"
+    (fun (spelling, id) ->
+      List.iter
+        (fun s ->
+          match Experiments.of_string s with
+          | Ok id' -> check_bool s true (id = id')
+          | Error msg -> Alcotest.fail msg)
+        [ spelling; String.uppercase_ascii spelling; String.capitalize_ascii spelling ])
+    (names @ aliases);
+  List.iter
+    (fun s ->
+      match Experiments.of_string s with
+      | Error msg -> Alcotest.(check string) s {|unknown experiment "fig99"|} msg
+      | Ok _ -> Alcotest.fail "unknown experiment must fail")
+    [ "fig99"; "FIG99" ]
 
 let () =
   Alcotest.run "gh_harness"

@@ -1,13 +1,17 @@
 (* The Domain_pool determinism contract (DESIGN §15): [parallel_map] is
    observationally [List.map] — same results, same order, same exception —
    for any job count, so fanning pure experiment cells across domains
-   cannot change a report byte.
+   cannot change a report byte. [Sweep.grid], the harnesses' runner on
+   top of it, must regroup its cells into the same rows as the serial
+   nested loop.
 
    GH_JOBS (an integer) pins the job count used by the example-based
    tests; the properties draw job counts randomly regardless. *)
 
 module Domain_pool = Gh_sim.Domain_pool
 module Rng = Gh_sim.Rng
+module Sweep = Gh_harness.Sweep
+module Config = Gh_harness.Config
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -50,6 +54,22 @@ let raises_like_list_map =
       let serial = try Ok (List.map f xs) with Boom v -> Error v in
       let parallel = try Ok (Domain_pool.parallel_map ~jobs f xs) with Boom v -> Error v in
       serial = parallel)
+
+(* Rows and columns of 0-6 cells each, and which cells yield a value: a
+   cell's value names its row and column, so a result regrouped into the
+   wrong row or column shows. *)
+let grid_matches_nested_loop =
+  QCheck2.Test.make ~name:"Sweep.grid = nested List.map at jobs 1 and 4" ~count:200
+    ~print:QCheck2.Print.(triple int int (list bool))
+    QCheck2.Gen.(triple (int_range 0 6) (int_range 0 6) (list_repeat 36 bool))
+    (fun (n_rows, n_cols, pattern) ->
+      let keep = Array.of_list pattern in
+      let rows = List.init n_rows (fun i -> 100 + i) and cols = List.init n_cols Fun.id in
+      let f r c = if keep.((6 * (r - 100)) + c) then Some ((r * 10) + c) else None in
+      let serial = List.map (fun r -> (r, List.filter_map (f r) cols)) rows in
+      List.for_all
+        (fun jobs -> Sweep.grid { Config.default with jobs } rows cols f = serial)
+        [ 1; 4 ])
 
 (* Sibling split streams are independent: draining one does not shift the
    other, so per-cell RNGs derived before a sweep are unaffected by how
@@ -157,6 +177,7 @@ let () =
         [
           to_alcotest matches_list_map;
           to_alcotest raises_like_list_map;
+          to_alcotest grid_matches_nested_loop;
           to_alcotest split_streams_independent;
         ] );
     ]

@@ -33,10 +33,9 @@ module Rng = Gh_sim.Rng
 module Fault = Gh_sim.Fault
 module Obs = Gh_sim.Obs
 
-type placement = Round_robin | Least_loaded | Warm_aware
+type placement = Least_loaded | Warm_aware
 
 let placement_name = function
-  | Round_robin -> "round-robin"
   | Least_loaded -> "least-loaded"
   | Warm_aware -> "warm-aware"
 
@@ -106,7 +105,6 @@ type t = {
   members : member array;
   mutable fns : (string * Function_model.spec) list;  (* newest first *)
   requests : (int, rstate) Hashtbl.t;
-  mutable rr : int;  (* round-robin cursor *)
   mutable submitted : int;
   mutable on_failed : Request.t -> unit;
   c_served : Metrics.counter;
@@ -217,19 +215,6 @@ let pick t rs ~now =
       let pool = if untried <> [] then untried else cands in
       let chosen =
         match t.config.placement with
-        | Round_robin ->
-            let n = Array.length t.members in
-            let rec go k =
-              if k >= n then List.hd pool
-              else
-                let id = (t.rr + k) mod n in
-                match List.find_opt (fun m -> m.m_id = id) pool with
-                | Some m ->
-                    t.rr <- (id + 1) mod n;
-                    m
-                | None -> go (k + 1)
-            in
-            go 0
         | Least_loaded -> least_loaded pool
         | Warm_aware ->
             (* A node holding an idle warm container serves without a cold
@@ -592,7 +577,6 @@ let create ?(obs = Obs.none) ?rng ?(fault = Fault.none) engine config ~make_stra
       members;
       fns = [];
       requests = Hashtbl.create 256;
-      rr = 0;
       submitted = 0;
       on_failed = ignore;
       c_served = c "served";
@@ -610,8 +594,7 @@ let create ?(obs = Obs.none) ?rng ?(fault = Fault.none) engine config ~make_stra
       c_restarts = c "restarts";
       h_failover_ms =
         Metrics.histogram metrics "cluster.failover_ms" ~capacity:8192
-          ~seed:(Hashtbl.hash "cluster-failover")
-          ~sampling:Metrics.All;
+          ~seed:(Hashtbl.hash "cluster-failover");
     }
   in
   Array.iter

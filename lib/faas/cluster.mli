@@ -23,7 +23,6 @@
     node completions = served + wasted + lost. *)
 
 type placement =
-  | Round_robin
   | Least_loaded  (** Fewest outstanding cluster attempts; ties to lowest id. *)
   | Warm_aware
       (** Prefer nodes holding an idle warm container for the function

@@ -422,7 +422,7 @@ let test_config_rejected () =
     {
       Cluster.n_nodes = 1;
       node = Node.default_config;
-      placement = Cluster.Round_robin;
+      placement = Cluster.Least_loaded;
       failover = true;
       hb_interval = 1_000;
       hang_ns = 1_000;

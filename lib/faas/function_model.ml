@@ -27,13 +27,9 @@ type spec = {
   wasm_factor : float option;
   fault_gran : int;
   scattered_writes : bool;
-  service_ops : int;
   crash_rate : float;
   hang_rate : float;
 }
-
-(* One round trip to a platform service (local key-value store). *)
-let service_call_ns = 250_000
 
 let default_spec =
   {
@@ -54,7 +50,6 @@ let default_spec =
     wasm_factor = Some 1.0;
     fault_gran = 1;
     scattered_writes = false;
-    service_ops = 0;
     crash_rate = 0.0;
     hang_rate = 0.0;
   }
@@ -63,7 +58,6 @@ type response = {
   value : int;
   residue : int list;
   output_kb : int;
-  service_denials : int;
   crashed : bool;
   hung : bool;
 }
@@ -94,7 +88,6 @@ type instance = {
   mutable highwater_brk : int;
   mutable persistent_map_ids : int list;  (* anon maps left behind by the last invocation *)
   mutable invocations : int;
-  mutable services : Services.t option;
 }
 
 (* Spread [quota] pages over the pool in chunks of [chunk_len], evenly. If
@@ -240,13 +233,11 @@ let build ?(cost = Gh_kernel.Cost.default) spec =
     highwater_brk = clean_brk + (64 * Vma.page_size);
     persistent_map_ids = [];
     invocations = 0;
-    services = None;
   }
 
 let proc t = t.process
 let spec t = t.spec
 let runtime t = t.rt
-let attach_services t services = t.services <- Some services
 
 let mark_clean t =
   t.clean_brk <- As.brk t.process.Process.mem;
@@ -396,28 +387,6 @@ let grow_leak t ctx acct ~value =
     if grown > 0 then As.dirty_range m acct heap ~pos:old_pages ~len:grown ~value
   end
 
-(* Externalized state (§2): the function reads and updates its per-caller
-   record in the platform's key-value store, under the activation's
-   credentials. The ACL — not the isolation strategy — decides whether the
-   calls succeed; denials are reported so tests can observe enforcement. *)
-let call_services t acct (req : Request.t) =
-  match t.services with
-  | None -> 0
-  | Some services when t.spec.service_ops > 0 ->
-      let principal = req.Request.principal in
-      let key = "fn/" ^ string_of_int principal.Principal.id in
-      let denials = ref 0 in
-      for k = 1 to t.spec.service_ops do
-        Account.charge acct service_call_ns;
-        let result =
-          if k land 1 = 1 then Services.put services principal ~key (Request.secret req)
-          else Result.map ignore (Services.get services principal ~key)
-        in
-        match result with Ok () -> () | Error _ -> incr denials
-      done;
-      !denials
-  | Some _ -> 0
-
 let compute_charge t acct rng ~post_restore ~leaked_before =
   let s = t.spec in
   let base = float_of_int s.exec_ns in
@@ -442,7 +411,7 @@ let crash_ctx t ctx acct rng (req : Request.t) =
   Account.charge acct (t.spec.exec_ns / 2);
   scramble_registers ctx rng;
   t.invocations <- t.invocations + 1;
-  { value = 0; residue = []; output_kb = 0; service_denials = 0; crashed = true; hung = false }
+  { value = 0; residue = []; output_kb = 0; crashed = true; hung = false }
 
 (* A hang: the process did part of its work and then stopped making
    progress (deadlock, infinite loop, lost I/O). No response is ever
@@ -456,7 +425,7 @@ let hang_ctx t ctx acct rng (req : Request.t) =
   Account.charge acct (t.spec.exec_ns / 2);
   scramble_registers ctx rng;
   t.invocations <- t.invocations + 1;
-  { value = 0; residue = []; output_kb = 0; service_denials = 0; crashed = false; hung = true }
+  { value = 0; residue = []; output_kb = 0; crashed = false; hung = true }
 
 let invoke_ctx t ctx acct rng ~post_restore (req : Request.t) =
   (* Draw the spec's own misbehaviour first (guarded, so rate-0 specs draw
@@ -482,13 +451,12 @@ let invoke_ctx t ctx acct rng ~post_restore (req : Request.t) =
   | _ -> ());
   grow_leak t ctx acct ~value:secret;
   let residue = read_working_set t ctx acct ~principal:req.Request.principal in
-  let service_denials = call_services t acct req in
   brk_excursion t ctx acct;
   compute_charge t acct rng ~post_restore ~leaked_before;
   scramble_registers ctx rng;
   t.invocations <- t.invocations + 1;
   let value = secret lxor (t.invocations lsl 8) in
-  { value; residue; output_kb = t.spec.output_kb; service_denials; crashed = false; hung = false }
+  { value; residue; output_kb = t.spec.output_kb; crashed = false; hung = false }
   end
 
 let invoke t acct rng ~post_restore req = invoke_ctx t (self_ctx t) acct rng ~post_restore req

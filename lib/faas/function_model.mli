@@ -49,10 +49,6 @@ type spec = {
           microbenchmark's pattern): dirty-run lengths then follow random
           run statistics, which is what makes restore coalescing kick in
           around 60 % density. *)
-  service_ops : int;
-      (** Platform-service (key-value) round trips per invocation, made
-          with the activation's per-caller credentials (§2). Requires
-          {!attach_services}. *)
   crash_rate : float;
       (** Probability per invocation that the (buggy) function crashes
           mid-request, leaving the process in an arbitrary state. Restore-
@@ -75,9 +71,6 @@ type response = {
           Empty for correct functions — and, with Groundhog, provably empty
           even for buggy ones. *)
   output_kb : int;
-  service_denials : int;
-      (** Platform-service calls rejected by the ACL for this activation's
-          credentials. *)
   crashed : bool;
       (** The function process died mid-request; no usable result. *)
   hung : bool;
@@ -96,11 +89,6 @@ val build : ?cost:Gh_kernel.Cost.t -> spec -> instance
 val proc : instance -> Gh_proc.Process.t
 val spec : instance -> spec
 val runtime : instance -> Runtime.t
-
-val attach_services : instance -> Services.t -> unit
-(** Give the function access to platform services; each invocation then
-    performs the spec's [service_ops] store operations under the calling
-    principal's credentials. *)
 
 val mark_clean : instance -> unit
 (** Declare the current state as the clean baseline (call right after

@@ -94,8 +94,7 @@ let invoke_with_lookahead s req ~next =
          request was never started — fail closed with an error response. *)
       Intf.invocation ~on_path_ns:f.Manager.spent_ns
         ~restore_on_path_ns:f.Manager.spent_ns ~verify ~outcome:Intf.Poisoned
-        { Fm.value = 0; residue = []; output_kb = 0; service_denials = 0;
-          crashed = true; hung = false }
+        { Fm.value = 0; residue = []; output_kb = 0; crashed = true; hung = false }
   | Ok (settle_ns, settle_verify) ->
   let on_path_ns, io_ns, response = run_function s req in
   let on_path_ns = settle_ns + on_path_ns in

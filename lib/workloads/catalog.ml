@@ -179,7 +179,6 @@ let spec_of_row r =
     wasm_factor;
     fault_gran;
     scattered_writes = false;
-    service_ops = 0;
     crash_rate = 0.0;
     hang_rate = 0.0;
   }

@@ -132,7 +132,7 @@ let test_shared_recovery_backoff () =
 
 (* -- Scripted single-function strategy: fixed service time, no faults. -- *)
 
-let resp id = { Fm.value = id; residue = []; output_kb = 1; service_denials = 0; crashed = false; hung = false }
+let resp id = { Fm.value = id; residue = []; output_kb = 1; crashed = false; hung = false }
 
 let scripted ~service_ns name =
   {

@@ -85,8 +85,8 @@ let constant_strategy ~exec_ns =
     invoke =
       (fun req ->
         Intf.invocation ~on_path_ns:exec_ns ~outcome:Intf.Completed
-          { Fm.value = req.Request.id; residue = []; output_kb = 1; service_denials = 0;
-            crashed = false; hung = false });
+          { Fm.value = req.Request.id; residue = []; output_kb = 1; crashed = false;
+            hung = false });
     snapshot_pages = (fun () -> 0);
     status = Intf.no_status;
     kill = Intf.no_kill;

@@ -165,38 +165,6 @@ let test_model_warmup_pages_in_plans () =
   ignore (Function_model.warmup inst (acct ()) (Rng.create 4));
   check_bool "warm-up paged memory in" true (As.present_pages p.Gh_proc.Process.mem > before)
 
-let test_model_service_calls_and_acl () =
-  let spec = { small_spec with Function_model.service_ops = 4 } in
-  let inst = Function_model.build spec in
-  let rng = Rng.create 5 in
-  ignore (Function_model.warmup inst (acct ()) rng);
-  Function_model.mark_clean inst;
-  let services = Services.create () in
-  Function_model.attach_services inst services;
-  (* The tenant granted alice but forgot bob. *)
-  Services.grant services alice ~key:("fn/" ^ string_of_int alice.Principal.id);
-  let a = acct () in
-  let resp =
-    Function_model.invoke inst a rng ~post_restore:false
-      (Request.make ~id:1 ~principal:alice ())
-  in
-  check_int "alice's calls all succeed" 0 resp.Function_model.service_denials;
-  check_bool "service round trips charged" true
-    (Account.total a > spec.Function_model.exec_ns + (4 * 200_000));
-  let resp =
-    Function_model.invoke inst (acct ()) rng ~post_restore:false
-      (Request.make ~id:2 ~principal:bob ())
-  in
-  check_int "bob's calls all denied" 4 resp.Function_model.service_denials;
-  (* Without attached services, nothing happens. *)
-  let inst2 = Function_model.build spec in
-  ignore (Function_model.warmup inst2 (acct ()) rng);
-  let resp =
-    Function_model.invoke inst2 (acct ()) rng ~post_restore:false
-      (Request.make ~id:3 ~principal:bob ())
-  in
-  check_int "no services, no denials" 0 resp.Function_model.service_denials
-
 (* -- Actionloop interposition -- *)
 
 let test_actionloop_buffering_invariant () =
@@ -260,7 +228,7 @@ let strategy_of_constant ~exec_ns ~post_ns =
         Strategy_intf.invocation ~on_path_ns:exec_ns ~post_ns ~isolated:(post_ns > 0)
           ~outcome:Strategy_intf.Completed
           { Function_model.value = req.Request.id; residue = []; output_kb = 1;
-            service_denials = 0; crashed = false; hung = false });
+            crashed = false; hung = false });
     snapshot_pages = (fun () -> 0);
     status = Strategy_intf.no_status;
     kill = Strategy_intf.no_kill;
@@ -513,7 +481,6 @@ let () =
           Alcotest.test_case "fork child isolates parent" `Quick
             test_model_invoke_on_child_isolates_parent;
           Alcotest.test_case "warmup pages in" `Quick test_model_warmup_pages_in_plans;
-          Alcotest.test_case "service calls and ACL" `Quick test_model_service_calls_and_acl;
           Alcotest.test_case "digests match the golden" `Quick test_model_golden;
         ] );
       ( "actionloop",

@@ -153,7 +153,7 @@ let test_cluster_sites_none_sentinel () =
 (* -- The recovery pipeline, driven by scripted strategies -- *)
 
 let resp ?(hung = false) id =
-  { Fm.value = id; residue = []; output_kb = 1; service_denials = 0; crashed = false; hung }
+  { Fm.value = id; residue = []; output_kb = 1; crashed = false; hung }
 
 (* [next req] decides each invocation's behaviour. *)
 let scripted name next =

@@ -23,8 +23,8 @@ let strategy ~exec_ms ~init_ms ~buffer_pages =
     invoke =
       (fun req ->
         Intf.invocation ~on_path_ns:(Time_ns.of_ms exec_ms) ~outcome:Intf.Completed
-          { Fm.value = req.Request.id; residue = []; output_kb = 1; service_denials = 0;
-            crashed = false; hung = false });
+          { Fm.value = req.Request.id; residue = []; output_kb = 1; crashed = false;
+            hung = false });
     snapshot_pages = (fun () -> buffer_pages);
     status = Intf.no_status;
     kill = Intf.no_kill;

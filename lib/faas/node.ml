@@ -29,9 +29,9 @@ let default_config =
 (* Per-request latency samples kept per function. Far above what any test
    or experiment reads exactly (they stay below capacity, where the
    reservoir is an exact newest-first list), yet bounded, so week-long
-   open-loop runs can't grow without limit. The histogram uses [All]
-   sampling with the pre-registry reservoir seed, so sample lists are
-   bit-identical to the raw-reservoir revisions. *)
+   open-loop runs can't grow without limit. The histogram keeps the
+   pre-registry reservoir seed, so sample lists are bit-identical to the
+   raw-reservoir revisions. *)
 let e2e_reservoir_capacity = 8192
 
 type slot = {
@@ -191,8 +191,7 @@ let register t ~name spec =
       e2e_name;
       e2e =
         Metrics.histogram t.metrics e2e_name ~capacity:e2e_reservoir_capacity
-          ~seed:(Hashtbl.hash ("node-e2e", name))
-          ~sampling:Metrics.All;
+          ~seed:(Hashtbl.hash ("node-e2e", name));
       failed_requests = c "failed_requests";
       quarantined = c "quarantined";
       brownout_shed = c "brownout_shed";

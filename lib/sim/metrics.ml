@@ -4,27 +4,15 @@
    component asks the registry for a handle once (at creation) and bumps
    it on the hot path with a plain field write — no hashing per event.
 
-   Determinism: a histogram's bounded sample is either exhaustive
-   ([All] — backed by a {!Reservoir} whose seed the caller fixes, so code
-   migrated from a raw reservoir stays bit-identical), or deterministically
-   head-based ([Head] — keep the first [head] observations, then every
-   [stride]-th), never wall-clock- or shared-RNG-dependent. Exact count /
-   mean / std are maintained over *all* observations either way. *)
+   Determinism: a histogram's bounded sample is a {!Reservoir} whose seed
+   the caller fixes, so code migrated from a raw reservoir stays
+   bit-identical; it never depends on wall clocks or shared RNGs. Exact
+   count / mean / std are maintained over *all* observations. *)
 
 type counter = { mutable count : int }
 type gauge = { mutable value : float }
 
-type sampling =
-  | All  (** Every observation goes to the reservoir (exact below capacity). *)
-  | Head of { head : int; stride : int }
-      (** Keep the first [head] observations, then every [stride]-th. *)
-
-type histogram = {
-  res : Reservoir.t;
-  sampling : sampling;
-  online : Stats.Online.t;
-  mutable offered : int;  (* observations seen, sampled or not *)
-}
+type histogram = { res : Reservoir.t; online : Stats.Online.t }
 
 type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 
@@ -55,26 +43,13 @@ let gauge t name =
       Hashtbl.replace t.tbl name (Gauge g);
       g
 
-let default_sampling = Head { head = 512; stride = 16 }
-
-let histogram ?(capacity = 4096) ?seed ?(sampling = default_sampling) t name =
-  (match sampling with
-  | Head { head; stride } ->
-      if head < 0 || stride <= 0 then invalid_arg "Metrics.histogram: bad Head sampling"
-  | All -> ());
+let histogram ?(capacity = 4096) ?seed t name =
   match Hashtbl.find_opt t.tbl name with
   | Some (Histogram h) -> h
   | Some m -> wrong_kind name m "histogram"
   | None ->
       let seed = match seed with Some s -> s | None -> Hashtbl.hash name in
-      let h =
-        {
-          res = Reservoir.create ~seed capacity;
-          sampling;
-          online = Stats.Online.create ();
-          offered = 0;
-        }
-      in
+      let h = { res = Reservoir.create ~seed capacity; online = Stats.Online.create () } in
       Hashtbl.replace t.tbl name (Histogram h);
       h
 
@@ -85,14 +60,9 @@ let gauge_value g = g.value
 
 let observe h v =
   Stats.Online.add h.online v;
-  (match h.sampling with
-  | All -> Reservoir.add h.res v
-  | Head { head; stride } ->
-      if h.offered < head || (h.offered - head) mod stride = 0 then Reservoir.add h.res v);
-  h.offered <- h.offered + 1
+  Reservoir.add h.res v
 
 let values h = Reservoir.to_list h.res
-let observed h = h.offered
 let hist_count h = Stats.Online.count h.online
 let hist_mean h = Stats.Online.mean h.online
 

@@ -3,20 +3,14 @@
     Components look a handle up once (by name, at creation time) and
     mutate it directly on the hot path. Histograms keep exact count /
     mean / std over every observation plus a bounded sample for
-    quantiles; the sample is either exhaustive ({!All}, a {!Reservoir}
-    whose seed the caller pins — bit-identical to using a raw reservoir)
-    or deterministic head-based sampling ({!Head}). Nothing here touches
+    quantiles: a {!Reservoir} whose seed the caller pins, bit-identical to
+    using a raw reservoir. Nothing here touches
     wall clocks or shared randomness, so registries are sim-time neutral
     and replay identically under a fixed seed. *)
 
 type counter
 type gauge
 type histogram
-
-type sampling =
-  | All
-  | Head of { head : int; stride : int }
-      (** Keep the first [head] observations, then every [stride]-th. *)
 
 type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 
@@ -30,9 +24,10 @@ val counter : t -> string -> counter
 
 val gauge : t -> string -> gauge
 
-val histogram : ?capacity:int -> ?seed:int -> ?sampling:sampling -> t -> string -> histogram
+val histogram : ?capacity:int -> ?seed:int -> t -> string -> histogram
 (** Find-or-create (creation parameters are ignored on a hit). Default:
-    capacity 4096, seed [Hashtbl.hash name], [Head {head = 512; stride = 16}]. *)
+    capacity 4096, seed [Hashtbl.hash name]. Every observation goes to the
+    reservoir. *)
 
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
@@ -42,10 +37,7 @@ val gauge_value : gauge -> float
 val observe : histogram -> float -> unit
 val values : histogram -> float list
 (** The stored sample, newest first (exact and complete while the
-    observation count is below capacity under [All]). *)
-
-val observed : histogram -> int
-(** Observations offered, sampled or not. *)
+    observation count is below capacity). *)
 
 val hist_count : histogram -> int
 val hist_mean : histogram -> float

@@ -323,7 +323,7 @@ let test_metrics_registry () =
   (match Metrics.counter m "depth" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "kind clash not rejected");
-  let h = Metrics.histogram m "lat" ~sampling:Metrics.All ~seed:7 ~capacity:100 in
+  let h = Metrics.histogram m "lat" ~seed:7 ~capacity:100 in
   for i = 1 to 10 do
     Metrics.observe h (float_of_int i)
   done;
@@ -332,12 +332,12 @@ let test_metrics_registry () =
   check_int "snapshot size" 3 (List.length (Metrics.snapshot m))
 
 let test_metrics_all_sampling_matches_reservoir () =
-  (* [All] with a pinned seed is the drop-in replacement for a raw
+  (* A histogram with a pinned seed is the drop-in replacement for a raw
      reservoir: same adds, same kept sample, in the same order. *)
   let seed = Hashtbl.hash ("node-e2e", "fn") in
   let res = Reservoir.create ~seed 16 in
   let m = Metrics.create () in
-  let h = Metrics.histogram m "e2e" ~sampling:Metrics.All ~seed ~capacity:16 in
+  let h = Metrics.histogram m "e2e" ~seed ~capacity:16 in
   let rng = Rng.create 99 in
   for _ = 1 to 200 do
     let v = Rng.float rng 100.0 in
@@ -347,31 +347,11 @@ let test_metrics_all_sampling_matches_reservoir () =
   Alcotest.(check (list (float 0.0)))
     "identical samples" (Reservoir.to_list res) (Metrics.values h)
 
-let test_metrics_head_sampling_deterministic () =
-  let make () =
-    let m = Metrics.create () in
-    let h =
-      Metrics.histogram m "s" ~sampling:(Metrics.Head { head = 4; stride = 3 }) ~capacity:64
-    in
-    for i = 1 to 20 do
-      Metrics.observe h (float_of_int i)
-    done;
-    h
-  in
-  let h1 = make () and h2 = make () in
-  Alcotest.(check (list (float 0.0))) "deterministic" (Metrics.values h1) (Metrics.values h2);
-  (* First [head] observations kept, then every stride-th. *)
-  Alcotest.(check (list (float 0.0)))
-    "head then stride" [ 20.0; 17.0; 14.0; 11.0; 8.0; 5.0; 4.0; 3.0; 2.0; 1.0 ]
-    (Metrics.values h1);
-  check_int "exact count regardless of sampling" 20 (Metrics.hist_count h1);
-  check_int "offered" 20 (Metrics.observed h1)
-
 let test_metrics_render () =
   let m = Metrics.create () in
   Metrics.incr ~by:3 (Metrics.counter m "b.count");
   Metrics.set (Metrics.gauge m "a.depth") 2.0;
-  let h = Metrics.histogram m "c.lat" ~sampling:Metrics.All ~seed:1 in
+  let h = Metrics.histogram m "c.lat" ~seed:1 in
   List.iter (Metrics.observe h) [ 1.0; 2.0; 3.0; 4.0 ];
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
@@ -763,8 +743,6 @@ let () =
           Alcotest.test_case "registry" `Quick test_metrics_registry;
           Alcotest.test_case "All sampling = reservoir" `Quick
             test_metrics_all_sampling_matches_reservoir;
-          Alcotest.test_case "head sampling deterministic" `Quick
-            test_metrics_head_sampling_deterministic;
           Alcotest.test_case "render + json" `Quick test_metrics_render;
         ] );
       ( "export",

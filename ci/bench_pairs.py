@@ -6,9 +6,17 @@
 Exports the committed trees of PARENT and HEAD (git archive) into a
 temporary directory, removed on exit, and runs perfbench/run.py in each:
 
-1. Correctness, on HEAD: `--seconds 1` at every reference seed (0-31, 42
-   and 1337) for figures-serial and fleet-faults, the two workloads with
-   reference digests. Prints each seed's failed count.
+1. Correctness, on HEAD. Every workload checks its operations against
+   the reference digests of its group (perfbench/run.py's GROUP: the three
+   figures workloads share the figures refs, fleet-faults has the fleet
+   refs).
+   - `--seconds 1` at every reference seed (0-31, 42 and 1337) for
+     figures-serial, figures-parallel and fleet-faults. Prints each seed's
+     failed count and peak RSS.
+   - `--trace 1` for all four workloads at seeds 1, 28 and 42. A traced
+     run also checks that the traced twin reproduces the untraced run,
+     and, for figures-parallel, that the -j(cores) allocation is within 1%
+     of a figures-serial run's; its "alloc self-check" line is printed.
 2. Pairs: N pairs (default 10) per workload (default: every workload of
    BENCHMARK.json) at seed 42, each side run for
    BENCHMARK.json's run_seconds. The side that runs first alternates
@@ -25,8 +33,9 @@ JSON.
 
 Exits 1, naming the run, when any run is not "correct": true, or when a
 pair's two sides fail a different number of operations. The verdicts do
-not set the exit status. The full protocol takes about an hour on two
-cores; it is not part of ci/check.sh.
+not set the exit status. The full protocol takes about 70 minutes on two
+cores, of which the correctness pass takes about 20; it is not part of
+ci/check.sh.
 """
 
 import argparse
@@ -43,7 +52,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REF_SEEDS = list(range(32)) + [42, 1337]
-REF_WORKLOADS = ["figures-serial", "fleet-faults"]
+REF_WORKLOADS = ["figures-serial", "figures-parallel", "fleet-faults"]
+TRACE_SEEDS = [1, 28, 42]
 PAIR_SEED = 42
 
 
@@ -65,12 +75,13 @@ def export(rev, dest):
         tar.extractall(dest)
 
 
-def perfbench(tree, label, workload, seed, seconds):
-    """One perfbench/run.py run; its final JSON record."""
-    name = "%s %s seed %d --seconds %g" % (label, workload, seed, seconds)
+def perfbench(tree, label, workload, seed, seconds, trace=0):
+    """One perfbench/run.py run; its final JSON record, with the run's
+    "alloc self-check" line, if it printed one, under "self_check"."""
+    name = "%s %s seed %d --seconds %g --trace %d" % (label, workload, seed, seconds, trace)
     r = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     lines = r.stdout.strip().splitlines()
     try:
@@ -83,6 +94,8 @@ def perfbench(tree, label, workload, seed, seconds):
     if rec.get("correct") is not True:
         sys.stderr.write(r.stdout)
         raise Failure('%s: not "correct": true' % name)
+    rec["self_check"] = next((line for line in lines if line.startswith("alloc self-check")),
+                             None)
     return rec
 
 
@@ -153,8 +166,17 @@ def main():
                 rss = rec["metrics"]["peak_rss_mib"]["value"]
                 per_seed[str(s)] = {"failed": rec["failed"], "attempted": rec["attempted"],
                                     "peak_rss_mib": rss}
-                print("correct: %-15s seed %4d failed %d of %d, peak_rss_mib %.1f" % (
+                print("correct: %-16s seed %4d failed %d of %d, peak_rss_mib %.1f" % (
                     w, s, rec["failed"], rec["attempted"], rss), flush=True)
+        for w in names:
+            per_seed = result["correctness"][w + " --trace 1"] = {}
+            for s in TRACE_SEEDS:
+                rec = perfbench(trees["change"], "change", w, s, 1, trace=1)
+                per_seed[str(s)] = {"failed": rec["failed"], "attempted": rec["attempted"],
+                                    "self_check": rec["self_check"]}
+                print("correct: %-16s seed %4d failed %d of %d, --trace 1%s" % (
+                    w, s, rec["failed"], rec["attempted"],
+                    ", " + rec["self_check"] if rec["self_check"] else ""), flush=True)
 
         runs = {w: {"parent": [], "change": []} for w in workloads}
         for i in range(args.pairs):

@@ -155,18 +155,27 @@ grep -q 'ignoring -j 4' "$tmp/downgrade_warn.txt"
 # fleet workloads must reproduce the reference digests in perfbench/refs/
 # for its seed, failures included. Seed 1 reproduces the pinned GH scrub
 # failure and seed 28 the GH-NOP one (perfbench/NOTES.md), so a change
-# that moves the integrity code's output fails here. Scratch output goes
-# to .perfbench/ (gitignored).
-for workload in figures-serial fleet-faults; do
+# that moves the integrity code's output fails here. figures-parallel runs
+# the figures cells across domains. One traced run (--trace 1) of each
+# workload also checks that the traced twin reproduces the untraced run;
+# the traced figures-parallel run checks that its allocation is within 1%
+# of a figures-serial run's. Scratch output goes to .perfbench/
+# (gitignored).
+perfbench_correct() {
+  python3 perfbench/run.py "$@" > "$tmp/perfbench.out"
+  if ! tail -n 1 "$tmp/perfbench.out" | grep -qF '"correct": true'; then
+    cat "$tmp/perfbench.out" >&2
+    echo "ci/check.sh: perfbench $* is not correct" >&2
+    exit 1
+  fi
+}
+for workload in figures-serial figures-parallel fleet-faults; do
   for seed in 1 28; do
-    python3 perfbench/run.py --workload $workload --seed $seed --seconds 1 \
-      > "$tmp/perfbench.out"
-    if ! tail -n 1 "$tmp/perfbench.out" | grep -qF '"correct": true'; then
-      cat "$tmp/perfbench.out" >&2
-      echo "ci/check.sh: perfbench $workload seed $seed is not correct" >&2
-      exit 1
-    fi
+    perfbench_correct --workload $workload --seed $seed --seconds 1
   done
+done
+for workload in figures-serial figures-parallel figures-observed fleet-faults; do
+  perfbench_correct --workload $workload --seed 1 --seconds 1 --trace 1
 done
 
 # Bad input is rejected before any work runs: nonzero exit, nothing on

@@ -12,7 +12,8 @@
 val map : Config.t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map cfg f cells] applies [f] to every cell on up to
     [Config.effective_jobs cfg] domains ({!Gh_sim.Domain_pool}) and
-    returns the results in cell order. Every cell seeds its RNG from the
+    returns the results in cell order; a raising cell re-raises as
+    [List.map f cells] would. Every harness cell seeds its RNG from the
     config and its own identity, never from run order, so cells are pure
     in [(cfg, cell)]; and since the results come back in cell order, the
     merge is byte-identical to a serial [List.map f cells]. *)
@@ -24,7 +25,8 @@ val grid :
     [List.map (fun r -> (r, List.filter_map (f r) cols)) rows]. *)
 
 val principals : Gh_faas.Principal.t array
-(** alice (id 1) and bob (id 2); sweeps alternate them by request id. *)
+(** alice (id 1) and bob (id 2), the two tenants every harness alternates
+    by request id. *)
 
 val service_ns :
   Config.t ->

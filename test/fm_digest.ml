@@ -69,10 +69,10 @@ let add_response buf (r : Fm.response) =
   add_int buf (List.length r.Fm.residue);
   List.iter (add_int buf) r.Fm.residue;
   add_int buf r.Fm.output_kb;
-  (* The response's platform-service denial count used to be digested
-     here. It was always 0, since no digested instance ever had services
-     attached, and the field is gone; a constant 0 keeps the golden's bytes
-     and its independence from the implementation under test. *)
+  (* A constant 0 word where the response's platform-service denial count
+     was digested: no digested instance had services attached, so the
+     count was always 0. Writing 0 keeps fm_golden.txt byte-identical
+     without regenerating it from the implementation under test. *)
   add_int buf 0;
   add_int buf (Bool.to_int r.Fm.crashed);
   add_int buf (Bool.to_int r.Fm.hung)

@@ -26,8 +26,7 @@ let mb pages = float_of_int pages *. 4096.0 /. 1048576.0
 let build_and_warm rng_seed =
   let inst = Fm.build spec in
   let rng = Rng.create rng_seed in
-  ignore (Fm.warmup inst (Account.create ()) rng);
-  Fm.mark_clean inst;
+  ignore (Fm.boot inst ~fault:Gh_sim.Fault.none rng);
   (inst, rng)
 
 let serve inst rng mgr n =

@@ -38,34 +38,19 @@ let measure strat =
 let gh_with_cost cost spec =
   let inst = Fm.build ~cost spec in
   let rng = Rng.create 99 in
-  let init = Account.create () in
-  ignore (Fm.warmup inst init rng);
-  Fm.mark_clean inst;
+  ignore (Fm.boot inst ~fault:Gh_sim.Fault.none rng);
   let mgr = Groundhog_core.Manager.create (Fm.proc inst) in
   ignore (Groundhog_core.Manager.take_snapshot_exn mgr);
   let restored = ref false in
-  {
-    Intf.name = "gh-ablation";
-    init_ns = 0;
-    invoke =
-      (fun req ->
-        let acct = Account.create () in
-        let response = Fm.invoke inst acct rng ~post_restore:!restored req in
-        Groundhog_core.Manager.mark_dirty mgr;
-        let b = Groundhog_core.Manager.restore_exn mgr in
-        restored := true;
-        Intf.invocation ~on_path_ns:(Account.total acct)
-          ~post_ns:b.Groundhog_core.Breakdown.total_ns ~breakdown:b ~isolated:true
-          ~restore_label:"gh-restore" ~outcome:(Intf.outcome_of_response response)
-          response);
-    snapshot_pages = (fun () -> 0);
-    describe = (fun () -> "gh with a variant cost model");
-    status = Intf.no_status;
-    kill = Intf.no_kill;
-    degrade = Intf.no_degrade;
-    scrub = Intf.no_scrub;
-    audit = Intf.no_audit;
-  }
+  Intf.stateless ~name:"gh-ablation" ~init_ns:0 (fun req ->
+      let acct = Account.create () in
+      let response = Fm.invoke inst acct rng ~post_restore:!restored req in
+      Groundhog_core.Manager.mark_dirty mgr;
+      let b = Groundhog_core.Manager.restore_exn mgr in
+      restored := true;
+      Intf.invocation ~on_path_ns:(Account.total acct)
+        ~post_ns:b.Groundhog_core.Breakdown.total_ns ~breakdown:b ~isolated:true
+        ~restore_label:"gh-restore" ~outcome:(Intf.outcome_of_response response) response)
 
 let () =
   Format.printf

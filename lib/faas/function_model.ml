@@ -475,6 +475,13 @@ let warmup t acct rng =
   Account.charge acct (int_of_float extra);
   Account.since acct mark
 
+let boot t ~fault rng =
+  Process.set_fault t.process fault;
+  let acct = Account.create () in
+  ignore (warmup t acct rng);
+  mark_clean t;
+  acct
+
 let residue_oracle t principal =
   let count = ref 0 in
   As.iter_vmas t.process.Process.mem (fun (vma : Vma.t) ->

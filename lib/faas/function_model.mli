@@ -101,6 +101,13 @@ val warmup : instance -> Gh_sim.Account.t -> Gh_sim.Rng.t -> Gh_sim.Time_ns.t
     time it took (slower than a regular invocation by the runtime's
     warm-up factor). *)
 
+val boot : instance -> fault:Gh_sim.Fault.t -> Gh_sim.Rng.t -> Gh_sim.Account.t
+(** The prologue every isolation strategy shares: attach the [fault] plan
+    to the process, serve the {!warmup} request on a fresh account, and
+    {!mark_clean}. Returns that account, which holds exactly the warm-up's
+    cost; a strategy adds its own initialization (a snapshot, an image
+    serialization) to it. *)
+
 val invoke :
   instance ->
   Gh_sim.Account.t ->

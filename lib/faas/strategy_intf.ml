@@ -90,7 +90,6 @@ type t = {
   init_ns : Gh_sim.Time_ns.t;
   invoke : Request.t -> invocation;
   snapshot_pages : unit -> int;
-  describe : unit -> string;
   status : unit -> status option;
       (** The manager's lifecycle state, [None] for strategies without one
           (fork, base). The fail-closed trace checker polls this at
@@ -117,12 +116,20 @@ type t = {
           actual restore). Free — reads memory only. *)
 }
 
-(* Constructor helpers for strategies (and tests) without a manager. *)
-let no_status () = None
-let no_kill () = ()
-let no_degrade (_ : bool) = ()
-let no_scrub (_ : int) = Scrub_skip
-let no_audit () = None
+(* The one constructor: a strategy with no snapshot, no manager and no
+   deferrable work. Strategies that have them override those hooks. *)
+let stateless ~name ~init_ns invoke =
+  {
+    name;
+    init_ns;
+    invoke;
+    snapshot_pages = (fun () -> 0);
+    status = (fun () -> None);
+    kill = (fun () -> ());
+    degrade = (fun (_ : bool) -> ());
+    scrub = (fun (_ : int) -> Scrub_skip);
+    audit = (fun () -> None);
+  }
 
 let outcome_of_response (r : Function_model.response) =
   if r.Function_model.hung then Hung

@@ -110,7 +110,6 @@ type t = {
   snapshot_pages : unit -> int;
       (** Pages held in the manager's snapshot buffer (0 when the strategy
           keeps none). *)
-  describe : unit -> string;
   status : unit -> status option;
       (** The manager's lifecycle state, [None] for strategies without one
           (fork, base). The fail-closed trace checker polls this at
@@ -136,20 +135,13 @@ type t = {
           strategy has no such oracle. Free — reads memory only. *)
 }
 
-val no_status : unit -> status option
-(** [fun () -> None]: for strategies (and test stubs) without a manager. *)
-
-val no_kill : unit -> unit
-(** No-op kill, for test stubs. *)
-
-val no_degrade : bool -> unit
-(** No-op degrade, for strategies with no deferrable work. *)
-
-val no_scrub : int -> scrub_result
-(** [fun _ -> Scrub_skip]: for strategies that keep no snapshot. *)
-
-val no_audit : unit -> [ `Intact | `Corrupt of string ] option
-(** [fun () -> None]: for strategies with no hash oracle. *)
+val stateless :
+  name:string -> init_ns:Gh_sim.Time_ns.t -> (Request.t -> invocation) -> t
+(** The one constructor. Its hooks are those of a strategy that keeps no
+    snapshot and no manager: [snapshot_pages] is 0, [status] and [audit]
+    are [None], [kill] and [degrade] do nothing, and [scrub] returns
+    [Scrub_skip]. A strategy that has any of these overrides it with
+    [{ (stateless ~name ~init_ns invoke) with ... }]. *)
 
 val outcome_of_response : Function_model.response -> outcome
 (** [Hung]/[Crashed]/[Completed] from the response flags — for strategies

@@ -12,9 +12,7 @@ module Microbench = Gh_workloads.Microbench
 let measure_with_cost cfg cost spec =
   let rng = Rng.create (cfg.Config.seed lxor Hashtbl.hash spec.Fm.name) in
   let inst = Fm.build ~cost spec in
-  let init = Account.create () in
-  ignore (Fm.warmup inst init rng);
-  Fm.mark_clean inst;
+  ignore (Fm.boot inst ~fault:Gh_sim.Fault.none rng);
   let mgr = Manager.create (Fm.proc inst) in
   ignore (Manager.take_snapshot_exn mgr);
   let n = max 3 cfg.Config.microbench_requests in

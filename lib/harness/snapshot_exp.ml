@@ -27,8 +27,7 @@ let incremental_probe cfg (entry : Catalog.entry) =
   let seed = cfg.Config.seed lxor Hashtbl.hash ("snapshot-incr", entry.Catalog.display) in
   let rng = Rng.create seed in
   let inst = Fm.build entry.Catalog.spec in
-  ignore (Fm.warmup inst (Account.create ()) rng);
-  Fm.mark_clean inst;
+  ignore (Fm.boot inst ~fault:Gh_sim.Fault.none rng);
   let mgr = Manager.create ~mode:Manager.Incremental (Fm.proc inst) in
   let capture_ns = Manager.take_snapshot_exn mgr in
   let n = max 3 (min 8 cfg.Config.breakdown_requests) in

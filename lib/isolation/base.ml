@@ -5,11 +5,8 @@ module Intf = Gh_faas.Strategy_intf
 
 let make ?(fault = Gh_sim.Fault.none) ~rng spec =
   let inst = Fm.build spec in
-  Gh_proc.Process.set_fault (Fm.proc inst) fault;
+  let init_acct = Fm.boot inst ~fault rng in
   let rt = Fm.runtime inst in
-  let init_acct = Account.create () in
-  let _warm = Fm.warmup inst init_acct rng in
-  Fm.mark_clean inst;
   let init_ns = rt.Gh_faas.Runtime.init_ns + Account.total init_acct in
   (* A crashed container has no snapshot to fall back on: the platform must
      rebuild it from scratch. (The snapshot below is simulation mechanics
@@ -34,16 +31,6 @@ let make ?(fault = Gh_sim.Fault.none) ~rng spec =
     end
     else Intf.invocation ~on_path_ns:(Account.total acct) ~outcome:Intf.Completed response
   in
-  {
-    Intf.name = "base";
-    init_ns;
-    invoke;
-    snapshot_pages = (fun () -> 0);
-    describe = (fun () -> "insecure baseline: warm container reuse, no isolation");
-    status = Intf.no_status;
-    kill = Intf.no_kill;
-    (* No post-completion recovery work exists to defer. *)
-    degrade = Intf.no_degrade;
-    scrub = Intf.no_scrub;
-    audit = Intf.no_audit;
-  }
+  (* No post-completion recovery work exists to defer, so the no-op
+     [degrade] stands. *)
+  Intf.stateless ~name:"base" ~init_ns invoke

@@ -7,13 +7,10 @@ module Restore = Groundhog_core.Restore
 
 let make ?(fault = Gh_sim.Fault.none) ~rng spec =
   let inst = Fm.build spec in
-  Gh_proc.Process.set_fault (Fm.proc inst) fault;
   let rng = Rng.split rng in
-  let init_acct = Account.create () in
-  let warm_ns = Fm.warmup inst init_acct rng in
-  Fm.mark_clean inst;
+  let warm_ns = Account.total (Fm.boot inst ~fault rng) in
   let rt = Fm.runtime inst in
-  let init_ns = rt.Gh_faas.Runtime.init_ns + Account.total init_acct in
+  let init_ns = rt.Gh_faas.Runtime.init_ns + warm_ns in
   (* A snapshot gives us the mechanics of "a fresh container's state"
      without rebuilding the whole process per request; the per-request
      charge is nevertheless the full cold-start cost. *)
@@ -40,15 +37,4 @@ let make ?(fault = Gh_sim.Fault.none) ~rng spec =
         ~outcome response
     end
   in
-  {
-    Intf.name = "coldstart";
-    init_ns;
-    invoke;
-    snapshot_pages = (fun () -> 0);
-    describe = (fun () -> "fresh container per request (trivial isolation)");
-    status = Intf.no_status;
-    kill = Intf.no_kill;
-    degrade = Intf.no_degrade;
-    scrub = Intf.no_scrub;
-    audit = Intf.no_audit;
-  }
+  Intf.stateless ~name:"coldstart" ~init_ns invoke

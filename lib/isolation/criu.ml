@@ -16,11 +16,8 @@ let restore_cost_ns ~present_pages = restore_base_ns + (present_pages * restore_
 
 let make ?(verify = Manager.Verify_off) ?(fault = Gh_sim.Fault.none) ~rng spec =
   let inst = Fm.build spec in
-  Gh_proc.Process.set_fault (Fm.proc inst) fault;
   let rng = Rng.split rng in
-  let init_acct = Account.create () in
-  let _warm = Fm.warmup inst init_acct rng in
-  Fm.mark_clean inst;
+  let init_acct = Fm.boot inst ~fault rng in
   (* Checkpoint: serialize the full image (charged per present page). The
      manager holds the image and its integrity state: restore audit,
      scrub cursor, poisoning and the ground-truth oracle. *)
@@ -61,15 +58,8 @@ let make ?(verify = Manager.Verify_off) ?(fault = Gh_sim.Fault.none) ~rng spec =
             ~outcome:(Intf.outcome_of_response response) response
   in
   {
-    Intf.name = "criu";
-    init_ns;
-    invoke;
-    snapshot_pages = (fun () -> present_pages);
-    describe =
-      (fun () -> "CRIU-style full-image checkpoint/restore per request (related work)");
-    status = Intf.no_status;
-    kill = Intf.no_kill;
-    degrade = Intf.no_degrade;
+    (Intf.stateless ~name:"criu" ~init_ns invoke) with
+    Intf.snapshot_pages = (fun () -> present_pages);
     scrub = Intf.manager_scrub mgr;
     (* Every completed CRIU invocation ends in a full-image restore, so
        between requests the image is the reference — except right after

@@ -24,11 +24,8 @@ let make ?(fault = Gh_sim.Fault.none) ~rng spec =
       in
       let cost = { Cost.default with Cost.sd_fault_ns = 0 } in
       let inst = Fm.build ~cost scaled in
-      Gh_proc.Process.set_fault (Fm.proc inst) fault;
       let rng = Rng.split rng in
-      let init_acct = Account.create () in
-      let _warm = Fm.warmup inst init_acct rng in
-      Fm.mark_clean inst;
+      let init_acct = Fm.boot inst ~fault rng in
       let snap = Snapshot.capture_exn init_acct (Fm.proc inst) in
       Gh_mem.Address_space.arm_cow_all (Fm.proc inst).Gh_proc.Process.mem;
       let rt = Fm.runtime inst in
@@ -73,17 +70,6 @@ let make ?(fault = Gh_sim.Fault.none) ~rng spec =
       in
       Ok
         {
-          Intf.name = "faasm";
-          init_ns;
-          invoke;
-          snapshot_pages = (fun () -> snap.Snapshot.present_pages);
-          describe =
-            (fun () ->
-              Printf.sprintf "FAASM: wasm Faaslet with CoW linear-memory reset (x%.2f native)"
-                factor);
-          status = Intf.no_status;
-          kill = Intf.no_kill;
-          degrade = Intf.no_degrade;
-          scrub = Intf.no_scrub;
-          audit = Intf.no_audit;
+          (Intf.stateless ~name:"faasm" ~init_ns invoke) with
+          Intf.snapshot_pages = (fun () -> snap.Snapshot.present_pages);
         }

@@ -17,11 +17,8 @@ let make ?(fault = Gh_sim.Fault.none) ~rng spec =
          (Gh_faas.Runtime.lang_to_string rt.Gh_faas.Runtime.lang))
   else begin
     let inst = Fm.build spec in
-    Process.set_fault (Fm.proc inst) fault;
     let rng = Rng.split rng in
-    let init_acct = Account.create () in
-    let _warm = Fm.warmup inst init_acct rng in
-    Fm.mark_clean inst;
+    let init_acct = Fm.boot inst ~fault rng in
     let init_ns = rt.Gh_faas.Runtime.init_ns + Account.total init_acct in
     let loop = Gh_faas.Actionloop.create rt in
     let invoke req =
@@ -53,17 +50,5 @@ let make ?(fault = Gh_sim.Fault.none) ~rng spec =
           ~outcome:(Intf.outcome_of_response response) response
       end
     in
-    Ok
-      {
-        Intf.name = "fork";
-        init_ns;
-        invoke;
-        snapshot_pages = (fun () -> 0);
-        describe = (fun () -> "fork-per-request isolation (single-threaded runtimes only)");
-        status = Intf.no_status;
-        kill = Intf.no_kill;
-        degrade = Intf.no_degrade;
-        scrub = Intf.no_scrub;
-        audit = Intf.no_audit;
-      }
+    Ok (Intf.stateless ~name:"fork" ~init_ns invoke)
   end

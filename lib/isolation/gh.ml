@@ -153,11 +153,8 @@ let make_with_state ?(policy = Policy.Always_isolate) ?(paranoid = false)
     ?(verify = Manager.Verify_off) ?dedup ?(mode = Manager.Eager)
     ?(interposition = Intercept) ?(fault = Gh_sim.Fault.none) ~rng spec =
   let inst = Fm.build spec in
-  Gh_proc.Process.set_fault (Fm.proc inst) fault;
   let rng = Rng.split rng in
-  let init_acct = Account.create () in
-  let _warm = Fm.warmup inst init_acct rng in
-  Fm.mark_clean inst;
+  let init_acct = Fm.boot inst ~fault rng in
   let mgr = Manager.create ~paranoid ~verify ~mode (Fm.proc inst) in
   let snap_ns = Manager.take_snapshot_exn mgr in
   let rt = Fm.runtime inst in
@@ -180,14 +177,9 @@ let make_with_state ?(policy = Policy.Always_isolate) ?(paranoid = false)
   Option.iter (fun d -> Manager.join_dedup mgr d ~owner:"gh") dedup;
   let strategy =
     {
-      Intf.name = "gh";
-      init_ns;
-      invoke = (fun req -> invoke_with_lookahead s req ~next:None);
-      snapshot_pages = (fun () -> Manager.buffer_pages mgr);
-      describe =
-        (fun () ->
-          Printf.sprintf "Groundhog: snapshot/restore isolation (policy %s)"
-            (Policy.to_string policy));
+      (Intf.stateless ~name:"gh" ~init_ns (fun req -> invoke_with_lookahead s req ~next:None))
+      with
+      Intf.snapshot_pages = (fun () -> Manager.buffer_pages mgr);
       status = (fun () -> Some (Intf.manager_status mgr));
       kill = (fun () -> Manager.kill mgr);
       degrade = (fun d -> s.degraded <- d);

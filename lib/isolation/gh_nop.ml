@@ -6,11 +6,8 @@ module Manager = Groundhog_core.Manager
 
 let make ?(verify = Manager.Verify_off) ?dedup ?(fault = Gh_sim.Fault.none) ~rng spec =
   let inst = Fm.build spec in
-  Gh_proc.Process.set_fault (Fm.proc inst) fault;
   let rng = Rng.split rng in
-  let init_acct = Account.create () in
-  let _warm = Fm.warmup inst init_acct rng in
-  Fm.mark_clean inst;
+  let init_acct = Fm.boot inst ~fault rng in
   let mgr = Manager.create ~verify (Fm.proc inst) in
   let snap_ns = Manager.take_snapshot_exn mgr in
   let rt = Fm.runtime inst in
@@ -51,20 +48,17 @@ let make ?(verify = Manager.Verify_off) ?dedup ?(fault = Gh_sim.Fault.none) ~rng
       end
     end
   in
+  (* GH-NOP never restores, so there is nothing to defer: the no-op
+     [degrade] stands. *)
   {
-    Intf.name = "gh-nop";
-    init_ns;
-    invoke;
-    snapshot_pages =
+    (Intf.stateless ~name:"gh-nop" ~init_ns invoke) with
+    Intf.snapshot_pages =
       (fun () ->
         match Manager.snapshot mgr with
         | Some snap -> snap.Groundhog_core.Snapshot.present_pages
         | None -> 0);
-    describe = (fun () -> "Groundhog without restoration (single security domain)");
     status = (fun () -> Some (Intf.manager_status mgr));
     kill = (fun () -> Manager.kill mgr);
-    (* GH-NOP never restores, so there is nothing to defer. *)
-    degrade = Intf.no_degrade;
     scrub = Intf.manager_scrub mgr;
     audit = (fun () -> Manager.audit_oracle mgr);
   }

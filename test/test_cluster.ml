@@ -135,20 +135,8 @@ let test_shared_recovery_backoff () =
 let resp id = { Fm.value = id; residue = []; output_kb = 1; crashed = false; hung = false }
 
 let scripted ~service_ns name =
-  {
-    Intf.name;
-    init_ns = Time_ns.of_ms 1.0;
-    invoke =
-      (fun req ->
-        Intf.invocation ~on_path_ns:service_ns ~outcome:Intf.Completed (resp req.Request.id));
-    snapshot_pages = (fun () -> 0);
-    status = Intf.no_status;
-    kill = Intf.no_kill;
-    degrade = Intf.no_degrade;
-    scrub = Intf.no_scrub;
-    audit = Intf.no_audit;
-    describe = (fun () -> name);
-  }
+  Intf.stateless ~name ~init_ns:(Time_ns.of_ms 1.0) (fun req ->
+      Intf.invocation ~on_path_ns:service_ns ~outcome:Intf.Completed (resp req.Request.id))
 
 let spec = { Fm.default_spec with Fm.name = "fn" }
 

@@ -79,22 +79,10 @@ let test_criu_in_registry () =
 (* -- Open-loop client -- *)
 
 let constant_strategy ~exec_ns =
-  {
-    Intf.name = "const";
-    init_ns = Time_ns.of_ms 100.0;
-    invoke =
-      (fun req ->
-        Intf.invocation ~on_path_ns:exec_ns ~outcome:Intf.Completed
-          { Fm.value = req.Request.id; residue = []; output_kb = 1; crashed = false;
-            hung = false });
-    snapshot_pages = (fun () -> 0);
-    status = Intf.no_status;
-    kill = Intf.no_kill;
-    degrade = Intf.no_degrade;
-    scrub = Intf.no_scrub;
-    audit = Intf.no_audit;
-    describe = (fun () -> "constant");
-  }
+  Intf.stateless ~name:"const" ~init_ns:(Time_ns.of_ms 100.0) (fun req ->
+      Intf.invocation ~on_path_ns:exec_ns ~outcome:Intf.Completed
+        { Fm.value = req.Request.id; residue = []; output_kb = 1; crashed = false;
+          hung = false })
 
 let test_open_loop_client () =
   let engine = Engine.create () in
@@ -244,8 +232,7 @@ let test_incremental_one_time_cow () =
   let spec = { small_spec with Fm.buggy_residue_leak = false } in
   let inst = Fm.build spec in
   let rng = Rng.create 9 in
-  ignore (Fm.warmup inst (Gh_sim.Account.create ()) rng);
-  Fm.mark_clean inst;
+  ignore (Fm.boot inst ~fault:Gh_sim.Fault.none rng);
   let mgr = Groundhog_core.Manager.create ~mode:Groundhog_core.Manager.Incremental (Fm.proc inst) in
   ignore (Groundhog_core.Manager.take_snapshot mgr);
   let invoke i =
@@ -270,15 +257,13 @@ let test_incremental_buffer_below_footprint () =
   let spec = { small_spec with Fm.mapped_pages = 8_000; dirtied_pages = 100 } in
   let inst = Fm.build spec in
   let rng = Rng.create 10 in
-  ignore (Fm.warmup inst (Gh_sim.Account.create ()) rng);
-  Fm.mark_clean inst;
+  ignore (Fm.boot inst ~fault:Gh_sim.Fault.none rng);
   let eager = Groundhog_core.Snapshot.capture_exn (Gh_sim.Account.create ()) (Fm.proc inst) in
   check_bool "eager holds the footprint" true
     (eager.Groundhog_core.Snapshot.present_pages > 1_000);
   let spec2 = spec in
   let inst2 = Fm.build spec2 in
-  ignore (Fm.warmup inst2 (Gh_sim.Account.create ()) rng);
-  Fm.mark_clean inst2;
+  ignore (Fm.boot inst2 ~fault:Gh_sim.Fault.none rng);
   let mgr = Groundhog_core.Manager.create ~mode:Groundhog_core.Manager.Incremental (Fm.proc inst2) in
   ignore (Groundhog_core.Manager.take_snapshot mgr);
   for i = 1 to 4 do

@@ -77,8 +77,7 @@ let small_spec =
 let build_warm ?(spec = small_spec) () =
   let inst = Function_model.build spec in
   let rng = Rng.create 1 in
-  ignore (Function_model.warmup inst (acct ()) rng);
-  Function_model.mark_clean inst;
+  ignore (Function_model.boot inst ~fault:Gh_sim.Fault.none rng);
   (inst, rng)
 
 let test_model_dirties_expected_pages () =
@@ -219,24 +218,12 @@ let test_gh_strategy_actionloop_invariant () =
 
 let strategy_of_constant ~exec_ns ~post_ns =
   let count = ref 0 in
-  {
-    Strategy_intf.name = "const";
-    init_ns = 0;
-    invoke =
-      (fun req ->
-        incr count;
-        Strategy_intf.invocation ~on_path_ns:exec_ns ~post_ns ~isolated:(post_ns > 0)
-          ~outcome:Strategy_intf.Completed
-          { Function_model.value = req.Request.id; residue = []; output_kb = 1;
-            crashed = false; hung = false });
-    snapshot_pages = (fun () -> 0);
-    status = Strategy_intf.no_status;
-    kill = Strategy_intf.no_kill;
-    degrade = Strategy_intf.no_degrade;
-    scrub = Strategy_intf.no_scrub;
-    audit = Strategy_intf.no_audit;
-    describe = (fun () -> "constant-latency test strategy");
-  }
+  Strategy_intf.stateless ~name:"const" ~init_ns:0 (fun req ->
+      incr count;
+      Strategy_intf.invocation ~on_path_ns:exec_ns ~post_ns ~isolated:(post_ns > 0)
+        ~outcome:Strategy_intf.Completed
+        { Function_model.value = req.Request.id; residue = []; output_kb = 1;
+          crashed = false; hung = false })
 
 let test_container_state_machine () =
   let engine = Engine.create () in

@@ -157,29 +157,16 @@ let resp ?(hung = false) id =
 
 (* [next req] decides each invocation's behaviour. *)
 let scripted name next =
-  {
-    Intf.name;
-    init_ns = Time_ns.of_ms 10.0;
-    invoke =
-      (fun req ->
-        match next req with
-        | `Ok ->
-            Intf.invocation ~on_path_ns:(Time_ns.of_ms 1.0) ~outcome:Intf.Completed
-              (resp req.Request.id)
-        | `Hang ->
-            Intf.invocation ~on_path_ns:0 ~outcome:Intf.Hung
-              (resp ~hung:true req.Request.id)
-        | `Poison ->
-            Intf.invocation ~on_path_ns:(Time_ns.of_ms 1.0) ~post_ns:(Time_ns.of_ms 2.0)
-              ~outcome:Intf.Poisoned (resp req.Request.id));
-    snapshot_pages = (fun () -> 0);
-    status = Intf.no_status;
-    kill = Intf.no_kill;
-    degrade = Intf.no_degrade;
-    scrub = Intf.no_scrub;
-    audit = Intf.no_audit;
-    describe = (fun () -> name);
-  }
+  Intf.stateless ~name ~init_ns:(Time_ns.of_ms 10.0) (fun req ->
+      match next req with
+      | `Ok ->
+          Intf.invocation ~on_path_ns:(Time_ns.of_ms 1.0) ~outcome:Intf.Completed
+            (resp req.Request.id)
+      | `Hang ->
+          Intf.invocation ~on_path_ns:0 ~outcome:Intf.Hung (resp ~hung:true req.Request.id)
+      | `Poison ->
+          Intf.invocation ~on_path_ns:(Time_ns.of_ms 1.0) ~post_ns:(Time_ns.of_ms 2.0)
+            ~outcome:Intf.Poisoned (resp req.Request.id))
 
 let from_plan plan _req =
   match !plan with

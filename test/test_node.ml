@@ -18,20 +18,12 @@ let alice = Principal.make ~id:1 ~name:"alice"
    control memory arithmetic exactly. *)
 let strategy ~exec_ms ~init_ms ~buffer_pages =
   {
-    Intf.name = "fixed";
-    init_ns = Time_ns.of_ms init_ms;
-    invoke =
-      (fun req ->
-        Intf.invocation ~on_path_ns:(Time_ns.of_ms exec_ms) ~outcome:Intf.Completed
-          { Fm.value = req.Request.id; residue = []; output_kb = 1; crashed = false;
-            hung = false });
-    snapshot_pages = (fun () -> buffer_pages);
-    status = Intf.no_status;
-    kill = Intf.no_kill;
-    degrade = Intf.no_degrade;
-    scrub = Intf.no_scrub;
-    audit = Intf.no_audit;
-    describe = (fun () -> "fixed-cost test strategy");
+    (Intf.stateless ~name:"fixed" ~init_ns:(Time_ns.of_ms init_ms) (fun req ->
+         Intf.invocation ~on_path_ns:(Time_ns.of_ms exec_ms) ~outcome:Intf.Completed
+           { Fm.value = req.Request.id; residue = []; output_kb = 1; crashed = false;
+             hung = false }))
+    with
+    Intf.snapshot_pages = (fun () -> buffer_pages);
   }
 
 (* 256 pages = 1 MB. *)

@@ -199,8 +199,7 @@ let no_residue_after_restore =
       in
       let inst = Gh_faas.Function_model.build spec in
       let rng = Rng.create nonce in
-      ignore (Gh_faas.Function_model.warmup inst (Account.create ()) rng);
-      Gh_faas.Function_model.mark_clean inst;
+      ignore (Gh_faas.Function_model.boot inst ~fault:Gh_sim.Fault.none rng);
       let mgr = Manager.create (Gh_faas.Function_model.proc inst) in
       ignore (Manager.take_snapshot mgr);
       let alice = Gh_faas.Principal.make ~id:7 ~name:"alice" in

@@ -133,8 +133,7 @@ let test_catalog_specs_buildable () =
       let e = Option.get (Catalog.find name) in
       let inst = Fm.build e.Catalog.spec in
       let rng = Gh_sim.Rng.create 1 in
-      ignore (Fm.warmup inst (Gh_sim.Account.create ()) rng);
-      Fm.mark_clean inst;
+      ignore (Fm.boot inst ~fault:Gh_sim.Fault.none rng);
       let req = Gh_faas.Request.make ~id:1 ~principal:(Gh_faas.Principal.make ~id:1 ~name:"a") () in
       ignore (Fm.invoke inst (Gh_sim.Account.create ()) rng ~post_restore:false req))
     sample
@@ -182,8 +181,7 @@ let test_synthetic_buildable () =
   List.iter
     (fun spec ->
       let inst = Fm.build spec in
-      ignore (Fm.warmup inst (Gh_sim.Account.create ()) (Gh_sim.Rng.create 1));
-      Fm.mark_clean inst)
+      ignore (Fm.boot inst ~fault:Gh_sim.Fault.none (Gh_sim.Rng.create 1)))
     specs
 
 let () =

@@ -99,9 +99,11 @@ md5sum "$tmp/runall_quick.txt" | awk '{print $1}' \
   | diff - ci/runall_quick.md5
 
 # The ablations and extensions (including the fault, overload and scrub
-# sweeps at their default grids) are pinned the same way, serial, on 2
-# domains, and serial with every collector attached.
-for jobs in 1 2; do
+# sweeps at their default grids) are pinned the same way: serial, on 2
+# and on 4 domains (oversubscribed where there are fewer cores, as in
+# the `run all -j 4` gate below), and serial with every collector
+# attached.
+for jobs in 1 2 4; do
   dune exec bin/gh_bench.exe -- run extras --seed 42 --profile quick -j $jobs \
     | md5sum | awk '{print $1}' | diff - ci/runextras_quick.md5
 done

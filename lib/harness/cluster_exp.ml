@@ -296,22 +296,10 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
 let run cfg ?(rates = default_rates) ?(placements = default_placements)
     ?(requests = default_requests)
     (entry : Catalog.entry) =
-  List.map
-    (fun rate_per_min ->
-      {
-        rate_per_min;
-        rows =
-          List.concat_map
-            (fun placement ->
-              [
-                measure cfg entry.Catalog.spec ~rate_per_min ~placement ~failover:true
-                  ~requests;
-                measure cfg entry.Catalog.spec ~rate_per_min ~placement ~failover:false
-                  ~requests;
-              ])
-            placements;
-      })
-    rates
+  let arms = List.concat_map (fun p -> [ (p, true); (p, false) ]) placements in
+  Sweep.grid cfg rates arms (fun rate_per_min (placement, failover) ->
+      Some (measure cfg entry.Catalog.spec ~rate_per_min ~placement ~failover ~requests))
+  |> List.map (fun (rate_per_min, rows) -> { rate_per_min; rows })
 
 (* The CI gate: every way a cell can violate the delivery contract.
    [double_served]: a response delivered twice; [shed_and_served]: a

@@ -1,6 +1,6 @@
 (** The experiment registry: one named entry per table and figure in the
     paper's evaluation (the DESIGN.md per-experiment index), runnable from
-    the CLI ([gh-bench <id>]) and from bench/main.ml. *)
+    the CLI ([gh-bench run <id>]). *)
 
 type id =
   | Fig3_left
@@ -57,11 +57,11 @@ type cache
     sweep), each computed on first use and kept for the batch.
 
     A cache is forced in sequence by the one caller running a batch.
-    There are four such callers: [run_list] (behind {!run_all} and
-    {!run_extras}), gh-bench's [run], perfbench's [figures_ops] and
-    bench's [run_figures]; each forces it from the calling domain. Cells
-    never touch it. Forcing it from two domains at once raises
-    [Lazy.Undefined] instead of blocking.
+    There are three such callers: [run_list] (behind {!run_all} and
+    {!run_extras}), gh-bench's [run] and perfbench's [figures_ops]; each
+    forces it from the calling domain. Cells never touch it. Forcing it
+    from two domains at once raises [Lazy.Undefined] instead of
+    blocking.
 
     A sweep that raised re-raises the same exception at the next force
     instead of recomputing. No figures operation raises at any of the 34

@@ -150,18 +150,9 @@ let measure cfg strategy spec ~fault_rate ~n_containers ~n_requests =
   end
 
 let run cfg ?(rates = default_rates) ?(requests = default_requests) (entry : Catalog.entry) =
-  List.map
-    (fun fault_rate ->
-      {
-        fault_rate;
-        rows =
-          List.filter_map
-            (fun strategy ->
-              measure cfg strategy entry.Catalog.spec ~fault_rate ~n_containers:2
-                ~n_requests:requests)
-            strategies;
-      })
-    rates
+  Sweep.grid cfg rates strategies (fun fault_rate strategy ->
+      measure cfg strategy entry.Catalog.spec ~fault_rate ~n_containers:2 ~n_requests:requests)
+  |> List.map (fun (fault_rate, rows) -> { fault_rate; rows })
 
 (* The gate: any request served by a non-clean process. *)
 let gate points =

@@ -257,22 +257,20 @@ let measure cfg strategy spec ~util ~requests ~protected =
 let run cfg ?(strategies = default_strategies) ?(utils = default_utils)
     ?(requests = default_requests)
     (entry : Catalog.entry) =
-  List.map
-    (fun util ->
-      {
-        util;
-        rows =
-          List.concat_map
-            (fun strategy ->
-              if not (Registry.supports strategy entry.Catalog.spec) then []
-              else
-                [
-                  measure cfg strategy entry.Catalog.spec ~util ~requests ~protected:true;
-                  measure cfg strategy entry.Catalog.spec ~util ~requests ~protected:false;
-                ])
-            strategies;
-      })
-    utils
+  let spec = entry.Catalog.spec in
+  Sweep.grid cfg utils strategies (fun util strategy ->
+      if not (Registry.supports strategy spec) then None
+      else
+        (* The unprotected arm runs first. With collectors attached the
+           two arms feed the shared spans, series and SLOs in run order,
+           and the export pins (ci/exports_quick.md5) record that order.
+           Both are bound with [let] because OCaml evaluates a list
+           literal's elements right to left: [[ measure ~protected:true;
+           measure ~protected:false ]] runs the second one first. *)
+        let raw = measure cfg strategy spec ~util ~requests ~protected:false in
+        let prot = measure cfg strategy spec ~util ~requests ~protected:true in
+        Some [ prot; raw ])
+  |> List.map (fun (util, arms) -> { util; rows = List.concat arms })
 
 (* The CI gate: every way a run can violate the overload contract, summed.
    [unsafe_served]: a request dispatched into a non-clean process;

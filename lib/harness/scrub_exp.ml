@@ -196,22 +196,12 @@ let measure cfg strategy spec ~rate ~policy ~n_containers ~n_requests =
 
 let run cfg ?(rates = default_rates) ?(policies = default_policies) ?(n_containers = 2)
     ?(requests = default_requests) (entry : Catalog.entry) =
-  List.concat_map
-    (fun rate ->
-      List.map
-        (fun policy ->
-          {
-            rate;
-            policy;
-            rows =
-              List.filter_map
-                (fun strategy ->
-                  measure cfg strategy entry.Catalog.spec ~rate ~policy ~n_containers
-                    ~n_requests:requests)
-                strategies;
-          })
-        policies)
-    rates
+  let points =
+    List.concat_map (fun rate -> List.map (fun policy -> (rate, policy)) policies) rates
+  in
+  Sweep.grid cfg points strategies (fun (rate, policy) strategy ->
+      measure cfg strategy entry.Catalog.spec ~rate ~policy ~n_containers ~n_requests:requests)
+  |> List.map (fun ((rate, policy), rows) -> { rate; policy; rows })
 
 let protected_corrupted_serves points =
   List.fold_left

@@ -284,22 +284,10 @@ let measure cfg spec ~fault_per_min ~load_factor ~failover ~requests =
 
 let run cfg ?(fault_rates = default_fault_rates) ?(load_factors = default_load_factors)
     ?(requests = default_requests) (entry : Catalog.entry) =
-  List.map
-    (fun fault_per_min ->
-      {
-        fault_per_min;
-        rows =
-          List.concat_map
-            (fun load_factor ->
-              [
-                measure cfg entry.Catalog.spec ~fault_per_min ~load_factor ~failover:true
-                  ~requests;
-                measure cfg entry.Catalog.spec ~fault_per_min ~load_factor ~failover:false
-                  ~requests;
-              ])
-            load_factors;
-      })
-    fault_rates
+  let arms = List.concat_map (fun l -> [ (l, true); (l, false) ]) load_factors in
+  Sweep.grid cfg fault_rates arms (fun fault_per_min (load_factor, failover) ->
+      Some (measure cfg entry.Catalog.spec ~fault_per_min ~load_factor ~failover ~requests))
+  |> List.map (fun (fault_per_min, rows) -> { fault_per_min; rows })
 
 (* The CI gate: a gated objective breached with no prior alert on the
    failover-on arm, a flight-recorder dump that fails validation or

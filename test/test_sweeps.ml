@@ -1,8 +1,9 @@
 (* Byte-level safety net for the five fail-closed sweeps (fault, overload,
    cluster, scrub, slo). Each sweep descriptor's smoke grid runs at three
-   seeds; the rendered table must hash to the golden below — the md5 of
-   `gh-bench <sweep> --smoke --seed N` stdout — and the sweep's gate must
-   pass. Any refactor of the harnesses must keep every golden. *)
+   seeds, serially and on 4 domains; the rendered table must hash to the
+   golden below — the md5 of `gh-bench <sweep> --smoke --seed N` stdout —
+   and the sweep's gate must pass. Any refactor of the harnesses must keep
+   every golden, at any job count. *)
 
 module Config = Gh_harness.Config
 module Catalog = Gh_workloads.Catalog
@@ -45,24 +46,27 @@ let goldens =
 
 (* [-n] does not apply to the smoke grid; the default is passed as the CLI
    would. *)
-let check_golden (Gh_harness.Sweep.Sweep s as sweep) seed md5 () =
+let check_golden (Gh_harness.Sweep.Sweep s as sweep) ~jobs seed md5 () =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
   let gate =
-    Gh_harness.Sweep.exec sweep { Config.default with Config.seed } ~smoke:true
+    Gh_harness.Sweep.exec sweep { Config.default with Config.seed; jobs } ~smoke:true
       ~requests:s.default_n entry ppf
   in
   Format.pp_print_flush ppf ();
   Alcotest.(check (result unit string)) "gate" (Ok ()) gate;
   Alcotest.(check string) "table md5" md5 (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
-let golden_cases =
+let golden_cases ~jobs =
   List.concat_map
     (fun (Gh_harness.Sweep.Sweep s as sweep) ->
       List.map
         (fun (seed, md5) ->
-          Alcotest.test_case (Printf.sprintf "%s seed %d" s.name seed) `Quick
-            (check_golden sweep seed md5))
+          let name = Printf.sprintf "%s seed %d" s.name seed in
+          Alcotest.test_case
+            (if jobs = 1 then name else Printf.sprintf "%s -j %d" name jobs)
+            `Quick
+            (check_golden sweep ~jobs seed md5))
         (List.assoc s.name goldens))
     Gh_harness.Experiments.sweeps
 
@@ -135,8 +139,7 @@ let test_cluster_acceptance () =
 (* Known defect, pinned as it stands so no refactor can hide or move it:
    the default scrub grid at seed 3 dispatches a request into a dirty
    GH process and the actionloop refuses it. Flip this test to expect a
-   clean sweep once the whole-stack isolation oracle (ROADMAP item 4)
-   fixes the defect. *)
+   clean sweep once the dedup-blast fix (ROADMAP item 1) lands. *)
 let test_scrub_seed3_defect () =
   let cfg = { Config.default with Config.seed = 3 } in
   Alcotest.check_raises "actionloop refuses the dirty dispatch"
@@ -158,7 +161,7 @@ let test_scrub_gh_nop_defect seed policy () =
 let () =
   Alcotest.run "sweeps"
     [
-      ("smoke-goldens", golden_cases);
+      ("smoke-goldens", golden_cases ~jobs:1 @ golden_cases ~jobs:4);
       ( "gates",
         [
           Alcotest.test_case "cluster acceptance names the failed arm" `Quick

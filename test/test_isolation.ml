@@ -267,6 +267,51 @@ let test_gh_lookahead_skip_is_still_safe_for_same_principal () =
   in
   go reqs
 
+(* -- The hook table: which hooks each strategy sets beyond the
+   [Strategy_intf.stateless] defaults, over every registered strategy on
+   a benchmark all of them support. Per strategy: status, whether it keeps
+   snapshot pages, scrub 1, audit after one request, scrub 1 under
+   [degrade true], then status and scrub 1 after [kill]. Before its first
+   request every strategy's audit is [None]. -- *)
+
+let hook_table =
+  let skip = Intf.Scrub_skip and block = Intf.Scrubbed (1, false) in
+  [
+    (Registry.Base, None, false, skip, None, skip, None, skip);
+    (Registry.Gh, Some `Clean, true, block, Some `Intact, skip, Some `Poisoned, skip);
+    (Registry.Gh_nop, Some `Clean, true, block, None, block, Some `Poisoned, skip);
+    (Registry.Fork, None, false, skip, None, skip, None, skip);
+    (Registry.Faasm, None, true, skip, None, skip, None, skip);
+    (Registry.Coldstart, None, false, skip, None, skip, None, skip);
+    (Registry.Criu, None, true, block, Some `Intact, block, None, block);
+  ]
+
+let test_hook_table () =
+  let spec =
+    (Option.get (Gh_workloads.Catalog.find "cholesky (c)")).Gh_workloads.Catalog.spec
+  in
+  check_bool "the table lists every strategy, in registry order" true
+    (List.map (fun (id, _, _, _, _, _, _, _) -> id) hook_table = Registry.all);
+  List.iter
+    (fun (id, status, snapshot, scrub, audit, scrub_degraded, status_killed, scrub_killed) ->
+      let name = Registry.to_string id in
+      let check what expected got = check_bool (name ^ ": " ^ what) true (expected = got) in
+      let s = Result.get_ok (Registry.make id ~rng:(rng ()) spec) in
+      check "name" name s.Intf.name;
+      check "status" status (s.Intf.status ());
+      check "keeps snapshot pages" snapshot (s.Intf.snapshot_pages () > 0);
+      check "audit before a request" None (s.Intf.audit ());
+      check "scrub" scrub (s.Intf.scrub 1);
+      ignore (s.Intf.invoke (Request.make ~id:1 ~principal:alice ~input_kb:spec.Fm.input_kb ()));
+      check "audit after a request" audit (s.Intf.audit ());
+      s.Intf.degrade true;
+      check "scrub while degraded" scrub_degraded (s.Intf.scrub 1);
+      s.Intf.degrade false;
+      s.Intf.kill ();
+      check "status after kill" status_killed (s.Intf.status ());
+      check "scrub after kill" scrub_killed (s.Intf.scrub 1))
+    hook_table
+
 let () =
   Alcotest.run "gh_isolation"
     [
@@ -284,6 +329,7 @@ let () =
           Alcotest.test_case "fork rejects multithreaded" `Quick test_fork_rejects_multithreaded;
           Alcotest.test_case "faasm requires wasm" `Quick test_faasm_requires_wasm_port;
           Alcotest.test_case "registry" `Quick test_registry;
+          Alcotest.test_case "hook table" `Quick test_hook_table;
         ] );
       ( "costs",
         [

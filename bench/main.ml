@@ -1,22 +1,18 @@
-(* The benchmark harness, in two parts.
+(* The benchmark harness: host-side costs of this implementation.
 
-   Part 1 — Bechamel micro-benchmarks: one [Test.make] per table/figure of
-   the paper, each exercising the hot library operation that experiment
-   leans on (snapshot capture, pagemap scan, restore, layout diff, fork,
-   FAASM reset, strategy invocations, the DES). These measure {e this
-   implementation's} real CPU cost per operation.
-
-   Part 2 — regenerate every table and figure of the paper's evaluation via
-   the experiment harness (the same thing `gh-bench run all` does).
+   Bechamel micro-benchmarks: one [Test.make] per table/figure of the
+   paper, each exercising the hot library operation that experiment leans
+   on (snapshot capture, pagemap scan, restore, layout diff, fork, FAASM
+   reset, strategy invocations, the DES). These measure {e this
+   implementation's} real CPU cost per operation. The tables and figures
+   themselves come from `gh-bench run all` and `gh-bench run extras`.
 
    Run with: dune exec bench/main.exe
-   Pass `--quick` to shrink part 2's request counts (CI), or
-   `--bechamel-only` / `--figures-only` to run one part;
-   `--bitmap-only` / `--mem-only` / `--engine-only` run a single
-   micro-benchmark group (the latter two also write BENCH_mem.json /
-   BENCH_engine.json, into the current directory or into
-   `--out-dir DIR`). Any other argument is rejected before anything
-   runs. *)
+   With no flag it runs the per-figure group, then the memory and engine
+   groups. `--mem-only` / `--engine-only` run one of the latter two, each
+   of which writes its record (BENCH_mem.json / BENCH_engine.json) into
+   the current directory or into `--out-dir DIR`. Any other argument is
+   rejected before anything runs. *)
 
 open Bechamel
 open Toolkit
@@ -169,111 +165,6 @@ let bechamel_tests =
     test_table3;
   ]
 
-(* -- Bitmap kernel: packed 63-bit words vs the byte-per-page
-   representation it replaced. [Byte_bitmap] is a faithful copy of the old
-   [Gh_mem.Bitmap], kept here so before/after numbers come from a single
-   binary run. -- *)
-
-module Bitmap = Gh_mem.Bitmap
-
-module Byte_bitmap = struct
-  let create n = Bytes.make n '\000'
-  let set t i v = Bytes.unsafe_set t i (if v then '\001' else '\000')
-
-  let count t =
-    let c = ref 0 in
-    for i = 0 to Bytes.length t - 1 do
-      if Bytes.unsafe_get t i <> '\000' then incr c
-    done;
-    !c
-
-  let iter_set t f =
-    for i = 0 to Bytes.length t - 1 do
-      if Bytes.unsafe_get t i <> '\000' then f i
-    done
-
-  let fold_runs t ~init ~f =
-    let n = Bytes.length t in
-    let acc = ref init in
-    let i = ref 0 in
-    while !i < n do
-      if Bytes.unsafe_get t !i <> '\000' then begin
-        let start = !i in
-        while !i < n && Bytes.unsafe_get t !i <> '\000' do
-          incr i
-        done;
-        acc := f !acc ~pos:start ~len:(!i - start)
-      end
-      else incr i
-    done;
-    !acc
-end
-
-(* Sparse: runs of 4 dirty pages every 512 (~0.8 % set) — the shape a
-   lightly-dirtying request leaves in the soft-dirty map. Dense: 7 of every
-   8 pages set — a memory-hungry request's present map. *)
-let sparse_pattern n set =
-  let i = ref 0 in
-  while !i < n do
-    for j = !i to min (n - 1) (!i + 3) do
-      set j
-    done;
-    i := !i + 512
-  done
-
-let dense_pattern n set =
-  for i = 0 to n - 1 do
-    if i land 7 <> 0 then set i
-  done
-
-let bitmap_pair n pattern =
-  let packed = Bitmap.create n in
-  let bytes = Byte_bitmap.create n in
-  pattern n (fun i ->
-      Bitmap.set packed i true;
-      Byte_bitmap.set bytes i true);
-  (packed, bytes)
-
-let bitmap_tests =
-  let sizes = [ (1_024, "1K"); (65_536, "64K"); (1_048_576, "1M") ] in
-  let densities = [ (sparse_pattern, "sparse"); (dense_pattern, "dense") ] in
-  List.concat_map
-    (fun (n, size_name) ->
-      List.concat_map
-        (fun (pattern, density_name) ->
-          let packed, bytes = bitmap_pair n pattern in
-          let name op impl =
-            Printf.sprintf "bitmap/%s-%s-%s/%s" op size_name density_name impl
-          in
-          [
-            Test.make ~name:(name "count" "packed")
-              (Staged.stage (fun () -> Sys.opaque_identity (Bitmap.count packed)));
-            Test.make ~name:(name "count" "bytes")
-              (Staged.stage (fun () -> Sys.opaque_identity (Byte_bitmap.count bytes)));
-            Test.make ~name:(name "iter_set" "packed")
-              (Staged.stage (fun () ->
-                   let s = ref 0 in
-                   Bitmap.iter_set packed (fun i -> s := !s + i);
-                   Sys.opaque_identity !s));
-            Test.make ~name:(name "iter_set" "bytes")
-              (Staged.stage (fun () ->
-                   let s = ref 0 in
-                   Byte_bitmap.iter_set bytes (fun i -> s := !s + i);
-                   Sys.opaque_identity !s));
-            Test.make ~name:(name "fold_runs" "packed")
-              (Staged.stage (fun () ->
-                   Sys.opaque_identity
-                     (Bitmap.fold_runs packed ~init:0 ~f:(fun acc ~pos ~len ->
-                          acc + pos + len))));
-            Test.make ~name:(name "fold_runs" "bytes")
-              (Staged.stage (fun () ->
-                   Sys.opaque_identity
-                     (Byte_bitmap.fold_runs bytes ~init:0 ~f:(fun acc ~pos ~len ->
-                          acc + pos + len))));
-          ])
-        densities)
-    sizes
-
 (* -- Memory fast paths: the word-batched bulk kernels vs the retained
    scalar reference ([As.Scalar]), on a warm heap of 4K / 64K / 1M pages.
    Each run touches the whole heap, so ns-per-run divided by the page
@@ -396,9 +287,6 @@ let run_bechamel_list title tests =
 
 let run_bechamel () =
   run_bechamel_list "== Bechamel micro-benchmarks (one per table/figure) ==" bechamel_tests
-
-let run_bitmap_bench () =
-  run_bechamel_list "== Bitmap kernel: packed words vs byte-per-page ==" bitmap_tests
 
 (* Every BENCH_*.json record opens with the host it was taken on. *)
 let record_header () =
@@ -584,15 +472,7 @@ let run_engine_bench out_dir =
   Buffer.add_string buf "\n}\n";
   write_record out_dir "BENCH_engine.json" buf
 
-let run_figures profile =
-  print_endline "== Regenerating every table and figure of the evaluation ==";
-  Gh_harness.Experiments.run_all profile Format.std_formatter;
-  print_endline "";
-  print_endline "== Ablations and extensions (beyond the paper's configurations) ==";
-  Gh_harness.Experiments.run_extras profile Format.std_formatter
-
-let flags =
-  [ "--quick"; "--bechamel-only"; "--figures-only"; "--bitmap-only"; "--mem-only"; "--engine-only" ]
+let flags = [ "--mem-only"; "--engine-only" ]
 
 (* The flags given, and the directory for the BENCH_*.json records. A typo
    must not fall through to the whole multi-minute bench. *)
@@ -617,16 +497,10 @@ let parse_args args =
 let () =
   let given, out_dir = parse_args (List.tl (Array.to_list Sys.argv)) in
   let has flag = List.mem flag given in
-  let profile = if has "--quick" then Gh_harness.Config.quick else Gh_harness.Config.default in
-  if has "--bitmap-only" then run_bitmap_bench ()
-  else if has "--mem-only" then run_mem_bench out_dir
+  if has "--mem-only" then run_mem_bench out_dir
   else if has "--engine-only" then run_engine_bench out_dir
   else begin
-    if not (has "--figures-only") then begin
-      run_bechamel ();
-      run_bitmap_bench ();
-      run_mem_bench out_dir;
-      run_engine_bench out_dir
-    end;
-    if not (has "--bechamel-only") then run_figures profile
+    run_bechamel ();
+    run_mem_bench out_dir;
+    run_engine_bench out_dir
   end
